@@ -10,7 +10,6 @@ from .carbon import (
     embodied_breakdown,
     evaluate,
     metrics,
-    operational_carbon,
     operational_energy_kwh,
     wafer_carbon,
 )
@@ -36,7 +35,6 @@ from .geometry import (
     die_areas,
     gates_from_area,
     package_area,
-    partition_gate_area,
     stack_geometry,
     substrate_area,
     tsv_count_f2b,
@@ -61,7 +59,6 @@ from .params import (
     load_environment,
     load_profiles,
     load_scenario,
-    resolve_technology,
 )
 from .yieldmodel import YieldContext, compose_25d, compose_3d, die_yield_negbin, yield_context
 

@@ -155,8 +155,7 @@ def _m3d_die_carbon(
     out = []
     for i, g in enumerate(geom.dies):
         if i == 0:
-            epa = tech.epa_feol + tech.epa_mol + sum(tech.epa_beol_per_layer[: g.beol_layers])
-            per_wafer = (env.ci_fab * epa + tech.gpa + tech.mpa) * env.wafer_area
+            per_wafer = wafer_carbon(tech, g.beol_layers, env).c_wafer
         else:
             per_wafer = env.ci_fab * (tech.epa_feol + tech.epa_mol) * env.wafer_area
         dpw = dies_per_wafer(env.wafer_diameter_cm, g.total_area)
@@ -176,42 +175,38 @@ def embodied_breakdown(
     if len(geom.dies) != n or len(yields.effective_die_y) != n:
         raise CardinalityMismatch("design, geometry and yields disagree on the die count")
     integ = spec.integration
+    rules = integ.rules
     bonding = profiles.bonding
 
+    c_bond = c_sub = 0.0
     if integ is Integration.M3D:
         c_die = _m3d_die_carbon(spec, geom, yields, env)
-        c_bond = 0.0
     else:
         c_die = []
         for die, g, y in zip(spec.dies, geom.dies, yields.effective_die_y):
             wc = wafer_carbon(die.technology, g.beol_layers, env, die_area=g.total_area)
             c_die.append(wc.c_wafer / wc.dpw / y)
 
-        if integ.is_stacked_3d:
-            c_bond = 0.0
+        if rules.bonds == "n-1":
             for i in range(n - 1):
                 # interface i binds die i and i+1; charged at die i+1's wafer share
                 lower = geom.dies[i + 1]
                 dpw = dies_per_wafer(env.wafer_diameter_cm, lower.total_area)
                 per_wafer = bonding_wafer_carbon(spec.stacking, bonding, env, env.wafer_area)
                 c_bond += per_wafer / dpw / yields.effective_bond_y[i]
-        elif integ is Integration.INFO_CHIP_LAST:
+        elif rules.bonds == "n" and rules.substrate == "rdl":  # chip-last InFO
             c_bond = bonding.cpa_bonding * geom.substrate_area / yields.effective_bond_y[0]
-        elif integ is Integration.SI_INTERPOSER:
-            per_wafer = env.ci_bonding * bonding.epa_d2w * env.wafer_area  # D2W micro-bump attach
+        elif rules.bonds == "n":  # one D2W micro-bump attach per die onto the silicon interposer
+            per_wafer = env.ci_bonding * bonding.epa_d2w * env.wafer_area
             dpw = dies_per_wafer(env.wafer_diameter_cm, geom.substrate_area)
             c_bond = per_wafer / dpw * sum(1.0 / y for y in yields.effective_bond_y)
-        else:  # mono 2D, MCM, chip-first InFO
-            c_bond = 0.0
 
-    if integ in (Integration.INFO_CHIP_FIRST, Integration.INFO_CHIP_LAST):
+    if rules.substrate == "rdl":
         c_sub = bonding.cpa_rdl * geom.substrate_area / yields.substrate_y
-    elif integ is Integration.SI_INTERPOSER:
+    elif rules.substrate == "interposer":
         tech = profiles.interposer_technology
         wc = wafer_carbon(tech, profiles.interposer_beol_layers, env, die_area=geom.substrate_area)
         c_sub = wc.c_wafer / wc.dpw / yields.substrate_y
-    else:
-        c_sub = 0.0
 
     c_pack = profiles.packaging.cpa_packaging * geom.package_area
     return CarbonBreakdown(
@@ -227,10 +222,6 @@ def operational_energy_kwh(usage: UsageProfile, active_area: float) -> float:
     if usage.energy_override_kwh is not None:
         return usage.energy_override_kwh
     return usage.power_density * active_area * usage.t_app_hours / 1000.0
-
-
-def operational_carbon(usage: UsageProfile, active_area: float, env: FabEnvironment) -> float:
-    return env.ci_use * operational_energy_kwh(usage, active_area)
 
 
 def amortize_and_total(

@@ -289,9 +289,8 @@ def cmd_pareto(args) -> int:
         )
         for name in (args.integrations.split(",") if args.integrations else []):
             integ = Integration(name.strip().lower())
-            n = 1 if integ is Integration.MONO_2D else args.dies
             design = explorer.build_design(
-                integ, base_die.technology, base_die.wiring, n, total_gates, scenario.design.usage
+                integ, base_die.technology, base_die.wiring, args.dies, total_gates, scenario.design.usage
             )
             designs.append((integ.value, design))
         result = explorer.gamma_pareto(scenario, designs, gammas)

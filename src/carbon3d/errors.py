@@ -38,10 +38,6 @@ class UnknownNode(ValidationError):
         super().__init__("technology", f"unknown node {node!r}; known: {', '.join(known)}")
 
 
-class RatioMismatch(CarbonModelError):
-    pass
-
-
 class UnsupportedConfiguration(CarbonModelError):
     pass
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .carbon import CarbonBreakdown, evaluate
-from .errors import CapExceeded, CarbonModelWarning, UnresolvablePath
+from .errors import CapExceeded, CarbonModelWarning, OutOfRange, UnresolvablePath, UnsupportedConfiguration
 from .geometry import area_2d
 from .params import (
     BondingProfile,
@@ -46,7 +46,11 @@ from .params import (
     TechnologyProfile,
     UsageProfile,
     WiringParameters,
+    _num,
+    validate_bonding,
     validate_design,
+    validate_environment,
+    validate_packaging,
 )
 
 PRESCAN_POINTS = 17
@@ -97,10 +101,17 @@ _DIE_FIELDS = {"gate_count", "explicit_area", "explicit_beol"}
 def _num_value(path: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UnresolvablePath(f"{path}: expected a numeric value, got {value!r}")
-    return float(value)
+    return _num(value, path)  # rejects NaN and +-inf
 
 
-def _set_die(die: DieSpec, field_name: str, sub: str | None, value, registry: FixtureRegistry) -> DieSpec:
+def _int_value(path: str, value) -> int:
+    number = _num_value(path, value)
+    if not number.is_integer():
+        raise OutOfRange(path, f"expected an integer, got {value!r}")
+    return int(number)
+
+
+def _set_die(die: DieSpec, field_name: str, sub: str | None, value, registry: FixtureRegistry, path: str) -> DieSpec:
     if field_name == "technology":
         node = str(value)
         return dataclasses.replace(
@@ -109,17 +120,20 @@ def _set_die(die: DieSpec, field_name: str, sub: str | None, value, registry: Fi
     if field_name == "wiring":
         if sub not in _WIRING_FIELDS:
             raise UnresolvablePath(f"unknown wiring field {sub!r}")
-        wiring = dataclasses.replace(die.wiring, **{sub: _num_value(sub, value)})
+        wiring = dataclasses.replace(die.wiring, **{sub: _num_value(path, value)})
         return dataclasses.replace(die, wiring=wiring)
     if field_name not in _DIE_FIELDS:
         raise UnresolvablePath(f"unknown die field {field_name!r}")
     if field_name == "explicit_beol":
-        return dataclasses.replace(die, explicit_beol=int(value))
-    return dataclasses.replace(die, **{field_name: _num_value(field_name, value)})
+        return dataclasses.replace(die, explicit_beol=_int_value(path, value))
+    return dataclasses.replace(die, **{field_name: _num_value(path, value)})
 
 
 def apply_parameter(scenario: Scenario, path: str, value, registry: FixtureRegistry | None = None) -> Scenario:
-    """Return a copy of the scenario with one parameter path set to value."""
+    """Return a copy of the scenario with one parameter path set to value.
+
+    Patched profiles get the loader's checks; the design is left to ``validate_design``.
+    """
     registry = registry or FixtureRegistry.bundled()
     p = path.strip()
     if p.startswith("design."):
@@ -128,27 +142,30 @@ def apply_parameter(scenario: Scenario, path: str, value, registry: FixtureRegis
     if p == "gamma":
         return dataclasses.replace(scenario, gamma=_num_value(p, value))
     if p == "technology":
-        dies = tuple(_set_die(d, "technology", None, value, registry) for d in scenario.design.dies)
+        dies = tuple(_set_die(d, "technology", None, value, registry, p) for d in scenario.design.dies)
         return dataclasses.replace(scenario, design=dataclasses.replace(scenario.design, dies=dies))
     if p == "signal_count_f2f":
         return dataclasses.replace(
-            scenario, design=dataclasses.replace(scenario.design, signal_count_f2f=int(value))
+            scenario, design=dataclasses.replace(scenario.design, signal_count_f2f=_int_value(p, value))
         )
 
     head, _, rest = p.partition(".")
     if head == "usage" and rest in _USAGE_FIELDS:
-        usage = dataclasses.replace(scenario.design.usage, **{rest: _num_value(rest, value)})
+        usage = dataclasses.replace(scenario.design.usage, **{rest: _num_value(p, value)})
         return dataclasses.replace(scenario, design=dataclasses.replace(scenario.design, usage=usage))
     if head == "environment" and rest in _ENV_FIELDS:
-        env = dataclasses.replace(scenario.environment, **{rest: _num_value(rest, value)})
+        env = dataclasses.replace(scenario.environment, **{rest: _num_value(p, value)})
+        validate_environment(env, head)
         return dataclasses.replace(scenario, environment=env)
     if head == "bonding" and rest in _BOND_FIELDS:
-        bonding = dataclasses.replace(scenario.profiles.bonding, **{rest: _num_value(rest, value)})
+        bonding = dataclasses.replace(scenario.profiles.bonding, **{rest: _num_value(p, value)})
+        validate_bonding(bonding, head)
         return dataclasses.replace(
             scenario, profiles=dataclasses.replace(scenario.profiles, bonding=bonding)
         )
     if head == "packaging" and rest in _PKG_FIELDS:
-        packaging = dataclasses.replace(scenario.profiles.packaging, **{rest: _num_value(rest, value)})
+        packaging = dataclasses.replace(scenario.profiles.packaging, **{rest: _num_value(p, value)})
+        validate_packaging(packaging, head)
         return dataclasses.replace(
             scenario, profiles=dataclasses.replace(scenario.profiles, packaging=packaging)
         )
@@ -161,7 +178,7 @@ def apply_parameter(scenario: Scenario, path: str, value, registry: FixtureRegis
         for i in targets:
             if not 0 <= i < len(dies):
                 raise UnresolvablePath(f"{path}: die index {i} out of range (have {len(dies)})")
-            dies[i] = _set_die(dies[i], field_name, sub, value, registry)
+            dies[i] = _set_die(dies[i], field_name, sub, value, registry, p)
         return dataclasses.replace(
             scenario, design=dataclasses.replace(scenario.design, dies=tuple(dies))
         )
@@ -342,25 +359,21 @@ def build_design(
 ) -> DesignSpec:
     """Equal-split parametric design used by the DSE drivers.
 
-    2-die stacked 3D uses F2F, deeper stacks F2B; mono-2D collapses to a
-    single die regardless of n_dies.
+    Facing is the scheme's default (2-die stacked 3D F2F, deeper stacks F2B);
+    ``stacking`` applies where the scheme offers a choice.  Mono-2D collapses
+    to a single die regardless of n_dies.
     """
-    if integration is Integration.MONO_2D:
+    rules = integration.rules
+    if rules.max_dies == 1:
         n_dies = 1
     dies = tuple(
         DieSpec(technology=technology, wiring=wiring, gate_count=gate_count_2d / n_dies)
         for _ in range(n_dies)
     )
-    if integration in (Integration.MICRO_3D, Integration.HYBRID_3D):
-        facing = Facing.F2F if n_dies == 2 else Facing.F2B
-    elif integration is Integration.M3D:
-        facing, stacking = Facing.F2B, Stacking.NA
-    else:
-        facing, stacking = Facing.NA, Stacking.NA
     design = DesignSpec(
         integration=integration,
-        facing=facing,
-        stacking=stacking,
+        facing=rules.default_facing(n_dies),
+        stacking=stacking if len(rules.stackings) > 1 else rules.default_stacking,
         dies=dies,
         usage=usage,
         signal_count_f2f=signal_count_f2f,
@@ -447,6 +460,8 @@ def gamma_pareto(
     ref_design = reference if reference is not None else base.design
     ref = evaluate(dataclasses.replace(base, design=ref_design, gamma=1.0))
     ref_tcdp = ref.metrics.tcdp
+    if ref_tcdp == 0:
+        raise UnsupportedConfiguration("the reference design's tCDP at gamma=1 is 0; cannot normalize")
     series: dict[str, tuple[float, ...]] = {}
     for name, design in designs:
         points = []

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NonPositiveArea, RatioMismatch, UnsupportedConfiguration
+from .errors import NonPositiveArea, UnsupportedConfiguration
 from .params import (
     DesignSpec,
     DieSpec,
@@ -72,67 +72,6 @@ def area_2d(gate_count: float, tech: TechnologyProfile) -> float:
 
 def gates_from_area(area: float, tech: TechnologyProfile) -> float:
     return area / (tech.gate_area_scaling * tech.feature_size_cm**2)
-
-
-def partition_gate_area(a_2d: float, n: int, ratios: Sequence[float] | None = None) -> list[float]:
-    """Split a 2D-equivalent area over n dies; the parts sum to a_2d exactly.
-
-    Defaults to an even split; with ratios the split is proportional.  The
-    last share absorbs the floating-point remainder.
-    """
-    if n < 1:
-        raise RatioMismatch(f"need at least 1 die, got {n}")
-    if ratios is None:
-        weights = [1.0] * n
-    else:
-        if len(ratios) != n:
-            raise RatioMismatch(f"got {len(ratios)} ratios for {n} dies")
-        if any(r <= 0 for r in ratios):
-            raise RatioMismatch("ratios must be > 0")
-        weights = [float(r) for r in ratios]
-    total = sum(weights)
-    parts = [a_2d * w / total for w in weights[:-1]]
-    parts.append(_conserving_remainder(a_2d, parts))
-    return parts
-
-
-def _step(x: float, ulps: int) -> float:
-    towards = math.copysign(math.inf, ulps)
-    for _ in range(abs(ulps)):
-        x = math.nextafter(x, towards)
-    return x
-
-
-def _conserving_remainder(target: float, head: list[float]) -> float:
-    """Remainder share such that the float sum of head + [r] is target.
-
-    A plain target - sum(head) can miss by one ulp on round-to-even ties,
-    and a one-ulp fix to a single share can vanish in the running-sum
-    rounding; scanning a few ulp offsets over remainder and head shares
-    lands the sum bit-exactly.  head is adjusted in place.
-    """
-
-    def remainder_for(shares: list[float]) -> float | None:
-        partial = sum(shares)
-        r = target - partial
-        for _ in range(4):
-            if partial + r == target:
-                return r
-            r = math.nextafter(r, math.copysign(math.inf, target - (partial + r)))
-        return None
-
-    r = remainder_for(head)
-    if r is not None:
-        return r
-    for j in range(len(head)):
-        for ulps in (1, -1, 2, -2):
-            candidate = head.copy()
-            candidate[j] = _step(candidate[j], ulps)
-            r = remainder_for(candidate)
-            if r is not None:
-                head[j] = candidate[j]
-                return r
-    return target - sum(head)  # representability limit: off by <= 1 ulp
 
 
 def rent_terminals(gate_count: float, wiring: WiringParameters) -> float:
@@ -223,7 +162,7 @@ def _base_gate_areas(spec: DesignSpec) -> list[float]:
 def die_areas(spec: DesignSpec) -> list[DieGeometry]:
     """Per-die area breakdown before BEOL estimation (beol_layers unset).
 
-    Overheads by integration:
+    Overheads by integration (``SchemeRules.io_strip`` and ``tsvs``):
       micro 3D F2F:  IO strip on both dies; signal TSVs in the bottom die
       micro 3D F2B:  IO strip everywhere; Rent TSVs in dies 1..N-1
       hybrid 3D:     same TSV rules, no IO strip
@@ -244,17 +183,14 @@ def die_areas(spec: DesignSpec) -> list[DieGeometry]:
             for die in spec.dies
         ]
 
-    micro = integ is Integration.MICRO_3D
-    hybrid = integ is Integration.HYBRID_3D
+    rules = integ.rules
     geoms: list[DieGeometry] = []
     for i, die in enumerate(spec.dies):
         gate = bases[i]
         tsv_area = 0.0
         tsv_count = 0
-        io_area = 0.0
-        if micro or integ.is_25d:
-            io_area = die.technology.io_overhead_ratio * gate
-        if micro or hybrid:
+        io_area = die.technology.io_overhead_ratio * gate if rules.io_strip else 0.0
+        if rules.tsvs:
             pitch = die.technology.tsv_pitch_cm
             if spec.facing is Facing.F2F:
                 if i == n - 1:  # bottom die carries the package-bound signal TSVs
@@ -273,18 +209,14 @@ def die_areas(spec: DesignSpec) -> list[DieGeometry]:
 def package_area(spec: DesignSpec, die_geoms: Sequence[DieGeometry], packaging: PackagingProfile) -> float:
     """Package area: 3D scales the largest stacked die, 2.5D/2D the total."""
     areas = [g.total_area for g in die_geoms]
-    if spec.integration.is_3d:
+    if spec.integration.rules.package == "max":
         return packaging.s_package_3d * max(areas)
     return packaging.s_package_25d * sum(areas)
 
 
 def substrate_area(spec: DesignSpec, die_geoms: Sequence[DieGeometry], packaging: PackagingProfile) -> float:
     """Unifying-substrate area (RDL or interposer); 0 when not applicable."""
-    if spec.integration in (
-        Integration.INFO_CHIP_FIRST,
-        Integration.INFO_CHIP_LAST,
-        Integration.SI_INTERPOSER,
-    ):
+    if spec.integration.rules.substrate != "none":
         return packaging.s_substrate_25d * sum(g.total_area for g in die_geoms)
     return 0.0
 

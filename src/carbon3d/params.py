@@ -23,10 +23,11 @@ import enum
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Literal, Mapping, Sequence
 
 from .errors import (
     CarbonModelWarning,
@@ -64,22 +65,8 @@ class Integration(enum.Enum):
     SI_INTERPOSER = "si_interposer"
 
     @property
-    def is_3d(self) -> bool:
-        return self in (Integration.MICRO_3D, Integration.HYBRID_3D, Integration.M3D)
-
-    @property
-    def is_stacked_3d(self) -> bool:
-        """Die-level stacking (micro-bump or hybrid bond), i.e. has bond interfaces."""
-        return self in (Integration.MICRO_3D, Integration.HYBRID_3D)
-
-    @property
-    def is_25d(self) -> bool:
-        return self in (
-            Integration.MCM,
-            Integration.INFO_CHIP_FIRST,
-            Integration.INFO_CHIP_LAST,
-            Integration.SI_INTERPOSER,
-        )
+    def rules(self) -> "SchemeRules":
+        return SCHEME_RULES[self]
 
 
 class Facing(enum.Enum):
@@ -92,6 +79,50 @@ class Stacking(enum.Enum):
     D2W = "d2w"
     W2W = "w2w"
     NA = "na"
+
+
+@dataclass(frozen=True)
+class SchemeRules:
+    """Structural facts one integration scheme fixes; see SCHEME_RULES."""
+
+    min_dies: int
+    max_dies: int | None                            # None: no upper bound
+    io_strip: bool                                  # IO driver strip for inter-die / chiplet links
+    tsvs: bool                                      # TSVs through the stacked dies
+    bonds: Literal["0", "n-1", "n"]                 # bond interfaces in an assembly of n dies
+    substrate: Literal["none", "rdl", "interposer"]
+    package: Literal["max", "sum"]                  # package area scales max() or sum() of die areas
+    facings: tuple[Facing, ...]                     # legal values
+    stackings: tuple[Stacking, ...]                 # legal values, the default first
+
+    def bond_count(self, n_dies: int) -> int:
+        return {"0": 0, "n-1": n_dies - 1, "n": n_dies}[self.bonds]
+
+    def default_facing(self, n_dies: int) -> Facing:
+        if Facing.F2F in self.facings:  # F2F bonds exactly one die pair
+            return Facing.F2F if n_dies == 2 else Facing.F2B
+        return self.facings[0]
+
+    @property
+    def default_stacking(self) -> Stacking:
+        return self.stackings[0]
+
+
+_F, _S = (Facing.F2F, Facing.F2B), (Stacking.D2W, Stacking.W2W)
+_NO_F, _NO_S = (Facing.NA,), (Stacking.NA,)
+
+# One row per scheme; a new scheme is one row here plus its formulas.
+SCHEME_RULES = {
+    #                                        min  max   io     tsvs   bonds  substrate     pkg    facings        stackings
+    Integration.MONO_2D:         SchemeRules(1, 1,    False, False, "0",   "none",       "sum", _NO_F,         _NO_S),
+    Integration.MICRO_3D:        SchemeRules(2, None, True,  True,  "n-1", "none",       "max", _F,            _S),
+    Integration.HYBRID_3D:       SchemeRules(2, None, False, True,  "n-1", "none",       "max", _F,            _S),
+    Integration.M3D:             SchemeRules(2, 2,    False, False, "0",   "none",       "max", (Facing.F2B,), _NO_S),
+    Integration.MCM:             SchemeRules(2, None, True,  False, "0",   "none",       "sum", _NO_F,         _NO_S),
+    Integration.INFO_CHIP_FIRST: SchemeRules(2, None, True,  False, "0",   "rdl",        "sum", _NO_F,         _NO_S),
+    Integration.INFO_CHIP_LAST:  SchemeRules(2, None, True,  False, "n",   "rdl",        "sum", _NO_F,         _NO_S),
+    Integration.SI_INTERPOSER:   SchemeRules(2, None, True,  False, "n",   "interposer", "sum", _NO_F,         _NO_S),
+}
 
 
 @dataclass(frozen=True)
@@ -276,12 +307,6 @@ class FixtureRegistry:
         return env
 
 
-def resolve_technology(node_name: str, registry: FixtureRegistry | None = None) -> TechnologyProfile:
-    """Look up a node profile in the fixture registry."""
-    registry = registry or FixtureRegistry.bundled()
-    return registry.technology(node_name)
-
-
 # ---------------------------------------------------------------------------
 # Document parsing helpers
 # ---------------------------------------------------------------------------
@@ -297,6 +322,8 @@ def _require(doc: Mapping, key: str, path: str) -> Any:
 def _num(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise OutOfRange(path, f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int too large for a float
+        raise OutOfRange(path, f"must be finite, got {value!r}")
     return float(value)
 
 
@@ -505,34 +532,19 @@ def validate_design(design: DesignSpec, path: str = "design"):
     """Enforce the integration/facing/stacking/die-count compatibility rules."""
     n = len(design.dies)
     integ = design.integration
-    if integ is Integration.MONO_2D:
-        if n != 1:
-            raise InvalidCombination(f"{path}.dies", f"mono_2d requires exactly 1 die, got {n}")
-    elif n < 2:
-        raise InvalidCombination(f"{path}.dies", f"{integ.value} requires >= 2 dies, got {n}")
-
-    if integ.is_stacked_3d:
-        if design.facing is Facing.NA:
-            raise InvalidCombination(f"{path}.facing", f"{integ.value} requires facing f2f or f2b")
-        if design.stacking is Stacking.NA:
-            raise InvalidCombination(f"{path}.stacking", f"{integ.value} requires stacking d2w or w2w")
-        if design.facing is Facing.F2F and n != 2:
-            raise InvalidCombination(f"{path}.facing", f"f2f stacking supports exactly 2 dies, got {n}")
-    elif integ is Integration.M3D:
-        if n != 2:
-            raise InvalidCombination(f"{path}.dies", f"m3d supports exactly 2 tiers, got {n}")
-        if design.facing is not Facing.F2B:
-            raise InvalidCombination(f"{path}.facing", "m3d tiers are built face-to-back")
-        if design.stacking is not Stacking.NA:
-            raise InvalidCombination(f"{path}.stacking", "m3d is sequential, no bonding scheme applies")
-        nodes = {d.technology.node_name for d in design.dies}
-        if len(nodes) != 1:
-            raise InvalidCombination(f"{path}.dies", "m3d tiers share one wafer and must use one node")
-    else:  # mono 2D and all 2.5D flavors
-        if design.facing is not Facing.NA:
-            raise InvalidCombination(f"{path}.facing", f"facing does not apply to {integ.value}")
-        if design.stacking is not Stacking.NA:
-            raise InvalidCombination(f"{path}.stacking", f"stacking does not apply to {integ.value}")
+    rules = integ.rules
+    if not rules.min_dies <= n <= (rules.max_dies or n):
+        lo, hi = rules.min_dies, rules.max_dies
+        count = f"exactly {lo}" if hi == lo else f">= {lo}" if hi is None else f"{lo} to {hi}"
+        raise InvalidCombination(f"{path}.dies", f"{integ.value} requires {count} dies, got {n}")
+    if design.facing not in rules.facings:
+        raise InvalidCombination(f"{path}.facing", f"{integ.value} does not allow facing {design.facing.value}")
+    if design.stacking not in rules.stackings:
+        raise InvalidCombination(f"{path}.stacking", f"{integ.value} does not allow stacking {design.stacking.value}")
+    if design.facing is Facing.F2F and n != 2:
+        raise InvalidCombination(f"{path}.facing", f"f2f stacking supports exactly 2 dies, got {n}")
+    if integ is Integration.M3D and len({d.technology.node_name for d in design.dies}) != 1:
+        raise InvalidCombination(f"{path}.dies", "m3d tiers share one wafer and must use one node")
 
     if design.signal_count_f2f < 0:
         raise OutOfRange(f"{path}.signal_count_f2f", "must be >= 0")
@@ -581,14 +593,6 @@ def _resolved_technology(node: str, overrides: Mapping, registry: FixtureRegistr
     prof = dataclasses.replace(base, **kwargs)
     validate_technology(prof, path)
     return prof
-
-
-def _default_facing(integration: Integration, n_dies: int) -> Facing:
-    if integration.is_stacked_3d:
-        return Facing.F2F if n_dies == 2 else Facing.F2B
-    if integration is Integration.M3D:
-        return Facing.F2B
-    return Facing.NA
 
 
 def _expand_dies(design_doc: Mapping, path: str) -> list[dict]:
@@ -663,15 +667,16 @@ def load_design(document: Mapping, registry: FixtureRegistry | None = None) -> D
 
     facing_raw = design_doc.get("facing")
     facing = (
-        _default_facing(integration, len(dies))
+        integration.rules.default_facing(len(dies))
         if facing_raw is None
         else _enum(facing_raw, Facing, "design.facing")
     )
     stacking_raw = design_doc.get("stacking")
-    if stacking_raw is None:
-        stacking = Stacking.D2W if integration.is_stacked_3d else Stacking.NA
-    else:
-        stacking = _enum(stacking_raw, Stacking, "design.stacking")
+    stacking = (
+        integration.rules.default_stacking
+        if stacking_raw is None
+        else _enum(stacking_raw, Stacking, "design.stacking")
+    )
 
     usage = _usage_from_doc(_require(document, "usage", ""), "usage")
     signal = design_doc.get("signal_count_f2f", 0)

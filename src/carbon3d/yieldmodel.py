@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import CardinalityMismatch, UnsupportedConfiguration
+from .errors import UnsupportedConfiguration
 from .params import DesignSpec, Integration, ProcessProfiles, Stacking
 
 
@@ -52,10 +52,6 @@ def _product(values: Sequence[float]) -> float:
 def compose_3d(spec: DesignSpec, die_y: Sequence[float], bond_y: Sequence[float]) -> YieldContext:
     """Effective die/bond yields for stacked (micro/hybrid) 3D ICs."""
     n = len(spec.dies)
-    if len(die_y) != n:
-        raise CardinalityMismatch(f"need {n} die yields, got {len(die_y)}")
-    if len(bond_y) != n - 1:
-        raise CardinalityMismatch(f"need {n - 1} bond yields for {n} dies, got {len(bond_y)}")
     bond_product = _product(bond_y)
     if spec.stacking is Stacking.W2W:
         combined = _product(die_y) * bond_product
@@ -78,36 +74,22 @@ def compose_25d(
     bond_y: Sequence[float],
     substrate_y: float = 1.0,
 ) -> YieldContext:
-    """Effective yields for MCM / InFO / silicon-interposer 2.5D ICs.
+    """Effective yields for mono-2D and MCM / InFO / silicon-interposer 2.5D ICs.
 
-    Chip-first InFO takes no bond list (there is no die-attach step); the
-    chip-last flavors take one bond per die.
+    Without die-attach bonds (2D, MCM, chip-first) dies carry the substrate
+    yield (1.0: none); with one bond per die all parts survive every attach.
     """
-    n = len(spec.dies)
-    if len(die_y) != n:
-        raise CardinalityMismatch(f"need {n} die yields, got {len(die_y)}")
-    integ = spec.integration
-    if integ is Integration.MCM:
-        if bond_y:
-            raise CardinalityMismatch("MCM bonding is folded into packaging; no bond yields apply")
-        return YieldContext(tuple(die_y), (), tuple(die_y), (), substrate_y=1.0)
-    if integ is Integration.INFO_CHIP_FIRST:
-        if bond_y:
-            raise CardinalityMismatch("chip-first InFO has no die-attach bonds")
+    if not bond_y:
         eff_die = tuple(y * substrate_y for y in die_y)
         return YieldContext(tuple(die_y), (), eff_die, (), substrate_y=substrate_y)
-    if integ in (Integration.INFO_CHIP_LAST, Integration.SI_INTERPOSER):
-        if len(bond_y) != n:
-            raise CardinalityMismatch(f"chip-last needs one bond per die ({n}), got {len(bond_y)}")
-        bond_product = _product(bond_y)
-        return YieldContext(
-            standalone_die_y=tuple(die_y),
-            standalone_bond_y=tuple(bond_y),
-            effective_die_y=tuple(y * bond_product for y in die_y),
-            effective_bond_y=(bond_product,) * n,
-            substrate_y=substrate_y * bond_product,
-        )
-    raise UnsupportedConfiguration(f"{integ.value} is not a 2.5D integration")
+    bond_product = _product(bond_y)
+    return YieldContext(
+        standalone_die_y=tuple(die_y),
+        standalone_bond_y=tuple(bond_y),
+        effective_die_y=tuple(y * bond_product for y in die_y),
+        effective_bond_y=(bond_product,) * len(bond_y),
+        substrate_y=substrate_y * bond_product,
+    )
 
 
 def yield_context(spec: DesignSpec, geometry, profiles: ProcessProfiles) -> YieldContext:
@@ -132,28 +114,20 @@ def yield_context(spec: DesignSpec, geometry, profiles: ProcessProfiles) -> Yiel
         die_yield_negbin(g.total_area, d.technology.defect_density_d0, d.technology.cluster_alpha)
         for d, g in zip(spec.dies, geometry.dies)
     ]
-
-    if integ is Integration.MONO_2D:
-        return YieldContext(tuple(die_y), (), tuple(die_y), (), substrate_y=1.0)
-
-    if integ.is_stacked_3d:
-        bond_y = [bonding.bond_yield] * (len(spec.dies) - 1)
+    rules = integ.rules
+    bond_y = [bonding.bond_yield] * rules.bond_count(len(spec.dies))
+    if rules.bonds == "n-1":
         return compose_3d(spec, die_y, bond_y)
 
-    # 2.5D flavors
-    if integ is Integration.MCM:
-        return compose_25d(spec, die_y, [])
-    if integ is Integration.INFO_CHIP_FIRST:
-        return compose_25d(spec, die_y, [], substrate_y=bonding.rdl_yield)
-    bond_y = [bonding.bond_yield] * len(spec.dies)
-    if integ is Integration.INFO_CHIP_LAST:
-        return compose_25d(spec, die_y, bond_y, substrate_y=bonding.rdl_yield)
-    # silicon interposer
-    if bonding.interposer_yield is not None:
+    if rules.substrate == "rdl":
+        sub_y = bonding.rdl_yield
+    elif rules.substrate == "none":
+        sub_y = 1.0
+    elif bonding.interposer_yield is not None:
         sub_y = bonding.interposer_yield
     else:
         tech = profiles.interposer_technology
         if tech is None:
-            raise UnsupportedConfiguration("si_interposer needs an interposer technology profile")
+            raise UnsupportedConfiguration(f"{integ.value} needs an interposer technology profile")
         sub_y = die_yield_negbin(geometry.substrate_area, tech.defect_density_d0, tech.cluster_alpha)
     return compose_25d(spec, die_y, bond_y, substrate_y=sub_y)

@@ -7,13 +7,11 @@ from carbon3d import (
     DesignSpec,
     DieSpec,
     FabEnvironment,
-    Facing,
     FixtureRegistry,
     Integration,
     PackagingProfile,
     ProcessProfiles,
     Scenario,
-    Stacking,
     TechnologyProfile,
     UsageProfile,
     WiringParameters,
@@ -88,7 +86,8 @@ def make_design(
     tech = tech or make_tech()
     wiring = wiring or make_wiring()
     usage = usage or UsageProfile(t_app_hours=8766.0, t_exe_hours=26298.0, power_density=25.0)
-    if integration is Integration.MONO_2D:
+    rules = integration.rules
+    if rules.max_dies == 1:
         n = 1
     dies = []
     for i in range(n):
@@ -102,14 +101,9 @@ def make_design(
             )
         )
     if facing is None:
-        if integration in (Integration.MICRO_3D, Integration.HYBRID_3D):
-            facing = Facing.F2F if n == 2 else Facing.F2B
-        elif integration is Integration.M3D:
-            facing = Facing.F2B
-        else:
-            facing = Facing.NA
+        facing = rules.default_facing(n)
     if stacking is None:
-        stacking = Stacking.D2W if integration in (Integration.MICRO_3D, Integration.HYBRID_3D) else Stacking.NA
+        stacking = rules.default_stacking
     return DesignSpec(
         integration=integration,
         facing=facing,

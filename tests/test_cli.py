@@ -191,3 +191,56 @@ class TestSampleConfigs:
         path = write_config(tmp_path, doc)
         assert main(["estimate", "-c", str(path)]) == 2
         assert "90nm" in capsys.readouterr().err
+
+
+class TestRejectsBadValues:
+    """Out-of-range and non-finite inputs exit 2 with the offending path."""
+
+    def _run(self, tmp_path, capsys, doc, *argv):
+        path = write_config(tmp_path, doc)
+        code = main([argv[0], "-c", str(path), *argv[1:]])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("mutate, where", [
+        (lambda d: d["usage"].update(power_density=math.inf), "usage.power_density"),
+        (lambda d: d["usage"].update(t_exe_hours=math.inf), "usage.t_exe_hours"),
+        (lambda d: d.update(technology_overrides={"7nm": {"cluster_alpha": math.inf}}),
+         "technology_overrides.7nm.cluster_alpha"),
+        (lambda d: d.update(environment={"wafer_diameter_cm": math.nan}), "environment.wafer_diameter_cm"),
+    ])
+    def test_non_finite_document_value(self, tmp_path, capsys, mutate, where):
+        doc = basic_document()
+        mutate(doc)
+        code, out = self._run(tmp_path, capsys, doc, "estimate", "--format", "csv")
+        assert code == 2 and out.out == ""
+        assert where in out.err and "finite" in out.err
+
+    @pytest.mark.parametrize("axis", [
+        "usage.power_density=inf",
+        "environment.ci_fab=nan",
+        "dies[*].gate_count=-inf",
+        "bonding.bond_yield=1.5",
+        "environment.ci_fab=-1",
+        "packaging.s_package_3d=0.1",
+        "dies[*].explicit_beol=3.7",
+        "signal_count_f2f=2.9",
+    ])
+    def test_bad_sweep_axis_exits_2(self, tmp_path, capsys, axis):
+        code, out = self._run(tmp_path, capsys, basic_document(), "sweep", "--axis", axis)
+        assert code == 2 and out.out == ""
+        assert axis.partition("=")[0] in out.err
+
+    @pytest.mark.parametrize("axis", ["dies[*].explicit_beol=5,8", "signal_count_f2f=0,100"])
+    def test_integral_float_axis_values_still_accepted(self, tmp_path, capsys, axis):
+        code, out = self._run(tmp_path, capsys, basic_document(), "sweep", "--axis", axis)
+        assert code == 0
+        assert len(parse_csv(out.out)[2]) == 2
+
+    def test_zero_reference_tcdp_in_pareto(self, tmp_path, capsys):
+        doc = basic_document()
+        doc["environment"] = {"ci_fab": 0.0, "ci_use": 0.0, "ci_bonding": 0.0}
+        doc["technology_overrides"] = {"7nm": {"gpa": 0.0, "mpa": 0.0}}
+        doc["design"]["packaging"] = {"cpa_packaging": 0.0}
+        code, out = self._run(tmp_path, capsys, doc, "pareto", "--gammas", "0,1")
+        assert code == 2 and out.out == ""
+        assert "tCDP" in out.err

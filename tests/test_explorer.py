@@ -15,10 +15,10 @@ from carbon3d import (
     sweep,
     switching_point,
 )
-from carbon3d.errors import CapExceeded, CarbonModelWarning, UnresolvablePath
+from carbon3d.errors import CapExceeded, CarbonModelWarning, UnresolvablePath, UnsupportedConfiguration
 from carbon3d.explorer import apply_parameter
 
-from conftest import make_design, make_scenario
+from conftest import make_design, make_env, make_profiles, make_scenario, make_tech
 
 
 class TestApplyParameter:
@@ -205,3 +205,18 @@ class TestBuildDesign:
         mono = build_design(Integration.MONO_2D, tech, wiring, 4, 1e9, usage)
         assert len(mono.dies) == 1
         assert mono.dies[0].gate_count == 1e9
+
+
+def test_gamma_pareto_zero_reference_tcdp_is_a_typed_error():
+    design = make_design(tech=make_tech(gpa=0.0, mpa=0.0))
+    profiles = make_profiles()
+    profiles = dataclasses.replace(
+        profiles, packaging=dataclasses.replace(profiles.packaging, cpa_packaging=0.0)
+    )
+    scn = dataclasses.replace(
+        make_scenario(design=design),
+        profiles=profiles,
+        environment=make_env(ci_fab=0.0, ci_use=0.0, ci_bonding=0.0),
+    )
+    with pytest.raises(UnsupportedConfiguration, match="tCDP"):
+        gamma_pareto(scn, [("self", design)], [0.0, 1.0])

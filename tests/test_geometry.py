@@ -12,12 +12,11 @@ from carbon3d import (
     beol_layers,
     die_areas,
     package_area,
-    partition_gate_area,
     stack_geometry,
     substrate_area,
     tsv_count_f2b,
 )
-from carbon3d.errors import NonPositiveArea, RatioMismatch
+from carbon3d.errors import NonPositiveArea
 from carbon3d.geometry import DieGeometry, gates_from_area
 
 from conftest import make_design, make_profiles, make_tech, make_wiring
@@ -44,30 +43,6 @@ class TestArea2d:
     def test_gates_from_area_inverts(self):
         tech = make_tech()
         assert gates_from_area(area_2d(3.7e8, tech), tech) == pytest.approx(3.7e8, rel=1e-12)
-
-
-class TestPartition:
-    def test_even_split(self):
-        assert partition_gate_area(1.0, 2) == [0.5, 0.5]
-
-    def test_ratio_split(self):
-        assert partition_gate_area(1.0, 2, ratios=[3, 1]) == [0.75, 0.25]
-
-    def test_three_way(self):
-        parts = partition_gate_area(0.9, 3)
-        assert parts == pytest.approx([0.3, 0.3, 0.3])
-
-    def test_ratio_length_mismatch(self):
-        with pytest.raises(RatioMismatch):
-            partition_gate_area(1.0, 2, ratios=[1, 2, 3])
-
-    @given(
-        a=st.floats(min_value=1e-6, max_value=1e3),
-        weights=st.lists(st.floats(min_value=0.01, max_value=100), min_size=1, max_size=8),
-    )
-    def test_sums_exactly(self, a, weights):
-        parts = partition_gate_area(a, len(weights), ratios=weights)
-        assert sum(parts) == a  # exact by construction
 
 
 class TestTsvCount:

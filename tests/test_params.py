@@ -8,12 +8,12 @@ from carbon3d import (
     FixtureRegistry,
     Integration,
     Stacking,
+    build_design,
     design_to_document,
     load_design,
     load_environment,
     load_profiles,
     load_scenario,
-    resolve_technology,
 )
 from carbon3d.errors import (
     CarbonModelWarning,
@@ -147,16 +147,16 @@ class TestLoadDesign:
 
 class TestRegistry:
     def test_known_node_in_surveyed_range(self, registry):
-        tech = resolve_technology("7nm", registry)
+        tech = registry.technology("7nm")
         lo, hi = SURVEYED["epa_feol"]
         assert lo <= tech.epa_feol <= hi
 
     def test_upper_bound_node(self, registry):
-        assert resolve_technology("28nm", registry).node_name == "28nm"
+        assert registry.technology("28nm").node_name == "28nm"
 
     def test_unknown_node(self, registry):
         with pytest.raises(UnknownNode):
-            resolve_technology("90nm", registry)
+            registry.technology("90nm")
 
     def test_every_fixture_passes_invariants_silently(self, registry):
         with warnings.catch_warnings():
@@ -275,3 +275,29 @@ class TestValidationTotality:
         for i, doc in enumerate(self._mutations()):
             with pytest.raises(CarbonModelError):
                 load_scenario(doc, registry)
+
+
+class TestSchemeRules:
+    def test_every_integration_has_rules(self):
+        for integ in Integration:
+            rules = integ.rules
+            assert rules.default_stacking in rules.stackings
+            assert all(rules.default_facing(n) in rules.facings for n in (2, 3))
+
+    def test_defaults_agree_across_builders(self, registry):
+        checked = 0
+        for integ in Integration:
+            for n in (1, 2, 3, 4):
+                doc = basic_document(integration=integ.value, dies=[{"technology": "7nm", "gate_count": 1e9 / n}] * n)
+                del doc["design"]["facing"], doc["design"]["stacking"]
+                try:
+                    loaded = load_design(doc, registry)
+                except ValidationError:
+                    continue  # the scheme does not take n dies
+                die = loaded.dies[0]
+                built = build_design(integ, die.technology, die.wiring, n, 1e9, loaded.usage)
+                made = make_design(integ, n=n)
+                assert (loaded.facing, loaded.stacking) == (built.facing, built.stacking), (integ, n)
+                assert (loaded.facing, loaded.stacking) == (made.facing, made.stacking), (integ, n)
+                checked += 1
+        assert checked == 20

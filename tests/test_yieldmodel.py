@@ -14,7 +14,6 @@ from carbon3d import (
     stack_geometry,
     yield_context,
 )
-from carbon3d.errors import CardinalityMismatch
 
 from conftest import make_design, make_profiles
 
@@ -76,11 +75,6 @@ class TestCompose3d:
             ctx = compose_3d(design, [1.0, 1.0], [1.0])
             assert all(y == 1.0 for y in ctx.effective_die_y + ctx.effective_bond_y)
 
-    def test_bond_list_cardinality(self):
-        design = make_design(Integration.HYBRID_3D, n=2)
-        with pytest.raises(CardinalityMismatch):
-            compose_3d(design, [0.9, 0.9], [0.95, 0.95])
-
     def test_w2w_never_beats_d2w(self):
         rng = random.Random(11)
         for _ in range(300):
@@ -120,16 +114,6 @@ class TestCompose25d:
         ctx = compose_25d(design, [0.9, 0.8], [])
         assert list(ctx.effective_die_y) == [0.9, 0.8]
         assert ctx.substrate_y == 1.0
-
-    def test_chip_last_needs_one_bond_per_die(self):
-        design = make_design(Integration.INFO_CHIP_LAST, n=2)
-        with pytest.raises(CardinalityMismatch):
-            compose_25d(design, [0.9, 0.9], [0.99], substrate_y=0.95)
-
-    def test_chip_first_takes_no_bonds(self):
-        design = make_design(Integration.INFO_CHIP_FIRST, n=2)
-        with pytest.raises(CardinalityMismatch):
-            compose_25d(design, [0.9, 0.9], [0.99], substrate_y=0.95)
 
 
 class TestYieldContext:
