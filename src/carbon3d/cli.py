@@ -20,13 +20,14 @@ from pathlib import Path
 
 from . import explorer
 from .carbon import CarbonBreakdown, evaluate
-from .errors import CarbonModelError, NoCrossing, ValidationError
+from .errors import CarbonModelError, NoCrossing, OutOfRange, ValidationError
 from .geometry import gates_from_area
 from .params import (
     FixtureRegistry,
     Integration,
     Scenario,
     Stacking,
+    _enum,
     design_to_document,
     load_scenario,
 )
@@ -280,7 +281,7 @@ def cmd_pareto(args) -> int:
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         scenario = load_scenario(args.config, registry, gamma=args.gamma)
-        gammas = [float(g) for g in args.gammas.split(",") if g.strip()]
+        gammas = [_number(g, "--gammas") for g in args.gammas.split(",") if g.strip()]
         designs = [("reference", scenario.design)]
         base_die = scenario.design.dies[0]
         total_gates = sum(
@@ -288,7 +289,7 @@ def cmd_pareto(args) -> int:
             for d in scenario.design.dies
         )
         for name in (args.integrations.split(",") if args.integrations else []):
-            integ = Integration(name.strip().lower())
+            integ = _enum(name, Integration, "--integrations")
             design = explorer.build_design(
                 integ, base_die.technology, base_die.wiring, args.dies, total_gates, scenario.design.usage
             )
@@ -323,6 +324,13 @@ def cmd_fixtures(args) -> int:
             )
         print(f"\nfixture root: {registry.root}")
     return 0
+
+
+def _number(text: str, path: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise OutOfRange(path, f"expected a number, got {text.strip()!r}") from None
 
 
 def _range_pair(text: str) -> tuple[float, float]:

@@ -50,6 +50,7 @@ from .params import (
     validate_bonding,
     validate_design,
     validate_environment,
+    validate_gamma,
     validate_packaging,
 )
 
@@ -140,7 +141,7 @@ def apply_parameter(scenario: Scenario, path: str, value, registry: FixtureRegis
         p = p[len("design."):]
 
     if p == "gamma":
-        return dataclasses.replace(scenario, gamma=_num_value(p, value))
+        return dataclasses.replace(scenario, gamma=validate_gamma(_num_value(p, value), p))
     if p == "technology":
         dies = tuple(_set_die(d, "technology", None, value, registry, p) for d in scenario.design.dies)
         return dataclasses.replace(scenario, design=dataclasses.replace(scenario.design, dies=dies))
@@ -185,7 +186,7 @@ def apply_parameter(scenario: Scenario, path: str, value, registry: FixtureRegis
     raise UnresolvablePath(f"cannot resolve parameter path {path!r}")
 
 
-def mono2d_equivalent(design: DesignSpec, registry: FixtureRegistry | None = None) -> DesignSpec:
+def mono2d_equivalent(design: DesignSpec) -> DesignSpec:
     """The single-die 2D design with the same total gate count / area."""
     dies = design.dies
     nodes = {d.technology.node_name for d in dies}
@@ -250,7 +251,7 @@ def sweep(
         validate_design(row_scn.design)
         rows.append(SweepRow(values=tuple(combo), scenario=row_scn, breakdown=evaluate(row_scn)))
         if baseline:
-            base_design = mono2d_equivalent(row_scn.design, registry)
+            base_design = mono2d_equivalent(row_scn.design)
             baselines.append(evaluate(dataclasses.replace(row_scn, design=base_design)))
 
     points: list[tuple[float, str]] = []
@@ -409,6 +410,8 @@ def switching_point(
     given relative tolerance; reports 0 when the integration is already
     cheaper across the whole range and inf when it never is.
     """
+    if not 0 < gate_lo < gate_hi < math.inf:
+        raise OutOfRange("range", f"need finite 0 < lo < hi, got [{gate_lo:g}, {gate_hi:g}]")
     registry = registry or FixtureRegistry.bundled()
     tech = registry.technology(node)
     wiring = registry.default_wiring(node)
@@ -457,6 +460,7 @@ def gamma_pareto(
     reference design's tCDP at gamma = 1; the reference defaults to the
     base scenario's own design.
     """
+    gammas = tuple(validate_gamma(g, f"gammas[{i}]") for i, g in enumerate(gammas))
     ref_design = reference if reference is not None else base.design
     ref = evaluate(dataclasses.replace(base, design=ref_design, gamma=1.0))
     ref_tcdp = ref.metrics.tcdp
@@ -466,11 +470,11 @@ def gamma_pareto(
     for name, design in designs:
         points = []
         for g in gammas:
-            result = evaluate(dataclasses.replace(base, design=design, gamma=float(g)))
+            result = evaluate(dataclasses.replace(base, design=design, gamma=g))
             points.append(result.metrics.tcdp / ref_tcdp)
         series[name] = tuple(points)
     return ParetoResult(
-        gammas=tuple(float(g) for g in gammas),
+        gammas=gammas,
         series=series,
         reference_name="reference",
         reference_tcdp=ref_tcdp,

@@ -27,7 +27,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Literal, Mapping, Sequence
+from typing import Any, Callable, Literal, Mapping, Sequence
 
 from .errors import (
     CarbonModelWarning,
@@ -244,12 +244,21 @@ _BUNDLED_DIR = Path(__file__).resolve().parent / "fixtures"
 
 
 class FixtureRegistry:
-    """Filesystem-backed registry of per-node and shared fixture profiles."""
+    """Filesystem-backed registry of per-node and shared fixture profiles.
+
+    A registry reads each fixture file at most once and pins its contents
+    for its lifetime: every profile is parsed and validated on first use,
+    and later calls return the same frozen object.  Edits to the fixture
+    files take effect with the next registry (in the CLI, the next
+    command).  Failures are not cached; an unknown node or a missing file
+    raises again on every call.
+    """
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
         if not (self.root / "nodes").is_dir():
             raise FileNotFoundError(f"no 'nodes' directory under {self.root}")
+        self._cache: dict[tuple[str, str], Any] = {}
 
     @classmethod
     def bundled(cls) -> "FixtureRegistry":
@@ -265,46 +274,58 @@ class FixtureRegistry:
             return (int(digits) if digits else 1 << 30, n)
         return sorted(names, key=key)
 
+    def _cached(self, kind: str, name: str, build: Callable[[], Any]) -> Any:
+        key = (kind, name)
+        value = self._cache.get(key)
+        if value is None:  # a failed build raises and leaves no entry
+            value = self._cache[key] = build()
+        return value
+
     def _node_doc(self, node_name: str) -> dict:
-        path = self.root / "nodes" / f"{node_name}.json"
-        if not path.is_file():
-            raise UnknownNode(node_name, self.node_names())
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+        # technology() and default_wiring() share one read of the node file
+        def read():
+            path = self.root / "nodes" / f"{node_name}.json"
+            if not path.is_file():
+                raise UnknownNode(node_name, self.node_names())
+            with open(path, "r", encoding="utf-8") as f:
+                return json.load(f)
+        return self._cached("nodes", node_name, read)
 
     def technology(self, node_name: str) -> TechnologyProfile:
-        doc = self._node_doc(node_name)
-        prof = _technology_from_doc(node_name, doc, path=f"fixtures/nodes/{node_name}")
-        validate_technology(prof, path=f"fixtures/nodes/{node_name}")
-        return prof
+        def build():
+            path = f"fixtures/nodes/{node_name}"
+            prof = _technology_from_doc(node_name, self._node_doc(node_name), path=path)
+            validate_technology(prof, path=path)
+            return prof
+        return self._cached("technology", node_name, build)
 
     def default_wiring(self, node_name: str) -> WiringParameters:
-        doc = self._node_doc(node_name)
-        wiring = _wiring_from_doc(doc.get("wiring", {}), path=f"fixtures/nodes/{node_name}.wiring")
-        validate_wiring(wiring, path=f"fixtures/nodes/{node_name}.wiring")
-        return wiring
+        def build():
+            path = f"fixtures/nodes/{node_name}.wiring"
+            wiring = _wiring_from_doc(self._node_doc(node_name).get("wiring", {}), path=path)
+            validate_wiring(wiring, path=path)
+            return wiring
+        return self._cached("default_wiring", node_name, build)
 
-    def _shared(self, stem: str) -> dict:
-        path = self.root / f"{stem}.json"
-        if not path.is_file():
-            raise MissingField(f"fixtures/{stem}.json", "fixture file not found")
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+    def _shared(self, stem: str, from_doc: Callable, validate: Callable) -> Any:
+        def build():
+            file = self.root / f"{stem}.json"
+            if not file.is_file():
+                raise MissingField(f"fixtures/{stem}.json", "fixture file not found")
+            with open(file, "r", encoding="utf-8") as f:
+                prof = from_doc(json.load(f), path=f"fixtures/{stem}")
+            validate(prof, path=f"fixtures/{stem}")
+            return prof
+        return self._cached("shared", stem, build)
 
     def bonding(self) -> BondingProfile:
-        prof = _bonding_from_doc(self._shared("bonding"), path="fixtures/bonding")
-        validate_bonding(prof, path="fixtures/bonding")
-        return prof
+        return self._shared("bonding", _bonding_from_doc, validate_bonding)
 
     def packaging(self) -> PackagingProfile:
-        prof = _packaging_from_doc(self._shared("packaging"), path="fixtures/packaging")
-        validate_packaging(prof, path="fixtures/packaging")
-        return prof
+        return self._shared("packaging", _packaging_from_doc, validate_packaging)
 
     def environment(self) -> FabEnvironment:
-        env = _environment_from_doc(self._shared("environment"), path="fixtures/environment")
-        validate_environment(env, path="fixtures/environment")
-        return env
+        return self._shared("environment", _environment_from_doc, validate_environment)
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +532,13 @@ def validate_environment(env: FabEnvironment, path: str = "environment"):
         _check(value >= 0, f"{path}.{name}", "must be >= 0")
         _warn_range(value, SURVEYED["carbon_intensity"], f"{path}.{name}")
     _check(env.wafer_diameter_cm > 0, f"{path}.wafer_diameter_cm", "must be > 0")
+
+
+def validate_gamma(gamma: float, path: str = "gamma") -> float:
+    """The embodied-vs-operational weight as a float; must be finite and >= 0."""
+    value = _num(gamma, path)
+    _check(value >= 0, path, "must be >= 0")
+    return value
 
 
 def validate_usage(usage: UsageProfile, path: str = "usage"):
@@ -744,11 +772,13 @@ def load_scenario(
 ) -> Scenario:
     """Load a full evaluation scenario from a dict or a JSON file path."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as f:
-            try:
+        try:
+            with open(source, "r", encoding="utf-8") as f:
                 document = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(str(source), f"not valid JSON: {exc}") from exc
+        except OSError as exc:
+            raise ValidationError(str(source), f"cannot read the config file: {exc.strerror or exc}") from exc
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValidationError(str(source), f"not valid JSON: {exc}") from exc
     else:
         document = source
     if not isinstance(document, Mapping):
@@ -758,7 +788,7 @@ def load_scenario(
         design=load_design(document, registry),
         profiles=load_profiles(document, registry),
         environment=load_environment(document, registry),
-        gamma=gamma,
+        gamma=validate_gamma(gamma),
     )
 
 

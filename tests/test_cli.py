@@ -236,6 +236,39 @@ class TestRejectsBadValues:
         assert code == 0
         assert len(parse_csv(out.out)[2]) == 2
 
+    @pytest.mark.parametrize("argv, where", [
+        (("switch", "--integration", "hybrid_3d", "--node", "7nm", "--range", "0:1e9"), "range"),
+        (("switch", "--integration", "hybrid_3d", "--node", "7nm", "--range", "1e6:inf"), "range"),
+        (("pareto", "--gammas", "x"), "--gammas"),
+        (("pareto", "--integrations", "mono_2d,foo"), "--integrations"),
+    ])
+    def test_bad_option_value_exits_2(self, tmp_path, capsys, argv, where):
+        code, out = self._run(tmp_path, capsys, basic_document(), *argv)
+        assert code == 2 and out.out == ""
+        assert out.err.startswith(f"error: {where}: ")
+
+    @pytest.mark.parametrize("content, why", [(None, "cannot read"), (b"\xd0\xff{}", "not valid JSON")])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content, why):
+        path = tmp_path  # a directory when there is no content
+        if content is not None:
+            path = tmp_path / "bin.json"
+            path.write_bytes(content)
+        assert main(["estimate", "-c", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"error: {path}: {why}")
+
+    @pytest.mark.parametrize("argv, where, why", [
+        (("estimate", "--gamma", "inf", "--format", "csv"), "gamma", "finite"),
+        (("estimate", "--gamma", "-1", "--format", "csv"), "gamma", ">= 0"),
+        (("pareto", "--gammas", "nan,1"), "gammas[0]", "finite"),
+        (("pareto", "--gammas", "0,-0.5"), "gammas[1]", ">= 0"),
+        (("sweep", "--axis", "gamma=-1"), "gamma", ">= 0"),
+    ])
+    def test_bad_gamma_exits_2(self, tmp_path, capsys, argv, where, why):
+        code, out = self._run(tmp_path, capsys, basic_document(), *argv)
+        assert code == 2 and out.out == ""
+        assert out.err.startswith(f"error: {where}: ") and why in out.err
+
     def test_zero_reference_tcdp_in_pareto(self, tmp_path, capsys):
         doc = basic_document()
         doc["environment"] = {"ci_fab": 0.0, "ci_use": 0.0, "ci_bonding": 0.0}

@@ -1,5 +1,8 @@
 import dataclasses
+import json
+import shutil
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,8 @@ from carbon3d.errors import (
     UnknownNode,
     ValidationError,
 )
+from carbon3d import params
+from carbon3d.cli import main
 from carbon3d.params import SURVEYED, validate_design, validate_technology, validate_wiring
 
 from conftest import basic_document, make_design, write_config
@@ -158,7 +163,8 @@ class TestRegistry:
         with pytest.raises(UnknownNode):
             registry.technology("90nm")
 
-    def test_every_fixture_passes_invariants_silently(self, registry):
+    def test_every_fixture_passes_invariants_silently(self):
+        registry = FixtureRegistry.bundled()  # fresh: every profile is built and validated here
         with warnings.catch_warnings():
             warnings.simplefilter("error", CarbonModelWarning)
             for name in registry.node_names():
@@ -175,6 +181,79 @@ class TestRegistry:
         )
         monkeypatch.setenv("CARBON3D_FIXTURES", str(tmp_path))
         assert FixtureRegistry.bundled().node_names() == ["7nm"]
+
+    def test_repeated_reads_return_the_same_object(self):
+        registry = FixtureRegistry.bundled()
+        assert registry.technology("7nm") is registry.technology("7nm")
+        assert registry.default_wiring("7nm") is registry.default_wiring("7nm")
+        assert registry.bonding() is registry.bonding()
+        assert registry.packaging() is registry.packaging()
+        assert registry.environment() is registry.environment()
+
+    def test_each_fixture_file_is_opened_once_per_registry(self, monkeypatch):
+        opened = []
+
+        def spy(file, *args, **kwargs):
+            opened.append(Path(file).relative_to(registry.root).as_posix())
+            return open(file, *args, **kwargs)
+
+        registry = FixtureRegistry.bundled()
+        monkeypatch.setattr(params, "open", spy, raising=False)
+        for _ in range(3):
+            for node in ("7nm", "14nm"):
+                registry.technology(node)
+                registry.default_wiring(node)
+            registry.bonding()
+            registry.packaging()
+            registry.environment()
+        assert sorted(opened) == [
+            "bonding.json", "environment.json", "nodes/14nm.json", "nodes/7nm.json", "packaging.json",
+        ]
+        FixtureRegistry.bundled().technology("7nm")  # a new registry reads the file again
+        assert opened.count("nodes/7nm.json") == 2
+
+    def test_new_registry_sees_an_edited_fixture(self, tmp_path):
+        root = _fixture_copy(tmp_path)
+        first = FixtureRegistry(root)
+        assert first.technology("7nm").epa_feol == 0.42
+        _edit_node(root, "7nm", epa_feol=0.5)
+        assert first.technology("7nm").epa_feol == 0.42  # pinned for the registry's lifetime
+        assert FixtureRegistry(root).technology("7nm").epa_feol == 0.5
+
+    def test_failures_are_not_cached(self, registry, tmp_path):
+        for _ in range(2):
+            with pytest.raises(UnknownNode):
+                registry.technology("90nm")
+        root = _fixture_copy(tmp_path)
+        (root / "bonding.json").unlink()
+        fresh = FixtureRegistry(root)
+        for _ in range(2):
+            with pytest.raises(MissingField):
+                fresh.bonding()
+        shutil.copy(registry.root / "bonding.json", root / "bonding.json")
+        assert fresh.bonding() == registry.bonding()
+
+    def test_warnings_repeat_across_cli_runs_in_one_process(self, tmp_path, monkeypatch, capsys):
+        # the cache lives on the registry, which each CLI command builds anew
+        root = _fixture_copy(tmp_path)
+        _edit_node(root, "7nm", epa_feol=0.9)
+        monkeypatch.setenv("CARBON3D_FIXTURES", str(root))
+        config = write_config(tmp_path, basic_document())
+        line = "warning: fixtures/nodes/7nm.epa_feol=0.9 is outside the surveyed range [0.24, 0.56]"
+        for _ in range(2):
+            assert main(["estimate", "-c", str(config), "--format", "csv"]) == 0
+            assert line in capsys.readouterr().err.splitlines()
+
+
+def _fixture_copy(tmp_path) -> Path:
+    root = tmp_path / "fixtures"
+    shutil.copytree(params._BUNDLED_DIR, root)
+    return root
+
+
+def _edit_node(root: Path, node: str, **fields):
+    path = root / "nodes" / f"{node}.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
 
 
 class TestRoundTrip:
