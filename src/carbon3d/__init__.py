@@ -4,7 +4,6 @@ from .carbon import (
     CarbonBreakdown,
     Metrics,
     WaferCost,
-    amortize_and_total,
     bonding_wafer_carbon,
     dies_per_wafer,
     embodied_breakdown,

@@ -20,7 +20,6 @@ charged once, and there is no bonding term.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -224,44 +223,36 @@ def operational_energy_kwh(usage: UsageProfile, active_area: float) -> float:
     return usage.power_density * active_area * usage.t_app_hours / 1000.0
 
 
-def amortize_and_total(
-    breakdown: CarbonBreakdown,
-    usage: UsageProfile,
-    gamma: float,
-    use_overall: bool = False,
-) -> CarbonBreakdown:
-    """Fill amortized embodied carbon and the gamma-weighted total.
-
-    ``use_overall`` weights the un-amortized embodied carbon instead of
-    the t_app/t_exe share.
-    """
-    amortized = breakdown.c_embodied_overall * usage.t_app_hours / usage.t_exe_hours
-    weighted = breakdown.c_embodied_overall if use_overall else amortized
-    return dataclasses.replace(
-        breakdown,
-        gamma=gamma,
-        c_embodied_amortized=amortized,
-        c_total=breakdown.c_operational + gamma * weighted,
-    )
-
-
 def metrics(c_embodied: float, c_total: float, delay: float, energy: float) -> Metrics:
     """CDP/CEP/tCDP trade-off metrics."""
     return Metrics(cdp=c_embodied * delay, cep=c_embodied * energy, tcdp=c_total * delay)
 
 
-def evaluate(scenario: Scenario, use_overall_gamma: bool = False) -> CarbonBreakdown:
-    """Full pipeline: geometry -> yields -> embodied -> operational -> metrics."""
+def evaluate(scenario: Scenario) -> CarbonBreakdown:
+    """Full pipeline: geometry -> yields -> embodied -> operational -> metrics.
+
+    Amortized embodied carbon is the t_app/t_exe share of the overall
+    embodied carbon; the total is operational + gamma * amortized.
+    """
     design, profiles, env = scenario.design, scenario.profiles, scenario.environment
+    usage = design.usage
     geom = stack_geometry(design, profiles.packaging)
     yields = yield_context(design, geom, profiles)
-    breakdown = embodied_breakdown(design, geom, yields, env, profiles)
-    energy = operational_energy_kwh(design.usage, geom.equivalent_2d_area)
-    breakdown = dataclasses.replace(
-        breakdown, c_operational=env.ci_use * energy, operational_energy_kwh=energy
-    )
-    breakdown = amortize_and_total(breakdown, design.usage, scenario.gamma, use_overall_gamma)
-    return dataclasses.replace(
-        breakdown,
-        metrics=metrics(breakdown.c_embodied_overall, breakdown.c_total, design.usage.delay_s, energy),
+    embodied = embodied_breakdown(design, geom, yields, env, profiles)
+    energy = operational_energy_kwh(usage, geom.equivalent_2d_area)
+    c_operational = env.ci_use * energy
+    overall = embodied.c_embodied_overall
+    amortized = overall * usage.t_app_hours / usage.t_exe_hours
+    c_total = c_operational + scenario.gamma * amortized
+    return CarbonBreakdown(
+        c_die_per_die=embodied.c_die_per_die,
+        c_bonding=embodied.c_bonding,
+        c_packaging=embodied.c_packaging,
+        c_substrate=embodied.c_substrate,
+        gamma=scenario.gamma,
+        c_operational=c_operational,
+        c_embodied_amortized=amortized,
+        c_total=c_total,
+        operational_energy_kwh=energy,
+        metrics=metrics(overall, c_total, usage.delay_s, energy),
     )

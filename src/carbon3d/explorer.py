@@ -1,9 +1,11 @@
 """Design-space exploration: sweeps, 2D switching points, gamma trade-offs.
 
 A sweep is the cartesian product of one or more axes, each axis being a
-parameter path plus an ordered value list.  Every row is an independent
-full-pipeline evaluation; rows are emitted in fixed axis order so results
-are deterministic regardless of how they were computed.
+parameter path plus an ordered value list.  Every row is a full-pipeline
+evaluation of its own scenario; rows that share a prefix of axis values
+share the scenario built for that prefix, which is applied once.  Rows are
+emitted in fixed axis order (that of ``itertools.product``) so results are
+deterministic regardless of how they were computed.
 
 Supported parameter paths (the ``design.`` prefix is optional):
 
@@ -22,7 +24,6 @@ Supported parameter paths (the ``design.`` prefix is optional):
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import re
 import warnings
@@ -52,6 +53,7 @@ from .params import (
     validate_environment,
     validate_gamma,
     validate_packaging,
+    validate_wiring,
 )
 
 PRESCAN_POINTS = 17
@@ -112,7 +114,7 @@ def _int_value(path: str, value) -> int:
     return int(number)
 
 
-def _set_die(die: DieSpec, field_name: str, sub: str | None, value, registry: FixtureRegistry, path: str) -> DieSpec:
+def _set_die(die: DieSpec, index: int, field_name: str, sub: str | None, value, registry: FixtureRegistry, path: str) -> DieSpec:
     if field_name == "technology":
         node = str(value)
         return dataclasses.replace(
@@ -122,6 +124,7 @@ def _set_die(die: DieSpec, field_name: str, sub: str | None, value, registry: Fi
         if sub not in _WIRING_FIELDS:
             raise UnresolvablePath(f"unknown wiring field {sub!r}")
         wiring = dataclasses.replace(die.wiring, **{sub: _num_value(path, value)})
+        validate_wiring(wiring, f"design.dies[{index}].wiring")
         return dataclasses.replace(die, wiring=wiring)
     if field_name not in _DIE_FIELDS:
         raise UnresolvablePath(f"unknown die field {field_name!r}")
@@ -133,7 +136,9 @@ def _set_die(die: DieSpec, field_name: str, sub: str | None, value, registry: Fi
 def apply_parameter(scenario: Scenario, path: str, value, registry: FixtureRegistry | None = None) -> Scenario:
     """Return a copy of the scenario with one parameter path set to value.
 
-    Patched profiles get the loader's checks; the design is left to ``validate_design``.
+    Patched profiles get the loader's checks, on the path the loader would
+    name (a wiring patch on ``design.dies[i].wiring`` of each die it
+    touches); the design's cross-field rules are left to ``validate_design``.
     """
     registry = registry or FixtureRegistry.bundled()
     p = path.strip()
@@ -143,7 +148,7 @@ def apply_parameter(scenario: Scenario, path: str, value, registry: FixtureRegis
     if p == "gamma":
         return dataclasses.replace(scenario, gamma=validate_gamma(_num_value(p, value), p))
     if p == "technology":
-        dies = tuple(_set_die(d, "technology", None, value, registry, p) for d in scenario.design.dies)
+        dies = tuple(_set_die(d, i, "technology", None, value, registry, p) for i, d in enumerate(scenario.design.dies))
         return dataclasses.replace(scenario, design=dataclasses.replace(scenario.design, dies=dies))
     if p == "signal_count_f2f":
         return dataclasses.replace(
@@ -179,7 +184,7 @@ def apply_parameter(scenario: Scenario, path: str, value, registry: FixtureRegis
         for i in targets:
             if not 0 <= i < len(dies):
                 raise UnresolvablePath(f"{path}: die index {i} out of range (have {len(dies)})")
-            dies[i] = _set_die(dies[i], field_name, sub, value, registry, p)
+            dies[i] = _set_die(dies[i], i, field_name, sub, value, registry, p)
         return dataclasses.replace(
             scenario, design=dataclasses.replace(scenario.design, dies=tuple(dies))
         )
@@ -222,6 +227,21 @@ def mono2d_equivalent(design: DesignSpec) -> DesignSpec:
 # Sweep
 # ---------------------------------------------------------------------------
 
+def _product_scenarios(prefix: Scenario, axes: Sequence[SweepAxis], registry: FixtureRegistry, values: tuple = ()):
+    """Yield (values, scenario) for each row, in ``itertools.product`` order.
+
+    The first axis's value is applied once to the prefix scenario, which
+    every combination of the later axes then shares.
+    """
+    if not axes:
+        yield values, prefix
+        return
+    head, rest = axes[0], axes[1:]
+    for value in head.values:
+        scenario = apply_parameter(prefix, head.parameter_path, value, registry)
+        yield from _product_scenarios(scenario, rest, registry, values + (value,))
+
+
 def sweep(
     scenario: Scenario,
     axes: Sequence[SweepAxis],
@@ -244,15 +264,12 @@ def sweep(
 
     rows: list[SweepRow] = []
     baselines: list[CarbonBreakdown] = []
-    for combo in itertools.product(*(a.values for a in axes)):
-        row_scn = scenario
-        for axis, value in zip(axes, combo):
-            row_scn = apply_parameter(row_scn, axis.parameter_path, value, registry)
+    for values, row_scn in _product_scenarios(scenario, axes, registry):
         validate_design(row_scn.design)
-        rows.append(SweepRow(values=tuple(combo), scenario=row_scn, breakdown=evaluate(row_scn)))
+        rows.append(SweepRow(values=values, scenario=row_scn, breakdown=evaluate(row_scn)))
         if baseline:
             base_design = mono2d_equivalent(row_scn.design)
-            baselines.append(evaluate(dataclasses.replace(row_scn, design=base_design)))
+            baselines.append(evaluate(Scenario(base_design, row_scn.profiles, row_scn.environment, row_scn.gamma)))
 
     points: list[tuple[float, str]] = []
     if baseline and len(axes) == 1 and all(isinstance(v, (int, float)) for v in axes[0].values):

@@ -17,7 +17,6 @@ All functions are pure and operate on immutable inputs.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -223,14 +222,17 @@ def substrate_area(spec: DesignSpec, die_geoms: Sequence[DieGeometry], packaging
 
 def stack_geometry(spec: DesignSpec, packaging: PackagingProfile) -> StackGeometry:
     """Full geometry pipeline: areas, BEOL counts (with area growth), package."""
-    geoms = die_areas(spec)
     resolved: list[DieGeometry] = []
-    for die, geom in zip(spec.dies, geoms):
-        layers, adjusted = beol_layers(die, geom.total_area)
-        if adjusted > geom.total_area:
+    for die, geom in zip(spec.dies, die_areas(spec)):
+        total = geom.total_area
+        layers, adjusted = beol_layers(die, total)
+        gate = geom.gate_area
+        if adjusted > total:
             # grow the gate region so the wiring fits in max_beol_layers
-            geom = dataclasses.replace(geom, gate_area=adjusted - geom.tsv_area - geom.io_area)
-        resolved.append(dataclasses.replace(geom, beol_layers=layers))
+            gate = adjusted - geom.tsv_area - geom.io_area
+        resolved.append(DieGeometry(
+            gate_area=gate, tsv_area=geom.tsv_area, io_area=geom.io_area, beol_layers=layers, tsv_count=geom.tsv_count
+        ))
     return StackGeometry(
         dies=tuple(resolved),
         package_area=package_area(spec, resolved, packaging),

@@ -243,6 +243,20 @@ FIXTURES_ENV_VAR = "CARBON3D_FIXTURES"
 _BUNDLED_DIR = Path(__file__).resolve().parent / "fixtures"
 
 
+def _read_fixture(file: Path, path: str) -> dict:
+    """One fixture file's JSON object; unreadable or malformed files raise on ``path``."""
+    try:
+        with open(file, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except OSError as exc:
+        raise ValidationError(path, f"cannot read the fixture file: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(path, f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MissingField(path, "expected an object")
+    return doc
+
+
 class FixtureRegistry:
     """Filesystem-backed registry of per-node and shared fixture profiles.
 
@@ -284,11 +298,10 @@ class FixtureRegistry:
     def _node_doc(self, node_name: str) -> dict:
         # technology() and default_wiring() share one read of the node file
         def read():
-            path = self.root / "nodes" / f"{node_name}.json"
-            if not path.is_file():
+            file = self.root / "nodes" / f"{node_name}.json"
+            if not file.is_file():
                 raise UnknownNode(node_name, self.node_names())
-            with open(path, "r", encoding="utf-8") as f:
-                return json.load(f)
+            return _read_fixture(file, f"fixtures/nodes/{node_name}")
         return self._cached("nodes", node_name, read)
 
     def technology(self, node_name: str) -> TechnologyProfile:
@@ -312,8 +325,7 @@ class FixtureRegistry:
             file = self.root / f"{stem}.json"
             if not file.is_file():
                 raise MissingField(f"fixtures/{stem}.json", "fixture file not found")
-            with open(file, "r", encoding="utf-8") as f:
-                prof = from_doc(json.load(f), path=f"fixtures/{stem}")
+            prof = from_doc(_read_fixture(file, f"fixtures/{stem}"), path=f"fixtures/{stem}")
             validate(prof, path=f"fixtures/{stem}")
             return prof
         return self._cached("shared", stem, build)
@@ -557,7 +569,13 @@ def validate_usage(usage: UsageProfile, path: str = "usage"):
 
 
 def validate_design(design: DesignSpec, path: str = "design"):
-    """Enforce the integration/facing/stacking/die-count compatibility rules."""
+    """Enforce the cross-field and per-die rules of a design.
+
+    These are the integration/facing/stacking/die-count compatibility
+    rules, the die sizes and the usage profile.  Each die's technology and
+    wiring profile is validated once where it is made (the registry, the
+    loader, ``explorer.apply_parameter``), not again here.
+    """
     n = len(design.dies)
     integ = design.integration
     rules = integ.rules
@@ -591,8 +609,6 @@ def validate_design(design: DesignSpec, path: str = "design"):
                 f"{dpath}.explicit_beol",
                 f"must be in [1, {die.technology.max_beol_layers}] for {die.technology.node_name}",
             )
-        validate_technology(die.technology, f"{dpath}.technology")
-        validate_wiring(die.wiring, f"{dpath}.wiring")
     validate_usage(design.usage, f"{path}.usage")
 
 
@@ -678,10 +694,13 @@ def load_design(document: Mapping, registry: FixtureRegistry | None = None) -> D
         dpath = f"design.dies[{i}]"
         node = _require(raw, "technology", dpath)
         tech = _resolved_technology(str(node), overrides, registry, f"{dpath}.technology")
-        wiring_doc = dict(raw.get("wiring") or {})
-        base_wiring = registry.default_wiring(str(node))
-        merged = {**dataclasses.asdict(base_wiring), **wiring_doc}
-        wiring = _wiring_from_doc(merged, f"{dpath}.wiring")
+        wiring = registry.default_wiring(str(node))
+        wiring_doc = raw.get("wiring")
+        if wiring_doc:
+            if not isinstance(wiring_doc, Mapping):
+                raise OutOfRange(f"{dpath}.wiring", "expected an object of field overrides")
+            wiring = _wiring_from_doc({**dataclasses.asdict(wiring), **wiring_doc}, f"{dpath}.wiring")
+            validate_wiring(wiring, f"{dpath}.wiring")
         explicit_beol = raw.get("explicit_beol")
         dies.append(
             DieSpec(

@@ -8,7 +8,6 @@ from carbon3d import (
     Integration,
     Stacking,
     UsageProfile,
-    amortize_and_total,
     bonding_wafer_carbon,
     dies_per_wafer,
     embodied_breakdown,
@@ -217,29 +216,24 @@ class TestOperational:
 
 
 class TestAmortizeAndMetrics:
-    def _breakdown(self):
-        return evaluate(make_scenario(gamma=1.0))
+    def _evaluate(self, usage, gamma):
+        return evaluate(make_scenario(design=make_design(usage=usage), gamma=gamma))
 
     def test_full_lifetime_attribution(self):
         usage = UsageProfile(t_app_hours=500, t_exe_hours=500, power_density=25.0)
-        b = amortize_and_total(self._breakdown(), usage, gamma=1.0)
+        b = self._evaluate(usage, gamma=1.0)
         assert b.c_embodied_amortized == pytest.approx(b.c_embodied_overall, rel=1e-12)
 
     def test_gamma_zero_is_operational_only(self):
         usage = UsageProfile(t_app_hours=500, t_exe_hours=5000, power_density=25.0)
-        b = amortize_and_total(self._breakdown(), usage, gamma=0.0)
+        b = self._evaluate(usage, gamma=0.0)
         assert b.c_total == b.c_operational
 
     def test_gamma_one_arithmetic(self):
-        base = dataclasses.replace(self._breakdown(), c_operational=10.0)
         usage = UsageProfile(t_app_hours=500, t_exe_hours=500, power_density=25.0)
-        b = amortize_and_total(base, usage, gamma=1.0)
-        assert b.c_total == pytest.approx(10.0 + b.c_embodied_overall, rel=1e-12)
-
-    def test_use_overall_flag(self):
-        usage = UsageProfile(t_app_hours=500, t_exe_hours=5000, power_density=25.0)
-        b = amortize_and_total(self._breakdown(), usage, gamma=2.0, use_overall=True)
-        assert b.c_total == pytest.approx(b.c_operational + 2.0 * b.c_embodied_overall, rel=1e-12)
+        b = self._evaluate(usage, gamma=1.0)
+        assert b.c_operational > 0
+        assert b.c_total == pytest.approx(b.c_operational + b.c_embodied_overall, rel=1e-12)
 
     def test_gamma_affinity(self):
         rng = random.Random(5)

@@ -1,11 +1,13 @@
 import json
 import math
+import shutil
 from pathlib import Path
 
 import pytest
 
 from carbon3d import Integration, evaluate, load_scenario, switching_point
 from carbon3d.cli import main
+from carbon3d.params import _BUNDLED_DIR
 
 from conftest import basic_document, write_config
 
@@ -229,6 +231,25 @@ class TestRejectsBadValues:
         code, out = self._run(tmp_path, capsys, basic_document(), "sweep", "--axis", axis)
         assert code == 2 and out.out == ""
         assert axis.partition("=")[0] in out.err
+
+    @pytest.mark.parametrize("axis, where", [
+        ("dies[*].wiring.rent_p=1.5", "design.dies[0].wiring.rent_p"),
+        ("dies[1].wiring.rent_p=0.6,1.5", "design.dies[1].wiring.rent_p"),
+    ])
+    def test_bad_wiring_axis_names_the_die(self, tmp_path, capsys, axis, where):
+        code, out = self._run(tmp_path, capsys, basic_document(), "sweep", "--axis", axis)
+        assert code == 2 and out.out == ""
+        assert out.err == f"error: {where}: must be in (0, 1)\n"
+
+    def test_malformed_fixture_exits_2(self, tmp_path, capsys, monkeypatch):
+        root = tmp_path / "fixtures"
+        shutil.copytree(_BUNDLED_DIR, root)
+        node = root / "nodes" / "5nm.json"
+        node.write_text(node.read_text()[:100])
+        monkeypatch.setenv("CARBON3D_FIXTURES", str(root))
+        code, out = self._run(tmp_path, capsys, basic_document(), "sweep", "--axis", "technology=5nm")
+        assert code == 2 and out.out == ""
+        assert out.err.startswith("error: fixtures/nodes/5nm: not valid JSON: ")
 
     @pytest.mark.parametrize("axis", ["dies[*].explicit_beol=5,8", "signal_count_f2f=0,100"])
     def test_integral_float_axis_values_still_accepted(self, tmp_path, capsys, axis):

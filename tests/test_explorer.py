@@ -1,7 +1,12 @@
 import dataclasses
+import itertools
 import math
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carbon3d import (
     Integration,
@@ -10,13 +15,15 @@ from carbon3d import (
     evaluate,
     find_crossing,
     gamma_pareto,
+    load_scenario,
     mono2d_equivalent,
     stack_geometry,
     sweep,
     switching_point,
 )
-from carbon3d.errors import CapExceeded, CarbonModelWarning, UnresolvablePath, UnsupportedConfiguration
+from carbon3d.errors import CapExceeded, CarbonModelError, CarbonModelWarning, UnresolvablePath, UnsupportedConfiguration
 from carbon3d.explorer import apply_parameter
+from carbon3d.params import validate_design
 
 from conftest import make_design, make_env, make_profiles, make_scenario, make_tech
 
@@ -108,6 +115,83 @@ class TestSweep:
         for value, integ in result.switching_points:
             assert values[0] <= value <= values[-1]
             assert integ == "hybrid_3d"
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+# Axis paths a sweep can take, each with values that are mostly valid; an
+# invalid combination (say explicit_beol above a node's cap) must fail the
+# same way on both sides.
+AXIS_VALUES = {
+    "gamma": st.floats(0.0, 4.0),
+    "technology": st.sampled_from(["14nm", "7nm", "5nm"]),
+    "dies[*].gate_count": st.floats(1e7, 3e9),
+    "dies[0].gate_count": st.floats(1e7, 3e9),
+    "dies[*].explicit_area": st.floats(0.05, 2.0),
+    "dies[*].explicit_beol": st.integers(1, 14),
+    "dies[*].wiring.rent_p": st.floats(0.55, 0.8),
+    "dies[0].wiring.fanout": st.floats(1.0, 5.0),
+    "signal_count_f2f": st.integers(0, 100_000),
+    "usage.t_app_hours": st.floats(100.0, 30_000.0),
+    "usage.power_density": st.floats(0.0, 100.0),
+    "usage.delay_s": st.floats(0.01, 10.0),
+    "environment.ci_fab": st.floats(0.03, 0.7),
+    "environment.ci_use": st.floats(0.0, 0.7),
+    "environment.wafer_diameter_cm": st.floats(15.0, 45.0),
+    "bonding.bond_yield": st.floats(0.8, 1.0),
+    "bonding.epa_w2w": st.floats(0.9, 2.75),
+    "packaging.cpa_packaging": st.floats(0.0, 0.3),
+    "packaging.s_package_3d": st.floats(1.0, 2.0),
+}
+
+
+@st.composite
+def sweep_axes(draw):
+    paths = draw(st.lists(st.sampled_from(sorted(AXIS_VALUES)), min_size=1, max_size=3, unique=True))
+    return [SweepAxis(p, draw(st.lists(AXIS_VALUES[p], min_size=1, max_size=3))) for p in paths]
+
+
+def _outcome(run):
+    """What a sweep gives: its rows, baselines, or the error it stopped with."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return run()
+        except CarbonModelError as exc:
+            return type(exc).__name__, str(exc)
+
+
+def _row_by_row(scenario, axes, registry):
+    """The per-row chain: apply every axis to the template, then evaluate."""
+    rows, baselines = [], []
+    for combo in itertools.product(*(a.values for a in axes)):
+        scn = scenario
+        for axis, value in zip(axes, combo):
+            scn = apply_parameter(scn, axis.parameter_path, value, registry)
+        validate_design(scn.design)
+        rows.append((combo, scn, evaluate(scn)))
+        baselines.append(evaluate(dataclasses.replace(scn, design=mono2d_equivalent(scn.design))))
+    return rows, baselines
+
+
+class TestSweepMatchesRowByRow:
+    """sweep applies each axis prefix once; its rows must be those of the per-row chain."""
+
+    @pytest.fixture(scope="class")
+    def scenarios(self, registry):
+        return [load_scenario(path, registry) for path in CONFIGS]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(config=st.integers(0, len(CONFIGS) - 1), axes=sweep_axes())
+    def test_rows_and_baselines_match(self, scenarios, registry, config, axes):
+        scenario = scenarios[config]
+
+        def swept():
+            result = sweep(scenario, axes, registry, baseline=True)
+            rows = [(row.values, row.scenario, row.breakdown) for row in result.rows]
+            return rows, list(result.baseline)
+
+        assert _outcome(swept) == _outcome(lambda: _row_by_row(scenario, axes, registry))
 
 
 class TestFindCrossing:

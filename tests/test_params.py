@@ -244,6 +244,41 @@ class TestRegistry:
             assert main(["estimate", "-c", str(config), "--format", "csv"]) == 0
             assert line in capsys.readouterr().err.splitlines()
 
+    @pytest.mark.parametrize("relpath, method, args, where", [
+        ("nodes/5nm.json", "technology", ("5nm",), "fixtures/nodes/5nm"),
+        ("nodes/5nm.json", "default_wiring", ("5nm",), "fixtures/nodes/5nm"),
+        ("bonding.json", "bonding", (), "fixtures/bonding"),
+        ("environment.json", "environment", (), "fixtures/environment"),
+    ])
+    def test_malformed_fixture_is_a_validation_error(self, tmp_path, relpath, method, args, where):
+        root = _fixture_copy(tmp_path)
+        good = (root / relpath).read_text()
+        (root / relpath).write_text(good[: len(good) // 2])  # truncated JSON
+        read = getattr(FixtureRegistry(root), method)
+        for _ in range(2):  # the failure is not cached
+            with pytest.raises(ValidationError) as exc:
+                read(*args)
+            assert exc.value.path == where and "not valid JSON" in str(exc.value)
+        (root / relpath).write_text(good)
+        read(*args)
+
+    def test_fixture_that_is_not_an_object(self, tmp_path):
+        root = _fixture_copy(tmp_path)
+        (root / "nodes" / "7nm.json").write_text("[1, 2]")
+        with pytest.raises(MissingField) as exc:
+            FixtureRegistry(root).default_wiring("7nm")
+        assert exc.value.path == "fixtures/nodes/7nm"
+
+    def test_custom_fixture_warns_once_on_the_fixture_path(self, tmp_path, monkeypatch, capsys):
+        # the registry validates a profile once; validate_design does not re-check it per die
+        root = _fixture_copy(tmp_path)
+        _edit_node(root, "7nm", epa_feol=0.9)
+        monkeypatch.setenv("CARBON3D_FIXTURES", str(root))
+        config = write_config(tmp_path, basic_document())
+        assert main(["sweep", "-c", str(config), "--axis", "dies[*].gate_count=1e8,2e8", "--baseline"]) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines() if "epa_feol" in line]
+        assert lines == ["warning: fixtures/nodes/7nm.epa_feol=0.9 is outside the surveyed range [0.24, 0.56]"]
+
 
 def _fixture_copy(tmp_path) -> Path:
     root = tmp_path / "fixtures"
@@ -302,6 +337,21 @@ class TestScenario:
         profiles = load_profiles(doc, registry)
         assert profiles.interposer_technology.node_name == "28nm"
         assert profiles.interposer_beol_layers == 4
+
+    @pytest.mark.parametrize("die", [0, 1])
+    def test_bad_wiring_keeps_its_document_path(self, registry, die):
+        doc = basic_document()
+        doc["design"]["dies"][die]["wiring"] = {"rent_p": 1.5}
+        with pytest.raises(OutOfRange) as exc:
+            load_design(doc, registry)
+        assert exc.value.path == f"design.dies[{die}].wiring.rent_p"
+
+    def test_wiring_that_is_not_an_object(self, registry):
+        doc = basic_document()
+        doc["design"]["dies"][1]["wiring"] = [0.5]
+        with pytest.raises(OutOfRange) as exc:
+            load_design(doc, registry)
+        assert exc.value.path == "design.dies[1].wiring"
 
     def test_validate_design_is_reusable(self):
         design = make_design()
