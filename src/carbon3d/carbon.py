@@ -30,6 +30,7 @@ from .errors import (
     DieLargerThanWafer,
     LayerCountExceedsProfile,
     NonPositiveArea,
+    UnsupportedConfiguration,
 )
 from .geometry import StackGeometry, stack_geometry
 from .params import (
@@ -236,9 +237,12 @@ def evaluate(scenario: Scenario) -> CarbonBreakdown:
     """
     design, profiles, env = scenario.design, scenario.profiles, scenario.environment
     usage = design.usage
-    geom = stack_geometry(design, profiles.packaging)
-    yields = yield_context(design, geom, profiles)
-    embodied = embodied_breakdown(design, geom, yields, env, profiles)
+    try:
+        geom = stack_geometry(design, profiles.packaging)
+        yields = yield_context(design, geom, profiles)
+        embodied = embodied_breakdown(design, geom, yields, env, profiles)
+    except (ArithmeticError, ValueError) as exc:  # overflow, x/0 or int(nan) on extreme finite inputs
+        raise UnsupportedConfiguration(f"inputs outside the model's numeric range: {exc}") from exc
     energy = operational_energy_kwh(usage, geom.equivalent_2d_area)
     c_operational = env.ci_use * energy
     overall = embodied.c_embodied_overall

@@ -34,26 +34,20 @@ from .carbon import CarbonBreakdown, evaluate
 from .errors import CapExceeded, CarbonModelWarning, OutOfRange, UnresolvablePath, UnsupportedConfiguration
 from .geometry import area_2d
 from .params import (
-    BondingProfile,
     DesignSpec,
     DieSpec,
-    FabEnvironment,
     Facing,
     FixtureRegistry,
     Integration,
-    PackagingProfile,
     Scenario,
     Stacking,
     TechnologyProfile,
     UsageProfile,
     WiringParameters,
-    _num,
-    validate_bonding,
+    _FIELDS,
+    _profile,
     validate_design,
-    validate_environment,
     validate_gamma,
-    validate_packaging,
-    validate_wiring,
 )
 
 PRESCAN_POINTS = 17
@@ -93,102 +87,69 @@ class SweepResult:
 
 _DIE_PATH = re.compile(r"^dies\[(\*|\d+)\]\.(\w+)(?:\.(\w+))?$")
 
-_USAGE_FIELDS = {f.name for f in dataclasses.fields(UsageProfile)}
-_ENV_FIELDS = {f.name for f in dataclasses.fields(FabEnvironment)}
-_BOND_FIELDS = {f.name for f in dataclasses.fields(BondingProfile)}
-_PKG_FIELDS = {f.name for f in dataclasses.fields(PackagingProfile)}
-_WIRING_FIELDS = {f.name for f in dataclasses.fields(WiringParameters)}
-_DIE_FIELDS = {"gate_count", "explicit_area", "explicit_beol"}
+# axis section -> the attributes leading from a Scenario to the profile it patches
+_SECTIONS = {
+    "": ("design",),
+    "usage": ("design", "usage"),
+    "environment": ("environment",),
+    "bonding": ("profiles", "bonding"),
+    "packaging": ("profiles", "packaging"),
+}
 
 
-def _num_value(path: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UnresolvablePath(f"{path}: expected a numeric value, got {value!r}")
-    return _num(value, path)  # rejects NaN and +-inf
+def _patched(profile, key: str, value, path: str, axis: str):
+    """The profile with one field set by the loader's profile builder."""
+    if key not in _FIELDS[type(profile)]:
+        raise UnresolvablePath(f"cannot resolve parameter path {axis!r}")
+    return _profile(type(profile), profile, {key: value}, path)
 
 
-def _int_value(path: str, value) -> int:
-    number = _num_value(path, value)
-    if not number.is_integer():
-        raise OutOfRange(path, f"expected an integer, got {value!r}")
-    return int(number)
-
-
-def _set_die(die: DieSpec, index: int, field_name: str, sub: str | None, value, registry: FixtureRegistry, path: str) -> DieSpec:
-    if field_name == "technology":
-        node = str(value)
-        return dataclasses.replace(
-            die, technology=registry.technology(node), wiring=registry.default_wiring(node)
-        )
-    if field_name == "wiring":
-        if sub not in _WIRING_FIELDS:
-            raise UnresolvablePath(f"unknown wiring field {sub!r}")
-        wiring = dataclasses.replace(die.wiring, **{sub: _num_value(path, value)})
-        validate_wiring(wiring, f"design.dies[{index}].wiring")
-        return dataclasses.replace(die, wiring=wiring)
-    if field_name not in _DIE_FIELDS:
-        raise UnresolvablePath(f"unknown die field {field_name!r}")
-    if field_name == "explicit_beol":
-        return dataclasses.replace(die, explicit_beol=_int_value(path, value))
-    return dataclasses.replace(die, **{field_name: _num_value(path, value)})
+def _replace_at(obj, attrs: tuple[str, ...], update: Callable):
+    """A copy of obj whose object at the attribute chain ``attrs`` is ``update(object)``."""
+    if not attrs:
+        return update(obj)
+    return dataclasses.replace(obj, **{attrs[0]: _replace_at(getattr(obj, attrs[0]), attrs[1:], update)})
 
 
 def apply_parameter(scenario: Scenario, path: str, value, registry: FixtureRegistry | None = None) -> Scenario:
     """Return a copy of the scenario with one parameter path set to value.
 
-    Patched profiles get the loader's checks, on the path the loader would
-    name (a wiring patch on ``design.dies[i].wiring`` of each die it
-    touches); the design's cross-field rules are left to ``validate_design``.
+    The patched profile is parsed and validated by the loader's builder,
+    on the axis path (a wiring patch on ``design.dies[i].wiring`` of each
+    die it touches); the design's cross-field rules are left to
+    ``validate_design``.
     """
     registry = registry or FixtureRegistry.bundled()
-    p = path.strip()
-    if p.startswith("design."):
-        p = p[len("design."):]
-
+    p = path.strip().removeprefix("design.")
     if p == "gamma":
-        return dataclasses.replace(scenario, gamma=validate_gamma(_num_value(p, value), p))
-    if p == "technology":
-        dies = tuple(_set_die(d, i, "technology", None, value, registry, p) for i, d in enumerate(scenario.design.dies))
-        return dataclasses.replace(scenario, design=dataclasses.replace(scenario.design, dies=dies))
-    if p == "signal_count_f2f":
-        return dataclasses.replace(
-            scenario, design=dataclasses.replace(scenario.design, signal_count_f2f=_int_value(p, value))
+        return dataclasses.replace(scenario, gamma=validate_gamma(value, p))
+
+    m = _DIE_PATH.match("dies[*].technology" if p == "technology" else p)
+    if m is None:
+        section, _, key = p.rpartition(".")
+        if section not in _SECTIONS:
+            raise UnresolvablePath(f"cannot resolve parameter path {path!r}")
+        return _replace_at(
+            scenario, _SECTIONS[section], lambda prof: _patched(prof, key, value, section or "design", path)
         )
 
-    head, _, rest = p.partition(".")
-    if head == "usage" and rest in _USAGE_FIELDS:
-        usage = dataclasses.replace(scenario.design.usage, **{rest: _num_value(p, value)})
-        return dataclasses.replace(scenario, design=dataclasses.replace(scenario.design, usage=usage))
-    if head == "environment" and rest in _ENV_FIELDS:
-        env = dataclasses.replace(scenario.environment, **{rest: _num_value(p, value)})
-        validate_environment(env, head)
-        return dataclasses.replace(scenario, environment=env)
-    if head == "bonding" and rest in _BOND_FIELDS:
-        bonding = dataclasses.replace(scenario.profiles.bonding, **{rest: _num_value(p, value)})
-        validate_bonding(bonding, head)
-        return dataclasses.replace(
-            scenario, profiles=dataclasses.replace(scenario.profiles, bonding=bonding)
-        )
-    if head == "packaging" and rest in _PKG_FIELDS:
-        packaging = dataclasses.replace(scenario.profiles.packaging, **{rest: _num_value(p, value)})
-        validate_packaging(packaging, head)
-        return dataclasses.replace(
-            scenario, profiles=dataclasses.replace(scenario.profiles, packaging=packaging)
-        )
-
-    m = _DIE_PATH.match(p)
-    if m:
-        index, field_name, sub = m.groups()
-        dies = list(scenario.design.dies)
-        targets = range(len(dies)) if index == "*" else [int(index)]
-        for i in targets:
-            if not 0 <= i < len(dies):
-                raise UnresolvablePath(f"{path}: die index {i} out of range (have {len(dies)})")
-            dies[i] = _set_die(dies[i], i, field_name, sub, value, registry, p)
-        return dataclasses.replace(
-            scenario, design=dataclasses.replace(scenario.design, dies=tuple(dies))
-        )
-    raise UnresolvablePath(f"cannot resolve parameter path {path!r}")
+    index, field_name, sub = m.groups()
+    dies = list(scenario.design.dies)
+    for i in range(len(dies)) if index == "*" else [int(index)]:
+        if not 0 <= i < len(dies):
+            raise UnresolvablePath(f"{path}: die index {i} out of range (have {len(dies)})")
+        die = dies[i]
+        if field_name == "technology" and sub is None:
+            node = str(value)
+            dies[i] = dataclasses.replace(die, technology=registry.technology(node), wiring=registry.default_wiring(node))
+        elif field_name == "wiring" and sub is not None:
+            wiring = _patched(die.wiring, sub, value, f"design.dies[{i}].wiring", path)
+            dies[i] = dataclasses.replace(die, wiring=wiring)
+        elif sub is None:
+            dies[i] = _patched(die, field_name, value, f"dies[{index}]", path)
+        else:
+            raise UnresolvablePath(f"cannot resolve parameter path {path!r}")
+    return dataclasses.replace(scenario, design=dataclasses.replace(scenario.design, dies=tuple(dies)))
 
 
 def mono2d_equivalent(design: DesignSpec) -> DesignSpec:

@@ -27,7 +27,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Literal, Mapping, Sequence
+from typing import Any, Callable, Literal
 
 from .errors import (
     CarbonModelWarning,
@@ -141,7 +141,7 @@ class TechnologyProfile:
     defect_density_d0: float        # defects/cm^2
     cluster_alpha: float            # negative-binomial clustering, > 0
     tsv_pitch_cm: float             # via dimension
-    io_overhead_ratio: float        # gamma_IO in [0, 1]
+    io_overhead_ratio: float = 0.1  # gamma_IO in [0, 1]
 
 
 @dataclass(frozen=True)
@@ -162,10 +162,10 @@ class WiringParameters:
 
     rent_k: float                   # terminals per gate coefficient
     rent_p: float                   # Rent exponent, in (0, 1)
-    rent_alpha: float               # terminal-to-connection factor
     fanout: float                   # average fanout (f.o.)
     wire_pitch_cm: float            # omega
     utilization: float              # eta, in (0, 1]
+    rent_alpha: float = 1.0         # terminal-to-connection factor
 
 
 @dataclass(frozen=True)
@@ -260,12 +260,12 @@ def _read_fixture(file: Path, path: str) -> dict:
 class FixtureRegistry:
     """Filesystem-backed registry of per-node and shared fixture profiles.
 
-    A registry reads each fixture file at most once and pins its contents
-    for its lifetime: every profile is parsed and validated on first use,
-    and later calls return the same frozen object.  Edits to the fixture
-    files take effect with the next registry (in the CLI, the next
-    command).  Failures are not cached; an unknown node or a missing file
-    raises again on every call.
+    A registry reads each fixture file, and the list of nodes, at most
+    once and pins them for its lifetime: every profile is parsed and
+    validated on first use, and later calls return the same frozen object.
+    Edits to the fixture files take effect with the next registry (in the
+    CLI, the next command).  Failures are not cached; an unknown node or a
+    missing file raises again on every call.
     """
 
     def __init__(self, root: Path | str):
@@ -298,58 +298,62 @@ class FixtureRegistry:
     def _node_doc(self, node_name: str) -> dict:
         # technology() and default_wiring() share one read of the node file
         def read():
-            file = self.root / "nodes" / f"{node_name}.json"
-            if not file.is_file():
-                raise UnknownNode(node_name, self.node_names())
-            return _read_fixture(file, f"fixtures/nodes/{node_name}")
+            known = self._cached("listing", "nodes", self.node_names)  # no path from an unchecked name
+            if node_name not in known:
+                raise UnknownNode(node_name, known)
+            return _read_fixture(self.root / "nodes" / f"{node_name}.json", f"fixtures/nodes/{node_name}")
         return self._cached("nodes", node_name, read)
 
     def technology(self, node_name: str) -> TechnologyProfile:
         def build():
-            path = f"fixtures/nodes/{node_name}"
-            prof = _technology_from_doc(node_name, self._node_doc(node_name), path=path)
-            validate_technology(prof, path=path)
-            return prof
+            doc = {k: v for k, v in self._node_doc(node_name).items() if k != "wiring"}
+            return _profile(TechnologyProfile, None, doc, f"fixtures/nodes/{node_name}", node_name=node_name)
         return self._cached("technology", node_name, build)
 
     def default_wiring(self, node_name: str) -> WiringParameters:
         def build():
-            path = f"fixtures/nodes/{node_name}.wiring"
-            wiring = _wiring_from_doc(self._node_doc(node_name).get("wiring", {}), path=path)
-            validate_wiring(wiring, path=path)
-            return wiring
+            doc = self._node_doc(node_name).get("wiring", {})
+            return _profile(WiringParameters, None, doc, f"fixtures/nodes/{node_name}.wiring")
         return self._cached("default_wiring", node_name, build)
 
-    def _shared(self, stem: str, from_doc: Callable, validate: Callable) -> Any:
+    def _shared(self, cls: type, stem: str) -> Any:
         def build():
             file = self.root / f"{stem}.json"
             if not file.is_file():
                 raise MissingField(f"fixtures/{stem}.json", "fixture file not found")
-            prof = from_doc(_read_fixture(file, f"fixtures/{stem}"), path=f"fixtures/{stem}")
-            validate(prof, path=f"fixtures/{stem}")
-            return prof
+            return _profile(cls, None, _read_fixture(file, f"fixtures/{stem}"), f"fixtures/{stem}")
         return self._cached("shared", stem, build)
 
     def bonding(self) -> BondingProfile:
-        return self._shared("bonding", _bonding_from_doc, validate_bonding)
+        return self._shared(BondingProfile, "bonding")
 
     def packaging(self) -> PackagingProfile:
-        return self._shared("packaging", _packaging_from_doc, validate_packaging)
+        return self._shared(PackagingProfile, "packaging")
 
     def environment(self) -> FabEnvironment:
-        return self._shared("environment", _environment_from_doc, validate_environment)
+        return self._shared(FabEnvironment, "environment")
 
 
 # ---------------------------------------------------------------------------
 # Document parsing helpers
 # ---------------------------------------------------------------------------
 
-def _require(doc: Mapping, key: str, path: str) -> Any:
-    if not isinstance(doc, Mapping):
+def _require(doc: dict, key: str, path: str) -> Any:
+    if not isinstance(doc, dict):
         raise MissingField(path, "expected an object")
     if key not in doc or doc[key] is None:
         raise MissingField(f"{path}.{key}" if path else key, "required field missing")
     return doc[key]
+
+
+def _section(doc: dict, key: str, path: str) -> dict:
+    """An optional object under ``key``; absent or null reads as empty."""
+    value = doc.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise OutOfRange(path, "expected an object")
+    return value
 
 
 def _num(value: Any, path: str) -> float:
@@ -360,15 +364,23 @@ def _num(value: Any, path: str) -> float:
     return float(value)
 
 
-def _opt_num(doc: Mapping, key: str, path: str, default: float | None = None) -> float | None:
-    value = doc.get(key, default)
-    return None if value is None else _num(value, f"{path}.{key}")
-
-
 def _int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    """A finite integer; an integral float (``5.0``, ``1e3``) counts as one."""
+    if not _num(value, path).is_integer():
         raise OutOfRange(path, f"expected an integer, got {value!r}")
-    return value
+    return int(value)
+
+
+def _floats(value: Any, path: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise OutOfRange(path, "expected a list of numbers")
+    return tuple(_num(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _optional(parse: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
+    def parse_optional(value: Any, path: str) -> Any:
+        return None if value is None else parse(value, path)
+    return parse_optional
 
 
 def _enum(value: Any, enum_cls, path: str):
@@ -390,78 +402,6 @@ def _enum(value: Any, enum_cls, path: str):
     except ValueError:
         allowed = ", ".join(m.value for m in enum_cls)
         raise OutOfRange(path, f"{value!r} is not one of: {allowed}") from None
-
-
-def _technology_from_doc(node_name: str, doc: Mapping, path: str) -> TechnologyProfile:
-    layers = _require(doc, "epa_beol_per_layer", path)
-    if not isinstance(layers, Sequence) or isinstance(layers, str):
-        raise OutOfRange(f"{path}.epa_beol_per_layer", "expected a list of numbers")
-    return TechnologyProfile(
-        node_name=node_name,
-        feature_size_cm=_num(_require(doc, "feature_size_cm", path), f"{path}.feature_size_cm"),
-        gate_area_scaling=_num(_require(doc, "gate_area_scaling", path), f"{path}.gate_area_scaling"),
-        epa_feol=_num(_require(doc, "epa_feol", path), f"{path}.epa_feol"),
-        epa_mol=_num(_require(doc, "epa_mol", path), f"{path}.epa_mol"),
-        epa_beol_per_layer=tuple(_num(v, f"{path}.epa_beol_per_layer[{i}]") for i, v in enumerate(layers)),
-        max_beol_layers=_int(_require(doc, "max_beol_layers", path), f"{path}.max_beol_layers"),
-        gpa=_num(_require(doc, "gpa", path), f"{path}.gpa"),
-        mpa=_num(_require(doc, "mpa", path), f"{path}.mpa"),
-        defect_density_d0=_num(_require(doc, "defect_density_d0", path), f"{path}.defect_density_d0"),
-        cluster_alpha=_num(_require(doc, "cluster_alpha", path), f"{path}.cluster_alpha"),
-        tsv_pitch_cm=_num(_require(doc, "tsv_pitch_cm", path), f"{path}.tsv_pitch_cm"),
-        io_overhead_ratio=_num(doc.get("io_overhead_ratio", 0.1), f"{path}.io_overhead_ratio"),
-    )
-
-
-def _wiring_from_doc(doc: Mapping, path: str) -> WiringParameters:
-    return WiringParameters(
-        rent_k=_num(_require(doc, "rent_k", path), f"{path}.rent_k"),
-        rent_p=_num(_require(doc, "rent_p", path), f"{path}.rent_p"),
-        rent_alpha=_num(doc.get("rent_alpha", 1.0), f"{path}.rent_alpha"),
-        fanout=_num(_require(doc, "fanout", path), f"{path}.fanout"),
-        wire_pitch_cm=_num(_require(doc, "wire_pitch_cm", path), f"{path}.wire_pitch_cm"),
-        utilization=_num(_require(doc, "utilization", path), f"{path}.utilization"),
-    )
-
-
-def _bonding_from_doc(doc: Mapping, path: str) -> BondingProfile:
-    return BondingProfile(
-        epa_d2w=_num(_require(doc, "epa_d2w", path), f"{path}.epa_d2w"),
-        epa_w2w=_num(_require(doc, "epa_w2w", path), f"{path}.epa_w2w"),
-        cpa_bonding=_num(_require(doc, "cpa_bonding", path), f"{path}.cpa_bonding"),
-        cpa_rdl=_num(_require(doc, "cpa_rdl", path), f"{path}.cpa_rdl"),
-        bond_yield=_num(_require(doc, "bond_yield", path), f"{path}.bond_yield"),
-        rdl_yield=_num(_require(doc, "rdl_yield", path), f"{path}.rdl_yield"),
-        interposer_yield=_opt_num(doc, "interposer_yield", path),
-    )
-
-
-def _packaging_from_doc(doc: Mapping, path: str) -> PackagingProfile:
-    return PackagingProfile(
-        cpa_packaging=_num(_require(doc, "cpa_packaging", path), f"{path}.cpa_packaging"),
-        s_package_3d=_num(_require(doc, "s_package_3d", path), f"{path}.s_package_3d"),
-        s_package_25d=_num(_require(doc, "s_package_25d", path), f"{path}.s_package_25d"),
-        s_substrate_25d=_num(_require(doc, "s_substrate_25d", path), f"{path}.s_substrate_25d"),
-    )
-
-
-def _environment_from_doc(doc: Mapping, path: str) -> FabEnvironment:
-    return FabEnvironment(
-        ci_fab=_num(_require(doc, "ci_fab", path), f"{path}.ci_fab"),
-        ci_use=_num(_require(doc, "ci_use", path), f"{path}.ci_use"),
-        ci_bonding=_num(_require(doc, "ci_bonding", path), f"{path}.ci_bonding"),
-        wafer_diameter_cm=_num(_require(doc, "wafer_diameter_cm", path), f"{path}.wafer_diameter_cm"),
-    )
-
-
-def _usage_from_doc(doc: Mapping, path: str) -> UsageProfile:
-    return UsageProfile(
-        t_app_hours=_num(_require(doc, "t_app_hours", path), f"{path}.t_app_hours"),
-        t_exe_hours=_num(_require(doc, "t_exe_hours", path), f"{path}.t_exe_hours"),
-        power_density=_opt_num(doc, "power_density", path),
-        energy_override_kwh=_opt_num(doc, "energy_override_kwh", path),
-        delay_s=_num(doc.get("delay_s", 1.0), f"{path}.delay_s"),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -613,33 +553,92 @@ def validate_design(design: DesignSpec, path: str = "design"):
 
 
 # ---------------------------------------------------------------------------
+# Profile builder: one parser per declared field type
+# ---------------------------------------------------------------------------
+
+# Annotations are strings here (``from __future__ import annotations``).
+# Fields of any other type are not read from documents.
+_FIELD_PARSERS = {
+    "float": _num,
+    "float | None": _optional(_num),
+    "int": _int,
+    "int | None": _optional(_int),
+    "tuple[float, ...]": _floats,
+}
+
+# class -> {document-settable field: (parser, required)}
+_FIELDS = {
+    cls: {
+        f.name: (_FIELD_PARSERS[f.type], f.default is dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+        if f.type in _FIELD_PARSERS
+    }
+    for cls in (TechnologyProfile, WiringParameters, BondingProfile, PackagingProfile,
+                FabEnvironment, UsageProfile, DieSpec, DesignSpec)
+}
+
+# Usage, dies and designs are checked by validate_design, across fields.
+_VALIDATORS = {
+    TechnologyProfile: validate_technology,
+    WiringParameters: validate_wiring,
+    BondingProfile: validate_bonding,
+    PackagingProfile: validate_packaging,
+    FabEnvironment: validate_environment,
+}
+
+
+def _profile(cls: type, base: Any, patch: Any, path: str, **fixed: Any) -> Any:
+    """Build a ``cls`` profile from a document object, or patch ``base`` with it.
+
+    Each key is parsed by the declared type of its field and named
+    ``<path>.<key>`` in errors; a key ``cls`` has no field for is an error,
+    and keys starting with ``_`` are comments.  With a ``base``, only the
+    given keys are replaced (a null or empty patch returns ``base``);
+    without one, absent required fields raise MissingField.  ``fixed``
+    supplies fields that do not come from the document.  The result is
+    validated once, on ``path``.
+    """
+    if patch is None and base is not None:
+        return base
+    if not isinstance(patch, dict):
+        raise OutOfRange(path, "expected an object")
+    fields = _FIELDS[cls]
+    values = fixed
+    for key, value in patch.items():
+        if isinstance(key, str) and key.startswith("_"):
+            continue
+        where = f"{path}.{key}"
+        if key not in fields:
+            raise OutOfRange(where, "unknown field")
+        parse, required = fields[key]
+        if value is None and required:
+            raise MissingField(where, "required field missing")
+        values[key] = parse(value, where)
+    if base is not None:
+        if not values:
+            return base
+        profile = dataclasses.replace(base, **values)
+    else:
+        for name, (_, required) in fields.items():
+            if required and name not in values:
+                raise MissingField(f"{path}.{name}", "required field missing")
+        profile = cls(**values)
+    validate = _VALIDATORS.get(cls)
+    if validate is not None:
+        validate(profile, path)
+    return profile
+
+
+# ---------------------------------------------------------------------------
 # Document loading
 # ---------------------------------------------------------------------------
 
-def _resolved_technology(node: str, overrides: Mapping, registry: FixtureRegistry, path: str) -> TechnologyProfile:
-    base = registry.technology(node)
-    patch = overrides.get(node)
-    if not patch:
-        return base
-    if not isinstance(patch, Mapping):
-        raise OutOfRange(f"technology_overrides.{node}", "expected an object of field overrides")
-    fields = {f.name for f in dataclasses.fields(TechnologyProfile)}
-    kwargs: dict[str, Any] = {}
-    for key, value in patch.items():
-        if key not in fields or key == "node_name":
-            raise OutOfRange(f"technology_overrides.{node}.{key}", "unknown technology field")
-        if key == "epa_beol_per_layer":
-            kwargs[key] = tuple(_num(v, f"technology_overrides.{node}.{key}[{i}]") for i, v in enumerate(value))
-        elif key == "max_beol_layers":
-            kwargs[key] = _int(value, f"technology_overrides.{node}.{key}")
-        else:
-            kwargs[key] = _num(value, f"technology_overrides.{node}.{key}")
-    prof = dataclasses.replace(base, **kwargs)
-    validate_technology(prof, path)
-    return prof
+def _resolved_technology(node: str, overrides: dict, registry: FixtureRegistry) -> TechnologyProfile:
+    """The node's fixture profile with its ``technology_overrides`` entry applied."""
+    return _profile(TechnologyProfile, registry.technology(node), overrides.get(node), f"technology_overrides.{node}")
 
 
-def _expand_dies(design_doc: Mapping, path: str) -> list[dict]:
+def _expand_dies(design_doc: dict, path: str) -> list[dict]:
     """Normalize the two input styles to a per-die list of raw objects.
 
     Style A: explicit ``dies`` list.  Style B (early design): a total
@@ -648,21 +647,19 @@ def _expand_dies(design_doc: Mapping, path: str) -> list[dict]:
     """
     if "dies" in design_doc:
         dies = design_doc["dies"]
-        if not isinstance(dies, Sequence) or isinstance(dies, str) or not dies:
+        if not isinstance(dies, list) or not dies:
             raise MissingField(f"{path}.dies", "expected a non-empty list of die objects")
-        return [dict(d) if isinstance(d, Mapping) else _bad_die(i, path) for i, d in enumerate(dies)]
+        return [d if isinstance(d, dict) else _bad_die(i, path) for i, d in enumerate(dies)]
 
     total = _num(_require(design_doc, "gate_count_2d", path), f"{path}.gate_count_2d")
     n = _int(_require(design_doc, "n_dies", path), f"{path}.n_dies")
-    if n < 1:
-        raise OutOfRange(f"{path}.n_dies", "must be >= 1")
+    # the split makes one die object each: bound it before allocating
+    _check(1 <= n <= 1000, f"{path}.n_dies", "must be in [1, 1000]")
     node = _require(design_doc, "technology", path)
     ratios = design_doc.get("area_ratios")
-    if ratios is None:
-        ratios = [1.0] * n
-    if len(ratios) != n:
-        raise OutOfRange(f"{path}.area_ratios", f"expected {n} entries, got {len(ratios)}")
-    weights = [_num(r, f"{path}.area_ratios[{i}]") for i, r in enumerate(ratios)]
+    weights = [1.0] * n if ratios is None else _floats(ratios, f"{path}.area_ratios")
+    if len(weights) != n:
+        raise OutOfRange(f"{path}.area_ratios", f"expected {n} entries, got {len(weights)}")
     if any(w <= 0 for w in weights):
         raise OutOfRange(f"{path}.area_ratios", "ratios must be > 0")
     total_w = sum(weights)
@@ -673,7 +670,7 @@ def _bad_die(i: int, path: str):
     raise OutOfRange(f"{path}.dies[{i}]", "expected an object")
 
 
-def load_design(document: Mapping, registry: FixtureRegistry | None = None) -> DesignSpec:
+def load_design(document: dict, registry: FixtureRegistry | None = None) -> DesignSpec:
     """Parse and validate a config document into a DesignSpec.
 
     Applies defaults (facing/stacking, X_signal=0, fixture wiring) and
@@ -682,35 +679,24 @@ def load_design(document: Mapping, registry: FixtureRegistry | None = None) -> D
     """
     registry = registry or FixtureRegistry.bundled()
     design_doc = _require(document, "design", "")
-    if not isinstance(design_doc, Mapping):
+    if not isinstance(design_doc, dict):
         raise MissingField("design", "expected an object")
-    overrides = document.get("technology_overrides", {}) or {}
+    overrides = _section(document, "technology_overrides", "technology_overrides")
 
     integration = _enum(_require(design_doc, "integration", "design"), Integration, "design.integration")
     raw_dies = _expand_dies(design_doc, "design")
 
+    techs: dict[str, TechnologyProfile] = {}
     dies: list[DieSpec] = []
     for i, raw in enumerate(raw_dies):
         dpath = f"design.dies[{i}]"
-        node = _require(raw, "technology", dpath)
-        tech = _resolved_technology(str(node), overrides, registry, f"{dpath}.technology")
-        wiring = registry.default_wiring(str(node))
-        wiring_doc = raw.get("wiring")
-        if wiring_doc:
-            if not isinstance(wiring_doc, Mapping):
-                raise OutOfRange(f"{dpath}.wiring", "expected an object of field overrides")
-            wiring = _wiring_from_doc({**dataclasses.asdict(wiring), **wiring_doc}, f"{dpath}.wiring")
-            validate_wiring(wiring, f"{dpath}.wiring")
-        explicit_beol = raw.get("explicit_beol")
-        dies.append(
-            DieSpec(
-                technology=tech,
-                wiring=wiring,
-                gate_count=_opt_num(raw, "gate_count", dpath),
-                explicit_area=_opt_num(raw, "explicit_area", dpath),
-                explicit_beol=None if explicit_beol is None else _int(explicit_beol, f"{dpath}.explicit_beol"),
-            )
-        )
+        node = str(_require(raw, "technology", dpath))
+        if node not in techs:
+            techs[node] = _resolved_technology(node, overrides, registry)
+        wiring = _profile(WiringParameters, registry.default_wiring(node), raw.get("wiring"), f"{dpath}.wiring")
+        # the die object also holds its technology and wiring, read above
+        sizes = {k: v for k, v in raw.items() if k in _FIELDS[DieSpec]}
+        dies.append(_profile(DieSpec, None, sizes, dpath, technology=techs[node], wiring=wiring))
 
     facing_raw = design_doc.get("facing")
     facing = (
@@ -725,51 +711,35 @@ def load_design(document: Mapping, registry: FixtureRegistry | None = None) -> D
         else _enum(stacking_raw, Stacking, "design.stacking")
     )
 
-    usage = _usage_from_doc(_require(document, "usage", ""), "usage")
-    signal = design_doc.get("signal_count_f2f", 0)
-
     design = DesignSpec(
         integration=integration,
         facing=facing,
         stacking=stacking,
         dies=tuple(dies),
-        usage=usage,
-        signal_count_f2f=_int(signal, "design.signal_count_f2f"),
+        usage=_profile(UsageProfile, None, _require(document, "usage", ""), "usage"),
+        signal_count_f2f=_int(design_doc.get("signal_count_f2f", 0), "design.signal_count_f2f"),
     )
     validate_design(design)
     return design
 
 
-def load_environment(document: Mapping, registry: FixtureRegistry | None = None) -> FabEnvironment:
+def load_environment(document: dict, registry: FixtureRegistry | None = None) -> FabEnvironment:
     registry = registry or FixtureRegistry.bundled()
-    base = registry.environment()
-    env_doc = document.get("environment")
-    if env_doc is None:
-        return base
-    if not isinstance(env_doc, Mapping):
-        raise MissingField("environment", "expected an object")
-    merged = {**dataclasses.asdict(base), **env_doc}
-    env = _environment_from_doc(merged, "environment")
-    validate_environment(env, "environment")
-    return env
+    return _profile(FabEnvironment, registry.environment(), document.get("environment"), "environment")
 
 
-def load_profiles(document: Mapping, registry: FixtureRegistry | None = None) -> ProcessProfiles:
+def load_profiles(document: dict, registry: FixtureRegistry | None = None) -> ProcessProfiles:
     registry = registry or FixtureRegistry.bundled()
-    design_doc = document.get("design") or {}
-    bonding_doc = {**dataclasses.asdict(registry.bonding()), **(design_doc.get("bonding") or {})}
-    bonding = _bonding_from_doc(bonding_doc, "design.bonding")
-    validate_bonding(bonding, "design.bonding")
-    packaging_doc = {**dataclasses.asdict(registry.packaging()), **(design_doc.get("packaging") or {})}
-    packaging = _packaging_from_doc(packaging_doc, "design.packaging")
-    validate_packaging(packaging, "design.packaging")
+    design_doc = _section(document, "design", "design")
+    bonding = _profile(BondingProfile, registry.bonding(), design_doc.get("bonding"), "design.bonding")
+    packaging = _profile(PackagingProfile, registry.packaging(), design_doc.get("packaging"), "design.packaging")
 
     # always resolve an interposer process so DSE variants can switch to
     # si_interposer even when the base design uses another integration
-    interposer_doc = design_doc.get("interposer") or {}
+    interposer_doc = _section(design_doc, "interposer", "design.interposer")
     node = str(interposer_doc.get("technology", "28nm"))
-    overrides = document.get("technology_overrides", {}) or {}
-    interposer_tech = _resolved_technology(node, overrides, registry, "design.interposer.technology")
+    overrides = _section(document, "technology_overrides", "technology_overrides")
+    interposer_tech = _resolved_technology(node, overrides, registry)
     interposer_layers = _int(interposer_doc.get("beol_layers", 4), "design.interposer.beol_layers")
     if not 1 <= interposer_layers <= interposer_tech.max_beol_layers:
         raise OutOfRange(
@@ -785,7 +755,7 @@ def load_profiles(document: Mapping, registry: FixtureRegistry | None = None) ->
 
 
 def load_scenario(
-    source: Mapping | str | Path,
+    source: dict | str | Path,
     registry: FixtureRegistry | None = None,
     gamma: float = 1.0,
 ) -> Scenario:
@@ -800,7 +770,7 @@ def load_scenario(
             raise ValidationError(str(source), f"not valid JSON: {exc}") from exc
     else:
         document = source
-    if not isinstance(document, Mapping):
+    if not isinstance(document, dict):
         raise MissingField("<root>", "config document must be a JSON object")
     registry = registry or FixtureRegistry.bundled()
     return Scenario(

@@ -195,6 +195,12 @@ class TestSampleConfigs:
         assert "90nm" in capsys.readouterr().err
 
 
+def _split_design(doc, **fields):
+    """Turn the document's dies into the early-design form: gate_count_2d split over n_dies."""
+    del doc["design"]["dies"]
+    doc["design"].update({"gate_count_2d": 1e9, "n_dies": 2, "technology": "7nm", **fields})
+
+
 class TestRejectsBadValues:
     """Out-of-range and non-finite inputs exit 2 with the offending path."""
 
@@ -216,6 +222,56 @@ class TestRejectsBadValues:
         code, out = self._run(tmp_path, capsys, doc, "estimate", "--format", "csv")
         assert code == 2 and out.out == ""
         assert where in out.err and "finite" in out.err
+
+    @pytest.mark.parametrize("mutate, where", [
+        (lambda d: _split_design(d, area_ratios=3), "design.area_ratios"),
+        (lambda d: d.update(technology_overrides={"7nm": {"epa_beol_per_layer": 1.0}}),
+         "technology_overrides.7nm.epa_beol_per_layer"),
+        (lambda d: d["design"].update(bonding=[1]), "design.bonding"),
+        (lambda d: d["design"].update(packaging=3), "design.packaging"),
+        (lambda d: d["design"].update(interposer=[1]), "design.interposer"),
+        (lambda d: d.update(technology_overrides=[1]), "technology_overrides"),
+        (lambda d: d.update(technology_overrides=3), "technology_overrides"),
+    ])
+    def test_wrongly_shaped_section(self, tmp_path, capsys, mutate, where):
+        doc = basic_document()
+        mutate(doc)
+        code, out = self._run(tmp_path, capsys, doc, "estimate", "--format", "csv")
+        assert code == 2 and out.out == ""
+        assert out.err.startswith(f"error: {where}: expected ")
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d["design"]["dies"][0].update(wiring={"rent_P": 0.9}),
+         "design.dies[0].wiring.rent_P: unknown field"),
+        (lambda d: d["design"]["dies"][0].update(explicit_beol=5.5),
+         "design.dies[0].explicit_beol: expected an integer, got 5.5"),
+        (lambda d: d["design"]["dies"][0].update(technology="../bonding"),
+         "technology: unknown node '../bonding'"),
+        (lambda d: d["design"]["dies"][0].update(technology="x" * 300), "technology: unknown node 'xxx"),
+        (lambda d: d["design"]["dies"][0].update(gate_count=1e-300),
+         "inputs outside the model's numeric range"),
+        (lambda d: d["design"]["dies"][0].update(gate_count=1e300),
+         "inputs outside the model's numeric range"),
+        (lambda d: _split_design(d, n_dies=2**64), "design.n_dies: must be in [1, 1000]"),
+        (lambda d: d.update(technology_overrides={"7nm": {"feature_size_cm": -1}}),
+         "technology_overrides.7nm.feature_size_cm: must be > 0"),
+    ])
+    def test_bad_document_value_exits_2(self, tmp_path, capsys, mutate, message):
+        doc = basic_document()
+        mutate(doc)
+        code, out = self._run(tmp_path, capsys, doc, "estimate", "--format", "csv")
+        assert code == 2 and out.out == ""
+        assert out.err.startswith(f"error: {message}")
+
+    def test_integral_float_document_values_match_integers(self, tmp_path, capsys):
+        outputs = []
+        for beol in (9, 9.0):
+            doc = basic_document()
+            doc["design"]["dies"][0]["explicit_beol"] = beol
+            code, out = self._run(tmp_path, capsys, doc, "estimate", "--format", "csv")
+            assert code == 0
+            outputs.append(out.out)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("axis", [
         "usage.power_density=inf",

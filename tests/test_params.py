@@ -269,6 +269,31 @@ class TestRegistry:
             FixtureRegistry(root).default_wiring("7nm")
         assert exc.value.path == "fixtures/nodes/7nm"
 
+    def test_fixture_comment_keys_are_skipped(self, tmp_path, registry):
+        root = _fixture_copy(tmp_path)
+        node = json.loads((root / "nodes" / "7nm.json").read_text())
+        node["wiring"]["_comment"] = "from a foundry survey"
+        _edit_node(root, "7nm", wiring=node["wiring"], _source="survey 2023")
+        fresh = FixtureRegistry(root)
+        assert fresh.technology("7nm") == registry.technology("7nm")
+        assert fresh.default_wiring("7nm") == registry.default_wiring("7nm")
+
+    def test_fixture_typo_is_an_error_on_its_path(self, tmp_path):
+        root = _fixture_copy(tmp_path)
+        _edit_node(root, "7nm", epa_feoll=0.4)
+        with pytest.raises(OutOfRange) as exc:
+            FixtureRegistry(root).technology("7nm")
+        assert exc.value.path == "fixtures/nodes/7nm.epa_feoll"
+
+    def test_fixture_defaults_apply_when_omitted(self, tmp_path):
+        root = _fixture_copy(tmp_path)
+        node = json.loads((root / "nodes" / "7nm.json").read_text())
+        del node["io_overhead_ratio"], node["wiring"]["rent_alpha"]
+        (root / "nodes" / "7nm.json").write_text(json.dumps(node))
+        fresh = FixtureRegistry(root)
+        assert fresh.technology("7nm").io_overhead_ratio == 0.1
+        assert fresh.default_wiring("7nm").rent_alpha == 1.0
+
     def test_custom_fixture_warns_once_on_the_fixture_path(self, tmp_path, monkeypatch, capsys):
         # the registry validates a profile once; validate_design does not re-check it per die
         root = _fixture_copy(tmp_path)
