@@ -16,9 +16,10 @@ from .explorer import (
     CrossingResult,
     ParetoResult,
     SweepAxis,
-    SweepResult,
+    SweepRow,
     SwitchingPoint,
     build_design,
+    crossing,
     find_crossing,
     gamma_pareto,
     mono2d_equivalent,

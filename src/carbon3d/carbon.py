@@ -248,6 +248,10 @@ def evaluate(scenario: Scenario) -> CarbonBreakdown:
     overall = embodied.c_embodied_overall
     amortized = overall * usage.t_app_hours / usage.t_exe_hours
     c_total = c_operational + scenario.gamma * amortized
+    result_metrics = metrics(overall, c_total, usage.delay_s, energy)
+    # finite inputs can still overflow; c_total and the metrics cover every reported value
+    if not all(map(math.isfinite, (c_total, result_metrics.cdp, result_metrics.cep, result_metrics.tcdp))):
+        raise UnsupportedConfiguration("inputs outside the model's numeric range: a result is not finite")
     return CarbonBreakdown(
         c_die_per_die=embodied.c_die_per_die,
         c_bonding=embodied.c_bonding,
@@ -258,5 +262,5 @@ def evaluate(scenario: Scenario) -> CarbonBreakdown:
         c_embodied_amortized=amortized,
         c_total=c_total,
         operational_energy_kwh=energy,
-        metrics=metrics(overall, c_total, usage.delay_s, energy),
+        metrics=result_metrics,
     )

@@ -3,16 +3,19 @@
 Exit codes: 0 success (possibly with warnings), 2 validation failure with
 a path-qualified message, 3 when --require-crossing is set and no
 crossing exists.  Machine output is kg CO2e; human tables print grams.
-File outputs are written to a temp file and atomically renamed.
+Every command writes its output to a temp file, which is renamed onto
+--out (atomically) or copied to stdout only when the command succeeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import sys
 import tempfile
 import warnings
@@ -23,10 +26,12 @@ from .carbon import CarbonBreakdown, evaluate
 from .errors import CarbonModelError, NoCrossing, OutOfRange, ValidationError
 from .geometry import gates_from_area
 from .params import (
+    MAX_DIES,
     FixtureRegistry,
     Integration,
     Scenario,
     Stacking,
+    _check,
     _enum,
     design_to_document,
     load_scenario,
@@ -73,34 +78,35 @@ def _inputs_digest(scenario: Scenario) -> str:
     return "sha256:" + hashlib.sha256(blob).hexdigest()
 
 
-def _write_atomic(path: str, text: str):
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
+@contextlib.contextmanager
+def _output(path: str | None):
+    """A temp file for a command's output that is renamed onto ``path`` (atomically)
+    or copied to stdout only if the block succeeds, and otherwise removed."""
+    target = Path(path) if path else None
+    if target is not None:
+        target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=target and target.parent, prefix=target.name if target else "carbon3d", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        with os.fdopen(fd, "w+", encoding="utf-8", newline="") as f:
+            yield f
+            if target is None:
+                f.seek(0)
+                shutil.copyfileobj(f, sys.stdout)
+        if target is not None:
+            os.replace(tmp, target)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        _write_atomic(out, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _csv_header(digest: str, columns: list[str], extra_meta: list[str] | None = None) -> list[str]:
+def _csv_header(digest: str, columns: list[str], extra_meta: list[str] | None = None) -> str:
     lines = [f"# schema_version={SCHEMA_VERSION}", f"# inputs_digest={digest}"]
     units = " ".join(f"{c}={UNITS[c]}" for c in columns if c in UNITS)
     if units:
         lines.append(f"# units: {units}")
     lines.extend(extra_meta or [])
     lines.append(",".join(columns))
-    return lines
+    return "\n".join(lines) + "\n"
 
 
 def _report_document(scenario: Scenario, breakdown: CarbonBreakdown, warning_list: list[str]) -> dict:
@@ -154,14 +160,20 @@ def _estimate_table(scenario: Scenario, breakdown: CarbonBreakdown, breakdown_pe
     return "\n".join(lines) + "\n"
 
 
-def _collect_warnings(record) -> list[str]:
-    seen, out = set(), []
-    for w in record:
-        text = str(w.message)
-        if text not in seen:
-            seen.add(text)
-            out.append(text)
-    return out
+@contextlib.contextmanager
+def _recorded_warnings():
+    """Each distinct warning text raised in the block, once, in first-seen order (dict keys)."""
+    texts: dict[str, None] = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: texts.setdefault(str(message))
+        yield texts
+
+
+def _report_warnings(texts) -> list[str]:
+    for text in texts:
+        print(f"warning: {text}", file=sys.stderr)
+    return list(texts)
 
 
 # ---------------------------------------------------------------------------
@@ -170,26 +182,22 @@ def _collect_warnings(record) -> list[str]:
 
 def cmd_estimate(args) -> int:
     registry = FixtureRegistry.bundled()
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
+    with _recorded_warnings() as rec:
         scenario = load_scenario(args.config, registry, gamma=args.gamma)
         breakdown = evaluate(scenario)
-    warning_list = _collect_warnings(rec)
-    for text in warning_list:
-        print(f"warning: {text}", file=sys.stderr)
+    warning_list = _report_warnings(rec)
 
-    if args.format == "table":
-        _emit(_estimate_table(scenario, breakdown, args.breakdown), args.out)
-    elif args.format == "json":
-        _emit(json.dumps(_report_document(scenario, breakdown, warning_list), indent=2) + "\n", args.out)
-    else:
-        columns = ["component", "value", "unit"]
-        rows = [(name, value, UNITS[name]) for name, value in zip(BREAKDOWN_COLUMNS, _breakdown_values(breakdown))]
-        if args.breakdown:
-            rows = [(f"c_die[{i}]", c, "kg") for i, c in enumerate(breakdown.c_die_per_die)] + rows
-        lines = _csv_header(_inputs_digest(scenario), columns)
-        lines += [f"{name},{_fmt(value)},{unit}" for name, value, unit in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+    with _output(args.out) as out:
+        if args.format == "table":
+            out.write(_estimate_table(scenario, breakdown, args.breakdown))
+        elif args.format == "json":
+            out.write(json.dumps(_report_document(scenario, breakdown, warning_list), indent=2) + "\n")
+        else:
+            rows = [(name, value, UNITS[name]) for name, value in zip(BREAKDOWN_COLUMNS, _breakdown_values(breakdown))]
+            if args.breakdown:
+                rows = [(f"c_die[{i}]", c, "kg") for i, c in enumerate(breakdown.c_die_per_die)] + rows
+            out.write(_csv_header(_inputs_digest(scenario), ["component", "value", "unit"]))
+            out.writelines(f"{name},{_fmt(value)},{unit}\n" for name, value, unit in rows)
     return 0
 
 
@@ -209,45 +217,42 @@ def _parse_axis(text: str) -> explorer.SweepAxis:
 
 def cmd_sweep(args) -> int:
     registry = FixtureRegistry.bundled()
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
+    with _recorded_warnings() as rec:
         scenario = load_scenario(args.config, registry, gamma=args.gamma)
         axes = [_parse_axis(a) for a in args.axis or []]
-        result = explorer.sweep(scenario, axes, registry, baseline=args.baseline)
-    for text in _collect_warnings(rec):
-        print(f"warning: {text}", file=sys.stderr)
-
-    axis_names = [a.parameter_path for a in result.axes]
-    columns = axis_names + list(BREAKDOWN_COLUMNS)
-    if result.baseline is not None:
-        columns.append("baseline_c_embodied_overall")
-    lines = _csv_header(_inputs_digest(scenario), columns)
-    for i, row in enumerate(result.rows):
-        cells = [_fmt(v) for v in row.values] + [_fmt(v) for v in _breakdown_values(row.breakdown)]
-        if result.baseline is not None:
-            cells.append(_fmt(result.baseline[i].c_embodied_overall))
-        lines.append(",".join(cells))
-    for value, integ in result.switching_points:
-        lines.append(f"# switching_point value={_fmt(value)} integration={integ}")
-    _emit("\n".join(lines) + "\n", args.out)
-
-    if args.plot_out and result.rows:
-        x_name = axis_names[0] if axis_names else "index"
-        plot_cols = [x_name, "c_embodied_overall", "c_operational", "c_total"]
-        plines = _csv_header(_inputs_digest(scenario), plot_cols)
-        for i, row in enumerate(result.rows):
-            x = row.values[0] if row.values else i
-            b = row.breakdown
-            plines.append(",".join(_fmt(v) for v in (x, b.c_embodied_overall, b.c_operational, b.c_total)))
-        _write_atomic(args.plot_out, "\n".join(plines) + "\n")
+        rows = explorer.sweep(scenario, axes, registry, baseline=args.baseline)
+        digest = _inputs_digest(scenario)
+        axis_names = [a.parameter_path for a in axes]
+        columns = axis_names + list(BREAKDOWN_COLUMNS) + ["baseline_c_embodied_overall"] * args.baseline
+        plot_columns = [axis_names[0] if axis_names else "index", "c_embodied_overall", "c_operational", "c_total"]
+        # each row goes to both outputs as it arrives; neither appears unless every row succeeds
+        with (_output(args.plot_out) if args.plot_out else contextlib.nullcontext()) as plot, _output(args.out) as out:
+            out.write(_csv_header(digest, columns))
+            if plot is not None:
+                plot.write(_csv_header(digest, plot_columns))
+            points, previous = [], None
+            for i, row in enumerate(rows):
+                b = row.breakdown
+                cells = [*row.values, *_breakdown_values(b)]
+                if row.baseline is not None:
+                    cells.append(row.baseline.c_embodied_overall)
+                out.write(",".join(map(_fmt, cells)) + "\n")
+                if plot is not None:
+                    x = row.values[0] if row.values else i
+                    plot.write(",".join(map(_fmt, (x, b.c_embodied_overall, b.c_operational, b.c_total))) + "\n")
+                if previous is not None and (point := explorer.crossing(previous, row)):
+                    points.append(point)
+                previous = row
+            out.writelines(f"# switching_point value={_fmt(value)} integration={integ}\n" for value, integ in points)
+            _report_warnings(rec)
     return 0
 
 
 def cmd_switch(args) -> int:
+    _check(1 <= args.dies <= MAX_DIES, "--dies", f"must be in [1, {MAX_DIES}]")
     registry = FixtureRegistry.bundled()
     lo, hi = args.range
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
+    with _recorded_warnings() as rec:
         scenario = load_scenario(args.config, registry, gamma=args.gamma)
         point = explorer.switching_point(
             scenario,
@@ -259,17 +264,15 @@ def cmd_switch(args) -> int:
             registry,
             stacking=Stacking(args.stacking),
         )
-    for text in _collect_warnings(rec):
-        print(f"warning: {text}", file=sys.stderr)
+    _report_warnings(rec)
 
-    columns = ["integration", "node", "n_dies", "status", "gate_count", "area"]
-    lines = _csv_header(_inputs_digest(scenario), columns)
-    lines.append(",".join([
-        point.integration, point.node, str(point.n_dies), point.status,
-        _fmt(point.gate_count), _fmt(point.area_cm2),
-    ]))
-    lines.append(f"# switching_point value={_fmt(point.gate_count)} integration={point.integration}")
-    _emit("\n".join(lines) + "\n", args.out)
+    with _output(args.out) as out:
+        out.write(_csv_header(_inputs_digest(scenario), ["integration", "node", "n_dies", "status", "gate_count", "area"]))
+        out.write(",".join([
+            point.integration, point.node, str(point.n_dies), point.status,
+            _fmt(point.gate_count), _fmt(point.area_cm2),
+        ]) + "\n")
+        out.write(f"# switching_point value={_fmt(point.gate_count)} integration={point.integration}\n")
 
     if args.require_crossing and point.status != "crossing":
         raise NoCrossing(f"no crossing on [{lo:g}, {hi:g}] ({point.status})")
@@ -277,9 +280,9 @@ def cmd_switch(args) -> int:
 
 
 def cmd_pareto(args) -> int:
+    _check(1 <= args.dies <= MAX_DIES, "--dies", f"must be in [1, {MAX_DIES}]")
     registry = FixtureRegistry.bundled()
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
+    with _recorded_warnings() as rec:
         scenario = load_scenario(args.config, registry, gamma=args.gamma)
         gammas = [_number(g, "--gammas") for g in args.gammas.split(",") if g.strip()]
         designs = [("reference", scenario.design)]
@@ -295,20 +298,17 @@ def cmd_pareto(args) -> int:
             )
             designs.append((integ.value, design))
         result = explorer.gamma_pareto(scenario, designs, gammas)
-    for text in _collect_warnings(rec):
-        print(f"warning: {text}", file=sys.stderr)
+    _report_warnings(rec)
 
     names = [name for name, _ in designs]
     columns = ["gamma"] + [f"tcdp_norm_{n}" for n in names]
     meta = [f"# reference_tcdp={_fmt(result.reference_tcdp)} (kg*s at gamma=1)"]
-    lines = _csv_header(_inputs_digest(scenario), columns, extra_meta=meta)
-    for i, g in enumerate(result.gammas):
-        cells = [_fmt(g)] + [_fmt(result.series[n][i]) for n in names]
-        lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", args.out)
-
-    if args.plot_out:
-        _write_atomic(args.plot_out, "\n".join(lines) + "\n")
+    text = _csv_header(_inputs_digest(scenario), columns, extra_meta=meta) + "".join(
+        ",".join([_fmt(g)] + [_fmt(result.series[n][i]) for n in names]) + "\n" for i, g in enumerate(result.gammas)
+    )
+    for path in (args.out, args.plot_out) if args.plot_out else (args.out,):
+        with _output(path) as out:
+            out.write(text)
     return 0
 
 

@@ -4,8 +4,8 @@ A sweep is the cartesian product of one or more axes, each axis being a
 parameter path plus an ordered value list.  Every row is a full-pipeline
 evaluation of its own scenario; rows that share a prefix of axis values
 share the scenario built for that prefix, which is applied once.  Rows are
-emitted in fixed axis order (that of ``itertools.product``) so results are
-deterministic regardless of how they were computed.
+yielded one at a time, in fixed axis order (that of ``itertools.product``),
+so results are deterministic and memory does not grow with the row count.
 
 Supported parameter paths (the ``design.`` prefix is optional):
 
@@ -28,7 +28,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .carbon import CarbonBreakdown, evaluate
 from .errors import CapExceeded, CarbonModelWarning, OutOfRange, UnresolvablePath, UnsupportedConfiguration
@@ -71,14 +71,7 @@ class SweepRow:
     values: tuple
     scenario: Scenario
     breakdown: CarbonBreakdown
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    axes: tuple[SweepAxis, ...]
-    rows: tuple[SweepRow, ...]
-    baseline: tuple[CarbonBreakdown, ...] | None = None
-    switching_points: tuple[tuple[float, str], ...] = ()
+    baseline: CarbonBreakdown | None = None     # the mono-2D equivalent's, with baseline=True
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +181,21 @@ def mono2d_equivalent(design: DesignSpec) -> DesignSpec:
 # Sweep
 # ---------------------------------------------------------------------------
 
-def _product_scenarios(prefix: Scenario, axes: Sequence[SweepAxis], registry: FixtureRegistry, values: tuple = ()):
-    """Yield (values, scenario) for each row, in ``itertools.product`` order.
-
-    The first axis's value is applied once to the prefix scenario, which
-    every combination of the later axes then shares.
-    """
-    if not axes:
-        yield values, prefix
+def _rows(prefix: Scenario, axes: tuple[SweepAxis, ...], registry: FixtureRegistry, baseline: bool, values: tuple = ()):
+    """Yield each row in ``itertools.product`` order; each value of the first axis is
+    applied once, to the prefix scenario that every combination of the later axes shares."""
+    if axes:
+        head, rest = axes[0], axes[1:]
+        for value in head.values:
+            scenario = apply_parameter(prefix, head.parameter_path, value, registry)
+            yield from _rows(scenario, rest, registry, baseline, values + (value,))
         return
-    head, rest = axes[0], axes[1:]
-    for value in head.values:
-        scenario = apply_parameter(prefix, head.parameter_path, value, registry)
-        yield from _product_scenarios(scenario, rest, registry, values + (value,))
+    validate_design(prefix.design)
+    breakdown = evaluate(prefix)
+    base = None
+    if baseline:
+        base = evaluate(Scenario(mono2d_equivalent(prefix.design), prefix.profiles, prefix.environment, prefix.gamma))
+    yield SweepRow(values, prefix, breakdown, base)
 
 
 def sweep(
@@ -209,48 +204,35 @@ def sweep(
     registry: FixtureRegistry | None = None,
     cap: int = DEFAULT_ROW_CAP,
     baseline: bool = False,
-) -> SweepResult:
-    """Evaluate the cartesian product of the axes over a template scenario.
+) -> Iterator[SweepRow]:
+    """Evaluate the cartesian product of the axes over a template scenario, row by row.
 
-    With ``baseline=True`` every row is also evaluated as its mono-2D
-    equivalent, and for single-axis numeric sweeps the embodied-carbon
-    sign changes against that baseline are annotated as switching points
-    (linearly interpolated between adjacent rows).
+    The axes and the row cap are checked at the call.  Each row is built and
+    evaluated when the returned iterator reaches it, so a bad row raises
+    there; with ``baseline=True`` it carries its mono-2D equivalent's breakdown.
     """
     axes = tuple(a if isinstance(a, SweepAxis) else SweepAxis(*a) for a in axes)
     total = math.prod(len(a.values) for a in axes) if axes else 1
     if total > cap:
         raise CapExceeded(f"sweep would evaluate {total} rows, cap is {cap}")
-    registry = registry or FixtureRegistry.bundled()
+    return _rows(scenario, axes, registry or FixtureRegistry.bundled(), baseline)
 
-    rows: list[SweepRow] = []
-    baselines: list[CarbonBreakdown] = []
-    for values, row_scn in _product_scenarios(scenario, axes, registry):
-        validate_design(row_scn.design)
-        rows.append(SweepRow(values=values, scenario=row_scn, breakdown=evaluate(row_scn)))
-        if baseline:
-            base_design = mono2d_equivalent(row_scn.design)
-            baselines.append(evaluate(Scenario(base_design, row_scn.profiles, row_scn.environment, row_scn.gamma)))
 
-    points: list[tuple[float, str]] = []
-    if baseline and len(axes) == 1 and all(isinstance(v, (int, float)) for v in axes[0].values):
-        integ = scenario.design.integration.value
-        for (row_a, base_a), (row_b, base_b) in zip(
-            zip(rows, baselines), zip(rows[1:], baselines[1:])
-        ):
-            fa = row_a.breakdown.c_embodied_overall - base_a.c_embodied_overall
-            fb = row_b.breakdown.c_embodied_overall - base_b.c_embodied_overall
-            if fa > 0 >= fb:
-                xa, xb = float(row_a.values[0]), float(row_b.values[0])
-                cross = xa if fa == fb else xa + (xb - xa) * fa / (fa - fb)
-                points.append((cross, integ))
+def crossing(a: SweepRow, b: SweepRow) -> tuple[float, str] | None:
+    """The 2D switching point between adjacent sweep rows ``a`` and ``b``, or None.
 
-    return SweepResult(
-        axes=axes,
-        rows=tuple(rows),
-        baseline=tuple(baselines) if baseline else None,
-        switching_points=tuple(points),
-    )
+    Rows of one numeric axis with a baseline cross where the embodied-carbon
+    excess over the baseline turns from positive to non-positive; the point
+    is linearly interpolated on the axis value and paired with the scheme.
+    """
+    if not all(r.baseline is not None and len(r.values) == 1 and isinstance(r.values[0], (int, float)) for r in (a, b)):
+        return None
+    fa = a.breakdown.c_embodied_overall - a.baseline.c_embodied_overall
+    fb = b.breakdown.c_embodied_overall - b.baseline.c_embodied_overall
+    if not fa > 0 >= fb:
+        return None
+    xa, xb = float(a.values[0]), float(b.values[0])
+    return xa + (xb - xa) * fa / (fa - fb), a.scenario.design.integration.value
 
 
 # ---------------------------------------------------------------------------

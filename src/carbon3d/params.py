@@ -27,7 +27,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Literal
+from typing import Any, Callable, Container, Literal
 
 from .errors import (
     CarbonModelWarning,
@@ -39,6 +39,7 @@ from .errors import (
 )
 
 HOURS_PER_YEAR = 8766.0
+MAX_DIES = 1000     # the die count a document or a CLI option may ask for
 
 # Survey bounds used for soft (warning-level) range checks.  Bundled
 # fixtures must sit inside these; user overrides merely get a warning.
@@ -356,6 +357,13 @@ def _section(doc: dict, key: str, path: str) -> dict:
     return value
 
 
+def _known_keys(doc: dict, known: Container[str], path: str):
+    """Reject a key of ``doc`` that is not in ``known``; keys starting with ``_`` are comments."""
+    for key in doc:
+        if key not in known and not str(key).startswith("_"):
+            raise OutOfRange(f"{path}.{key}" if path else str(key), "unknown field")
+
+
 def _num(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise OutOfRange(path, f"expected a number, got {value!r}")
@@ -603,17 +611,15 @@ def _profile(cls: type, base: Any, patch: Any, path: str, **fixed: Any) -> Any:
     if not isinstance(patch, dict):
         raise OutOfRange(path, "expected an object")
     fields = _FIELDS[cls]
+    _known_keys(patch, fields, path)
     values = fixed
     for key, value in patch.items():
-        if isinstance(key, str) and key.startswith("_"):
-            continue
-        where = f"{path}.{key}"
-        if key not in fields:
-            raise OutOfRange(where, "unknown field")
-        parse, required = fields[key]
-        if value is None and required:
-            raise MissingField(where, "required field missing")
-        values[key] = parse(value, where)
+        if key in fields:  # the other keys are comments
+            where = f"{path}.{key}"
+            parse, required = fields[key]
+            if value is None and required:
+                raise MissingField(where, "required field missing")
+            values[key] = parse(value, where)
     if base is not None:
         if not values:
             return base
@@ -654,7 +660,7 @@ def _expand_dies(design_doc: dict, path: str) -> list[dict]:
     total = _num(_require(design_doc, "gate_count_2d", path), f"{path}.gate_count_2d")
     n = _int(_require(design_doc, "n_dies", path), f"{path}.n_dies")
     # the split makes one die object each: bound it before allocating
-    _check(1 <= n <= 1000, f"{path}.n_dies", "must be in [1, 1000]")
+    _check(1 <= n <= MAX_DIES, f"{path}.n_dies", f"must be in [1, {MAX_DIES}]")
     node = _require(design_doc, "technology", path)
     ratios = design_doc.get("area_ratios")
     weights = [1.0] * n if ratios is None else _floats(ratios, f"{path}.area_ratios")
@@ -670,6 +676,10 @@ def _bad_die(i: int, path: str):
     raise OutOfRange(f"{path}.dies[{i}]", "expected an object")
 
 
+_DESIGN_KEYS = ("integration", "facing", "stacking", "signal_count_f2f", "dies", "gate_count_2d", "n_dies",
+                "technology", "area_ratios", "bonding", "packaging", "interposer")
+
+
 def load_design(document: dict, registry: FixtureRegistry | None = None) -> DesignSpec:
     """Parse and validate a config document into a DesignSpec.
 
@@ -681,12 +691,14 @@ def load_design(document: dict, registry: FixtureRegistry | None = None) -> Desi
     design_doc = _require(document, "design", "")
     if not isinstance(design_doc, dict):
         raise MissingField("design", "expected an object")
+    _known_keys(design_doc, _DESIGN_KEYS, "design")
     overrides = _section(document, "technology_overrides", "technology_overrides")
+    # every override entry is resolved and validated, also for a node no die uses
+    techs = {node: _resolved_technology(node, overrides, registry) for node in overrides}
 
     integration = _enum(_require(design_doc, "integration", "design"), Integration, "design.integration")
     raw_dies = _expand_dies(design_doc, "design")
 
-    techs: dict[str, TechnologyProfile] = {}
     dies: list[DieSpec] = []
     for i, raw in enumerate(raw_dies):
         dpath = f"design.dies[{i}]"
@@ -695,7 +707,7 @@ def load_design(document: dict, registry: FixtureRegistry | None = None) -> Desi
             techs[node] = _resolved_technology(node, overrides, registry)
         wiring = _profile(WiringParameters, registry.default_wiring(node), raw.get("wiring"), f"{dpath}.wiring")
         # the die object also holds its technology and wiring, read above
-        sizes = {k: v for k, v in raw.items() if k in _FIELDS[DieSpec]}
+        sizes = {k: v for k, v in raw.items() if k not in ("technology", "wiring")}
         dies.append(_profile(DieSpec, None, sizes, dpath, technology=techs[node], wiring=wiring))
 
     facing_raw = design_doc.get("facing")
@@ -737,6 +749,7 @@ def load_profiles(document: dict, registry: FixtureRegistry | None = None) -> Pr
     # always resolve an interposer process so DSE variants can switch to
     # si_interposer even when the base design uses another integration
     interposer_doc = _section(design_doc, "interposer", "design.interposer")
+    _known_keys(interposer_doc, ("technology", "beol_layers"), "design.interposer")
     node = str(interposer_doc.get("technology", "28nm"))
     overrides = _section(document, "technology_overrides", "technology_overrides")
     interposer_tech = _resolved_technology(node, overrides, registry)
@@ -772,6 +785,7 @@ def load_scenario(
         document = source
     if not isinstance(document, dict):
         raise MissingField("<root>", "config document must be a JSON object")
+    _known_keys(document, ("design", "technology_overrides", "environment", "usage"), "")
     registry = registry or FixtureRegistry.bundled()
     return Scenario(
         design=load_design(document, registry),

@@ -1,6 +1,7 @@
 import json
 import math
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,20 @@ class TestSweep:
         code = main(["sweep", "-c", str(path), "--axis", "dies[*].bogus=1,2", "--out", str(out)])
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("to_files", [False, True])
+    def test_failing_last_row_leaves_no_output(self, tmp_path, capsys, monkeypatch, to_files):
+        # rows are written as they arrive, so the first two are on disk when the third fails
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        path = write_config(tmp_path, basic_document())
+        argv = ["sweep", "-c", str(path), "--baseline", "--axis", "bonding.bond_yield=0.9,0.95,1.5"]
+        if to_files:
+            argv += ["--out", str(tmp_path / "s.csv"), "--plot-out", str(tmp_path / "p.csv")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bonding.bond_yield: must be in (0, 1]\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestSwitch:
@@ -255,6 +270,16 @@ class TestRejectsBadValues:
         (lambda d: _split_design(d, n_dies=2**64), "design.n_dies: must be in [1, 1000]"),
         (lambda d: d.update(technology_overrides={"7nm": {"feature_size_cm": -1}}),
          "technology_overrides.7nm.feature_size_cm: must be > 0"),
+        # override entries of nodes that no die or interposer uses
+        (lambda d: d.update(technology_overrides={"99nm": {"gpa": 0.1}}), "technology: unknown node '99nm'"),
+        (lambda d: d.update(technology_overrides={"5nm": {"bogus": 1}}), "technology_overrides.5nm.bogus: unknown field"),
+        (lambda d: d.update(environmnet={}), "environmnet: unknown field"),
+        (lambda d: d["design"].update(facing_="f2b"), "design.facing_: unknown field"),
+        (lambda d: d["design"]["dies"][0].update(explicit_beols=3), "design.dies[0].explicit_beols: unknown field"),
+        (lambda d: d["design"].update(interposer={"technology": "28nm", "bogus": 1}),
+         "design.interposer.bogus: unknown field"),
+        (lambda d: d["usage"].update(power_density=1e308),
+         "inputs outside the model's numeric range: a result is not finite"),
     ])
     def test_bad_document_value_exits_2(self, tmp_path, capsys, mutate, message):
         doc = basic_document()
@@ -262,6 +287,17 @@ class TestRejectsBadValues:
         code, out = self._run(tmp_path, capsys, doc, "estimate", "--format", "csv")
         assert code == 2 and out.out == ""
         assert out.err.startswith(f"error: {message}")
+
+    def test_comment_keys_are_ignored(self, tmp_path, capsys):
+        outputs = []
+        for comment in ({}, {"_note": "x"}):
+            doc = basic_document(**comment, interposer={"technology": "28nm", **comment})
+            doc.update(comment)
+            doc["design"]["dies"][0].update(comment)
+            code, out = self._run(tmp_path, capsys, doc, "estimate", "--format", "csv")
+            assert code == 0
+            outputs.append(out.out)
+        assert outputs[0] == outputs[1]
 
     def test_integral_float_document_values_match_integers(self, tmp_path, capsys):
         outputs = []
@@ -318,6 +354,10 @@ class TestRejectsBadValues:
         (("switch", "--integration", "hybrid_3d", "--node", "7nm", "--range", "1e6:inf"), "range"),
         (("pareto", "--gammas", "x"), "--gammas"),
         (("pareto", "--integrations", "mono_2d,foo"), "--integrations"),
+        (("switch", "--integration", "hybrid_3d", "--node", "7nm", "--dies", "-1"), "--dies"),
+        (("switch", "--integration", "hybrid_3d", "--node", "7nm", "--dies", "5000"), "--dies"),
+        (("pareto", "--dies", "0"), "--dies"),
+        (("pareto", "--dies", "1001"), "--dies"),
     ])
     def test_bad_option_value_exits_2(self, tmp_path, capsys, argv, where):
         code, out = self._run(tmp_path, capsys, basic_document(), *argv)

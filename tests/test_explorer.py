@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import itertools
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from carbon3d import (
     Integration,
     SweepAxis,
     build_design,
+    crossing,
     evaluate,
     find_crossing,
     gamma_pareto,
@@ -21,7 +24,14 @@ from carbon3d import (
     sweep,
     switching_point,
 )
-from carbon3d.errors import CapExceeded, CarbonModelError, CarbonModelWarning, UnresolvablePath, UnsupportedConfiguration
+from carbon3d.errors import (
+    CapExceeded,
+    CarbonModelError,
+    CarbonModelWarning,
+    OutOfRange,
+    UnresolvablePath,
+    UnsupportedConfiguration,
+)
 from carbon3d.explorer import apply_parameter
 from carbon3d.params import validate_design
 
@@ -69,27 +79,28 @@ class TestApplyParameter:
 
 class TestSweep:
     def test_cartesian_cardinality(self):
-        result = sweep(make_scenario(), [
+        rows = list(sweep(make_scenario(), [
             SweepAxis("dies[*].gate_count", [1e8, 2e8, 4e8]),
             SweepAxis("gamma", [0.0, 0.5, 1.0, 2.0]),
-        ])
-        assert len(result.rows) == 12
-        assert result.rows[0].values == (1e8, 0.0)
-        assert result.rows[-1].values == (4e8, 2.0)
+        ]))
+        assert len(rows) == 12
+        assert rows[0].values == (1e8, 0.0)
+        assert rows[-1].values == (4e8, 2.0)
 
     def test_empty_axes_single_row(self):
-        result = sweep(make_scenario(), [])
-        assert len(result.rows) == 1
+        rows = list(sweep(make_scenario(), []))
+        assert len(rows) == 1
 
     def test_linearity_through_pipeline(self):
-        result = sweep(make_scenario(), [SweepAxis("dies[*].gate_count", [1e6, 2e6])])
+        rows = sweep(make_scenario(), [SweepAxis("dies[*].gate_count", [1e6, 2e6])])
         areas = [
             stack_geometry(r.scenario.design, r.scenario.profiles.packaging).equivalent_2d_area
-            for r in result.rows
+            for r in rows
         ]
         assert areas[1] == pytest.approx(2 * areas[0], rel=1e-12)
 
     def test_cap(self):
+        # raised by the call itself, before any row is asked for
         with pytest.raises(CapExceeded):
             sweep(make_scenario(), [SweepAxis("gamma", list(range(100)))], cap=99)
 
@@ -97,24 +108,64 @@ class TestSweep:
         axes = [SweepAxis("dies[*].gate_count", [1e8, 3e8, 9e8])]
         a = sweep(make_scenario(), axes)
         b = sweep(make_scenario(), axes)
-        for ra, rb in zip(a.rows, b.rows):
+        for ra, rb in zip(a, b):
             assert ra.breakdown == rb.breakdown
 
     def test_baseline_and_switching_annotation(self):
         # hybrid starts above the 2D baseline at small sizes and drops below
         scn = make_scenario(design=make_design(Integration.HYBRID_3D, n=2, gate_count=1e6))
         values = [1e5, 1e6, 1e7, 1e8, 1e9]
-        result = sweep(scn, [SweepAxis("dies[*].gate_count", values)], baseline=True)
-        assert result.baseline is not None and len(result.baseline) == len(result.rows)
-        diffs = [
-            r.breakdown.c_embodied_overall - b.c_embodied_overall
-            for r, b in zip(result.rows, result.baseline)
-        ]
+        rows = list(sweep(scn, [SweepAxis("dies[*].gate_count", values)], baseline=True))
+        assert all(r.baseline is not None for r in rows) and len(rows) == len(values)
+        diffs = [r.breakdown.c_embodied_overall - r.baseline.c_embodied_overall for r in rows]
         assert diffs[0] > 0 and diffs[-1] < 0  # brackets at least one crossing
-        assert result.switching_points
-        for value, integ in result.switching_points:
+        switching_points = [p for p in map(crossing, rows, rows[1:]) if p is not None]
+        assert switching_points
+        for value, integ in switching_points:
             assert values[0] <= value <= values[-1]
             assert integ == "hybrid_3d"
+
+    def test_crossing_needs_one_numeric_axis_with_baseline(self):
+        scn = make_scenario(design=make_design(Integration.HYBRID_3D, n=2, gate_count=1e6))
+        axis = SweepAxis("dies[*].gate_count", [1e5, 1e9])
+        with_base = list(sweep(scn, [axis], baseline=True))
+        assert crossing(*with_base) is not None
+        assert crossing(*sweep(scn, [axis])) is None
+        two_axes = list(sweep(scn, [axis, SweepAxis("gamma", [1.0])], baseline=True))
+        assert crossing(*two_axes) is None
+
+    def test_rows_are_built_as_they_are_consumed(self):
+        rows = sweep(make_scenario(), [SweepAxis("bonding.bond_yield", [0.9, 1.5])])
+        assert next(rows).values == (0.9,)
+        with pytest.raises(OutOfRange, match="bonding.bond_yield"):
+            next(rows)
+
+    def test_memory_does_not_grow_with_row_count(self):
+        def peak(n):
+            axes = [SweepAxis("dies[*].gate_count", [1e8 + i for i in range(n // 4)]),
+                    SweepAxis("gamma", [0.5, 1.0, 1.5, 2.0])]
+            scenario = make_scenario()
+            tracemalloc.start()
+            try:
+                for _ in sweep(scenario, axes, baseline=True):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # The interpreter's free lists keep up to 2000 freed tuples of each
+        # small size, and tracemalloc counts them as allocated.  Fill them
+        # first, and keep a full collection (which empties them) out of the
+        # measured runs.
+        peak(2400)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            small, large = peak(400), peak(1600)
+        finally:
+            if enabled:
+                gc.enable()
+        assert large < 1.5 * small
 
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
@@ -187,9 +238,8 @@ class TestSweepMatchesRowByRow:
         scenario = scenarios[config]
 
         def swept():
-            result = sweep(scenario, axes, registry, baseline=True)
-            rows = [(row.values, row.scenario, row.breakdown) for row in result.rows]
-            return rows, list(result.baseline)
+            rows = list(sweep(scenario, axes, registry, baseline=True))
+            return [(row.values, row.scenario, row.breakdown) for row in rows], [row.baseline for row in rows]
 
         assert _outcome(swept) == _outcome(lambda: _row_by_row(scenario, axes, registry))
 
