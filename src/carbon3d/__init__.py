@@ -55,9 +55,6 @@ from .params import (
     UsageProfile,
     WiringParameters,
     design_to_document,
-    load_design,
-    load_environment,
-    load_profiles,
     load_scenario,
 )
 from .yieldmodel import YieldContext, compose_25d, compose_3d, die_yield_negbin, yield_context

@@ -35,6 +35,7 @@ from .params import (
     _enum,
     design_to_document,
     load_scenario,
+    resolve_technology,
 )
 
 SCHEMA_VERSION = "1"
@@ -72,7 +73,7 @@ def _breakdown_values(b: CarbonBreakdown) -> list[float]:
 
 
 def _inputs_digest(scenario: Scenario) -> str:
-    doc = design_to_document(scenario.design, scenario.profiles, scenario.environment)
+    doc = design_to_document(scenario)
     doc["gamma"] = scenario.gamma
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return "sha256:" + hashlib.sha256(blob).hexdigest()
@@ -254,6 +255,8 @@ def cmd_switch(args) -> int:
     lo, hi = args.range
     with _recorded_warnings() as rec:
         scenario = load_scenario(args.config, registry, gamma=args.gamma)
+        # an unknown node is an error on the option, not on the library's parameter name
+        resolve_technology(args.node, scenario.technology_overrides, registry, "--node")
         point = explorer.switching_point(
             scenario,
             Integration(args.integration),

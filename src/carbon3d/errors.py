@@ -33,9 +33,11 @@ class OutOfRange(ValidationError):
 
 
 class UnknownNode(ValidationError):
-    def __init__(self, node: str, known: list[str]):
+    """A node name with no fixture; ``path`` names where the name came from."""
+
+    def __init__(self, path: str, node: str, known: list[str]):
         self.node = node
-        super().__init__("technology", f"unknown node {node!r}; known: {', '.join(known)}")
+        super().__init__(path, f"unknown node {node!r}; known: {', '.join(known)}")
 
 
 class UnsupportedConfiguration(CarbonModelError):

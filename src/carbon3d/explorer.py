@@ -10,8 +10,11 @@ so results are deterministic and memory does not grow with the row count.
 Supported parameter paths (the ``design.`` prefix is optional):
 
   gamma                          embodied/operational weighting
-  technology                     node name, applied to every die (also
-                                 resets wiring to the node's fixture defaults)
+  technology                     node name, applied to every die (or dies[i]);
+                                 a node the document's technology_overrides
+                                 names keeps its override, as the loader's
+                                 dies do; wiring still resets to the node's
+                                 fixture wiring
   dies[*].gate_count             any DieSpec field, broadcast or dies[i]
   dies[*].wiring.rent_p          per-die wiring overrides
   signal_count_f2f
@@ -46,6 +49,7 @@ from .params import (
     WiringParameters,
     _FIELDS,
     _profile,
+    resolve_technology,
     validate_design,
     validate_gamma,
 )
@@ -134,7 +138,8 @@ def apply_parameter(scenario: Scenario, path: str, value, registry: FixtureRegis
         die = dies[i]
         if field_name == "technology" and sub is None:
             node = str(value)
-            dies[i] = dataclasses.replace(die, technology=registry.technology(node), wiring=registry.default_wiring(node))
+            tech = resolve_technology(node, scenario.technology_overrides, registry, path)
+            dies[i] = dataclasses.replace(die, technology=tech, wiring=registry.default_wiring(node))
         elif field_name == "wiring" and sub is not None:
             wiring = _patched(die.wiring, sub, value, f"design.dies[{i}].wiring", path)
             dies[i] = dataclasses.replace(die, wiring=wiring)
@@ -258,18 +263,17 @@ def find_crossing(
     lo: float,
     hi: float,
     rel_tol: float = 1e-3,
-    prescan_points: int = PRESCAN_POINTS,
 ) -> CrossingResult:
     """Bracket-scan then bisect the smallest sign change of f on [lo, hi].
 
-    The pre-scan uses a log-spaced grid (the abscissa is a gate count).
+    The pre-scan uses a log-spaced grid of PRESCAN_POINTS points (the
+    abscissa is a gate count).
     Multiple sign changes trigger a warning; the smallest is refined.
     """
     if not (0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
-    n = max(3, prescan_points)
-    ratio = (hi / lo) ** (1.0 / (n - 1))
-    grid = [lo * ratio**i for i in range(n - 1)] + [hi]
+    ratio = (hi / lo) ** (1.0 / (PRESCAN_POINTS - 1))
+    grid = [lo * ratio**i for i in range(PRESCAN_POINTS - 1)] + [hi]
     values = [f(x) for x in grid]
     evals = len(grid)
 
@@ -316,7 +320,6 @@ def build_design(
     gate_count_2d: float,
     usage: UsageProfile,
     stacking: Stacking = Stacking.D2W,
-    signal_count_f2f: int = 0,
 ) -> DesignSpec:
     """Equal-split parametric design used by the DSE drivers.
 
@@ -337,7 +340,6 @@ def build_design(
         stacking=stacking if len(rules.stackings) > 1 else rules.default_stacking,
         dies=dies,
         usage=usage,
-        signal_count_f2f=signal_count_f2f,
     )
     validate_design(design)
     return design
@@ -362,18 +364,19 @@ def switching_point(
     gate_hi: float,
     registry: FixtureRegistry | None = None,
     stacking: Stacking = Stacking.D2W,
-    rel_tol: float = 1e-3,
 ) -> SwitchingPoint:
     """2D-vs-integration embodied-carbon switching point over gate count.
 
-    Bisects f(g) = C_embodied(integration, g) - C_embodied(2D, g) to the
-    given relative tolerance; reports 0 when the integration is already
-    cheaper across the whole range and inf when it never is.
+    Bisects f(g) = C_embodied(integration, g) - C_embodied(2D, g) to
+    ``find_crossing``'s default relative tolerance; reports 0 when the
+    integration is already cheaper across the whole range and inf when it
+    never is.  The node resolves as the base document's dies do: its
+    ``technology_overrides`` entry if there is one, else its fixture.
     """
     if not 0 < gate_lo < gate_hi < math.inf:
         raise OutOfRange("range", f"need finite 0 < lo < hi, got [{gate_lo:g}, {gate_hi:g}]")
     registry = registry or FixtureRegistry.bundled()
-    tech = registry.technology(node)
+    tech = resolve_technology(node, base.technology_overrides, registry, "node")
     wiring = registry.default_wiring(node)
     usage = base.design.usage
 
@@ -384,7 +387,7 @@ def switching_point(
     def f(g: float) -> float:
         return embodied(integration, g) - embodied(Integration.MONO_2D, g)
 
-    result = find_crossing(f, gate_lo, gate_hi, rel_tol=rel_tol)
+    result = find_crossing(f, gate_lo, gate_hi)
     area = area_2d(result.value, tech) if math.isfinite(result.value) else math.inf
     return SwitchingPoint(
         integration=integration.value,
@@ -404,25 +407,21 @@ def switching_point(
 class ParetoResult:
     gammas: tuple[float, ...]
     series: Mapping[str, tuple[float, ...]]     # design name -> normalized tCDP
-    reference_name: str
-    reference_tcdp: float
+    reference_tcdp: float                       # the base design's tCDP at gamma = 1
 
 
 def gamma_pareto(
     base: Scenario,
     designs: Sequence[tuple[str, DesignSpec]],
     gammas: Sequence[float],
-    reference: DesignSpec | None = None,
 ) -> ParetoResult:
     """Normalized tCDP curves over a gamma grid.
 
-    Every (design, gamma) point is tCDP(design, gamma) divided by the
-    reference design's tCDP at gamma = 1; the reference defaults to the
-    base scenario's own design.
+    Every (design, gamma) point is tCDP(design, gamma) divided by the base
+    scenario's own design's tCDP at gamma = 1.
     """
     gammas = tuple(validate_gamma(g, f"gammas[{i}]") for i, g in enumerate(gammas))
-    ref_design = reference if reference is not None else base.design
-    ref = evaluate(dataclasses.replace(base, design=ref_design, gamma=1.0))
+    ref = evaluate(dataclasses.replace(base, gamma=1.0))
     ref_tcdp = ref.metrics.tcdp
     if ref_tcdp == 0:
         raise UnsupportedConfiguration("the reference design's tCDP at gamma=1 is 0; cannot normalize")
@@ -436,6 +435,5 @@ def gamma_pareto(
     return ParetoResult(
         gammas=gammas,
         series=series,
-        reference_name="reference",
         reference_tcdp=ref_tcdp,
     )

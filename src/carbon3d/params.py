@@ -27,7 +27,8 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Container, Literal
+from types import MappingProxyType
+from typing import Any, Callable, Container, Literal, Mapping
 
 from .errors import (
     CarbonModelWarning,
@@ -228,12 +229,20 @@ class ProcessProfiles:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything one full-pipeline evaluation needs."""
+    """Everything one full-pipeline evaluation needs.
+
+    ``technology_overrides`` holds the document's resolved override profile
+    of each node it names (read-only; empty for a scenario built in code),
+    so that a node chosen later, by a sweep or a switching-point search,
+    resolves as the document's dies do (see ``resolve_technology``).
+    """
 
     design: DesignSpec
     profiles: ProcessProfiles
     environment: FabEnvironment
     gamma: float = 1.0
+    technology_overrides: Mapping[str, TechnologyProfile] = dataclasses.field(
+        default_factory=lambda: MappingProxyType({}), hash=False)
 
 
 # ---------------------------------------------------------------------------
@@ -296,24 +305,25 @@ class FixtureRegistry:
             value = self._cache[key] = build()
         return value
 
-    def _node_doc(self, node_name: str) -> dict:
+    def _node_doc(self, node_name: str, path: str) -> dict:
         # technology() and default_wiring() share one read of the node file
         def read():
             known = self._cached("listing", "nodes", self.node_names)  # no path from an unchecked name
             if node_name not in known:
-                raise UnknownNode(node_name, known)
+                raise UnknownNode(path, node_name, known)
             return _read_fixture(self.root / "nodes" / f"{node_name}.json", f"fixtures/nodes/{node_name}")
         return self._cached("nodes", node_name, read)
 
-    def technology(self, node_name: str) -> TechnologyProfile:
+    def technology(self, node_name: str, path: str = "technology") -> TechnologyProfile:
+        """The node's fixture profile; an unknown node is an error on ``path``."""
         def build():
-            doc = {k: v for k, v in self._node_doc(node_name).items() if k != "wiring"}
+            doc = {k: v for k, v in self._node_doc(node_name, path).items() if k != "wiring"}
             return _profile(TechnologyProfile, None, doc, f"fixtures/nodes/{node_name}", node_name=node_name)
         return self._cached("technology", node_name, build)
 
     def default_wiring(self, node_name: str) -> WiringParameters:
         def build():
-            doc = self._node_doc(node_name).get("wiring", {})
+            doc = self._node_doc(node_name, "technology").get("wiring", {})
             return _profile(WiringParameters, None, doc, f"fixtures/nodes/{node_name}.wiring")
         return self._cached("default_wiring", node_name, build)
 
@@ -639,9 +649,13 @@ def _profile(cls: type, base: Any, patch: Any, path: str, **fixed: Any) -> Any:
 # Document loading
 # ---------------------------------------------------------------------------
 
-def _resolved_technology(node: str, overrides: dict, registry: FixtureRegistry) -> TechnologyProfile:
-    """The node's fixture profile with its ``technology_overrides`` entry applied."""
-    return _profile(TechnologyProfile, registry.technology(node), overrides.get(node), f"technology_overrides.{node}")
+def resolve_technology(
+    node: str, overrides: Mapping[str, TechnologyProfile], registry: FixtureRegistry, path: str
+) -> TechnologyProfile:
+    """The profile ``node`` names under a document: its resolved override if it has
+    one, else the node's fixture profile.  An unknown node is an error on ``path``."""
+    tech = overrides.get(node)
+    return registry.technology(node, path) if tech is None else tech
 
 
 def _expand_dies(design_doc: dict, path: str) -> list[dict]:
@@ -680,53 +694,26 @@ _DESIGN_KEYS = ("integration", "facing", "stacking", "signal_count_f2f", "dies",
                 "technology", "area_ratios", "bonding", "packaging", "interposer")
 
 
-def load_design(document: dict, registry: FixtureRegistry | None = None) -> DesignSpec:
-    """Parse and validate a config document into a DesignSpec.
-
-    Applies defaults (facing/stacking, X_signal=0, fixture wiring) and
-    raises MissingField / InvalidCombination / OutOfRange with the
-    offending document path on any violation.
-    """
-    registry = registry or FixtureRegistry.bundled()
-    design_doc = _require(document, "design", "")
-    if not isinstance(design_doc, dict):
-        raise MissingField("design", "expected an object")
-    _known_keys(design_doc, _DESIGN_KEYS, "design")
-    overrides = _section(document, "technology_overrides", "technology_overrides")
-    # every override entry is resolved and validated, also for a node no die uses
-    techs = {node: _resolved_technology(node, overrides, registry) for node in overrides}
-
+def _design(document: dict, design_doc: dict, overrides: Mapping, registry: FixtureRegistry) -> DesignSpec:
+    """The validated DesignSpec, with defaults applied (facing/stacking, X_signal=0, fixture wiring)."""
     integration = _enum(_require(design_doc, "integration", "design"), Integration, "design.integration")
-    raw_dies = _expand_dies(design_doc, "design")
-
     dies: list[DieSpec] = []
-    for i, raw in enumerate(raw_dies):
+    for i, raw in enumerate(_expand_dies(design_doc, "design")):
         dpath = f"design.dies[{i}]"
         node = str(_require(raw, "technology", dpath))
-        if node not in techs:
-            techs[node] = _resolved_technology(node, overrides, registry)
+        # an early-design split takes its one node from design.technology
+        node_path = f"{dpath}.technology" if "dies" in design_doc else "design.technology"
+        tech = resolve_technology(node, overrides, registry, node_path)
         wiring = _profile(WiringParameters, registry.default_wiring(node), raw.get("wiring"), f"{dpath}.wiring")
         # the die object also holds its technology and wiring, read above
         sizes = {k: v for k, v in raw.items() if k not in ("technology", "wiring")}
-        dies.append(_profile(DieSpec, None, sizes, dpath, technology=techs[node], wiring=wiring))
+        dies.append(_profile(DieSpec, None, sizes, dpath, technology=tech, wiring=wiring))
 
-    facing_raw = design_doc.get("facing")
-    facing = (
-        integration.rules.default_facing(len(dies))
-        if facing_raw is None
-        else _enum(facing_raw, Facing, "design.facing")
-    )
-    stacking_raw = design_doc.get("stacking")
-    stacking = (
-        integration.rules.default_stacking
-        if stacking_raw is None
-        else _enum(stacking_raw, Stacking, "design.stacking")
-    )
-
+    rules, facing, stacking = integration.rules, design_doc.get("facing"), design_doc.get("stacking")
     design = DesignSpec(
         integration=integration,
-        facing=facing,
-        stacking=stacking,
+        facing=rules.default_facing(len(dies)) if facing is None else _enum(facing, Facing, "design.facing"),
+        stacking=rules.default_stacking if stacking is None else _enum(stacking, Stacking, "design.stacking"),
         dies=tuple(dies),
         usage=_profile(UsageProfile, None, _require(document, "usage", ""), "usage"),
         signal_count_f2f=_int(design_doc.get("signal_count_f2f", 0), "design.signal_count_f2f"),
@@ -735,14 +722,7 @@ def load_design(document: dict, registry: FixtureRegistry | None = None) -> Desi
     return design
 
 
-def load_environment(document: dict, registry: FixtureRegistry | None = None) -> FabEnvironment:
-    registry = registry or FixtureRegistry.bundled()
-    return _profile(FabEnvironment, registry.environment(), document.get("environment"), "environment")
-
-
-def load_profiles(document: dict, registry: FixtureRegistry | None = None) -> ProcessProfiles:
-    registry = registry or FixtureRegistry.bundled()
-    design_doc = _section(document, "design", "design")
+def _process_profiles(design_doc: dict, overrides: Mapping, registry: FixtureRegistry) -> ProcessProfiles:
     bonding = _profile(BondingProfile, registry.bonding(), design_doc.get("bonding"), "design.bonding")
     packaging = _profile(PackagingProfile, registry.packaging(), design_doc.get("packaging"), "design.packaging")
 
@@ -751,20 +731,12 @@ def load_profiles(document: dict, registry: FixtureRegistry | None = None) -> Pr
     interposer_doc = _section(design_doc, "interposer", "design.interposer")
     _known_keys(interposer_doc, ("technology", "beol_layers"), "design.interposer")
     node = str(interposer_doc.get("technology", "28nm"))
-    overrides = _section(document, "technology_overrides", "technology_overrides")
-    interposer_tech = _resolved_technology(node, overrides, registry)
+    interposer_tech = resolve_technology(node, overrides, registry, "design.interposer.technology")
     interposer_layers = _int(interposer_doc.get("beol_layers", 4), "design.interposer.beol_layers")
-    if not 1 <= interposer_layers <= interposer_tech.max_beol_layers:
-        raise OutOfRange(
-            "design.interposer.beol_layers",
-            f"must be in [1, {interposer_tech.max_beol_layers}] for {node}",
-        )
-    return ProcessProfiles(
-        bonding=bonding,
-        packaging=packaging,
-        interposer_technology=interposer_tech,
-        interposer_beol_layers=interposer_layers,
-    )
+    _check(1 <= interposer_layers <= interposer_tech.max_beol_layers, "design.interposer.beol_layers",
+           f"must be in [1, {interposer_tech.max_beol_layers}] for {node}")
+    return ProcessProfiles(bonding, packaging, interposer_technology=interposer_tech,
+                           interposer_beol_layers=interposer_layers)
 
 
 def load_scenario(
@@ -772,7 +744,13 @@ def load_scenario(
     registry: FixtureRegistry | None = None,
     gamma: float = 1.0,
 ) -> Scenario:
-    """Load a full evaluation scenario from a dict or a JSON file path."""
+    """Load and validate a full evaluation scenario from a dict or a JSON file path.
+
+    ``technology_overrides`` is read here, once: each entry is resolved over
+    its node's fixture and validated (also for a node nothing uses), and the
+    scenario keeps them.  Any violation raises MissingField /
+    InvalidCombination / OutOfRange naming the offending document path.
+    """
     if isinstance(source, (str, Path)):
         try:
             with open(source, "r", encoding="utf-8") as f:
@@ -787,31 +765,44 @@ def load_scenario(
         raise MissingField("<root>", "config document must be a JSON object")
     _known_keys(document, ("design", "technology_overrides", "environment", "usage"), "")
     registry = registry or FixtureRegistry.bundled()
+    design_doc = _require(document, "design", "")
+    if not isinstance(design_doc, dict):
+        raise MissingField("design", "expected an object")
+    _known_keys(design_doc, _DESIGN_KEYS, "design")
+    overrides = {}
+    for node, patch in _section(document, "technology_overrides", "technology_overrides").items():
+        path = f"technology_overrides.{node}"
+        overrides[node] = _profile(TechnologyProfile, registry.technology(node, path), patch, path)
     return Scenario(
-        design=load_design(document, registry),
-        profiles=load_profiles(document, registry),
-        environment=load_environment(document, registry),
+        design=_design(document, design_doc, overrides, registry),
+        profiles=_process_profiles(design_doc, overrides, registry),
+        environment=_profile(FabEnvironment, registry.environment(), document.get("environment"), "environment"),
         gamma=validate_gamma(gamma),
+        technology_overrides=MappingProxyType(overrides),
     )
 
 
-def design_to_document(design: DesignSpec, profiles: ProcessProfiles, environment: FabEnvironment) -> dict:
+def design_to_document(scenario: Scenario) -> dict:
     """Serialize a resolved scenario back into the config-document schema.
 
-    Emits fully-resolved values (profiles inlined as technology_overrides)
-    so that reloading reproduces a structurally identical scenario even if
-    the fixture files change underneath.
+    Emits fully-resolved values (every die, interposer and override profile
+    inlined as technology_overrides) so that reloading reproduces a
+    structurally identical scenario even if the fixture files change
+    underneath.  The scenario's gamma is not part of the schema.
     """
+    design, profiles = scenario.design, scenario.profiles
     overrides: dict[str, dict] = {}
+    for tech in (*scenario.technology_overrides.values(), *(d.technology for d in design.dies),
+                 profiles.interposer_technology):
+        if tech is not None:
+            fields = dataclasses.asdict(tech)
+            del fields["node_name"]
+            fields["epa_beol_per_layer"] = list(tech.epa_beol_per_layer)
+            overrides[tech.node_name] = fields
     dies = []
     for die in design.dies:
-        tech = die.technology
-        fields = dataclasses.asdict(tech)
-        fields.pop("node_name")
-        fields["epa_beol_per_layer"] = list(tech.epa_beol_per_layer)
-        overrides[tech.node_name] = fields
         entry: dict[str, Any] = {
-            "technology": tech.node_name,
+            "technology": die.technology.node_name,
             "wiring": dataclasses.asdict(die.wiring),
         }
         if die.gate_count is not None:
@@ -832,19 +823,14 @@ def design_to_document(design: DesignSpec, profiles: ProcessProfiles, environmen
         "packaging": dataclasses.asdict(profiles.packaging),
     }
     if profiles.interposer_technology is not None:
-        tech = profiles.interposer_technology
-        fields = dataclasses.asdict(tech)
-        fields.pop("node_name")
-        fields["epa_beol_per_layer"] = list(tech.epa_beol_per_layer)
-        overrides[tech.node_name] = fields
         design_doc["interposer"] = {
-            "technology": tech.node_name,
+            "technology": profiles.interposer_technology.node_name,
             "beol_layers": profiles.interposer_beol_layers,
         }
     usage = {k: v for k, v in dataclasses.asdict(design.usage).items() if v is not None}
     return {
         "design": design_doc,
         "technology_overrides": overrides,
-        "environment": dataclasses.asdict(environment),
+        "environment": dataclasses.asdict(scenario.environment),
         "usage": usage,
     }

@@ -261,8 +261,9 @@ class TestRejectsBadValues:
         (lambda d: d["design"]["dies"][0].update(explicit_beol=5.5),
          "design.dies[0].explicit_beol: expected an integer, got 5.5"),
         (lambda d: d["design"]["dies"][0].update(technology="../bonding"),
-         "technology: unknown node '../bonding'"),
-        (lambda d: d["design"]["dies"][0].update(technology="x" * 300), "technology: unknown node 'xxx"),
+         "design.dies[0].technology: unknown node '../bonding'"),
+        (lambda d: d["design"]["dies"][0].update(technology="x" * 300),
+         "design.dies[0].technology: unknown node 'xxx"),
         (lambda d: d["design"]["dies"][0].update(gate_count=1e-300),
          "inputs outside the model's numeric range"),
         (lambda d: d["design"]["dies"][0].update(gate_count=1e300),
@@ -271,7 +272,8 @@ class TestRejectsBadValues:
         (lambda d: d.update(technology_overrides={"7nm": {"feature_size_cm": -1}}),
          "technology_overrides.7nm.feature_size_cm: must be > 0"),
         # override entries of nodes that no die or interposer uses
-        (lambda d: d.update(technology_overrides={"99nm": {"gpa": 0.1}}), "technology: unknown node '99nm'"),
+        (lambda d: d.update(technology_overrides={"99nm": {"gpa": 0.1}}),
+         "technology_overrides.99nm: unknown node '99nm'"),
         (lambda d: d.update(technology_overrides={"5nm": {"bogus": 1}}), "technology_overrides.5nm.bogus: unknown field"),
         (lambda d: d.update(environmnet={}), "environmnet: unknown field"),
         (lambda d: d["design"].update(facing_="f2b"), "design.facing_: unknown field"),
@@ -280,11 +282,18 @@ class TestRejectsBadValues:
          "design.interposer.bogus: unknown field"),
         (lambda d: d["usage"].update(power_density=1e308),
          "inputs outside the model's numeric range: a result is not finite"),
+        # an unknown node is an error on the place its name came from
+        (lambda d: _split_design(d, technology="90nm"), "design.technology: unknown node '90nm'"),
+        (lambda d: d["design"].update(interposer={"technology": "90nm"}),
+         "design.interposer.technology: unknown node '90nm'"),
+        (lambda d: ("sweep", "--axis", "technology=99nm"), "technology: unknown node '99nm'"),
+        (lambda d: ("sweep", "--axis", "dies[1].technology=7nm,99nm"), "dies[1].technology: unknown node '99nm'"),
+        (lambda d: ("switch", "--integration", "hybrid_3d", "--node", "99nm"), "--node: unknown node '99nm'"),
     ])
     def test_bad_document_value_exits_2(self, tmp_path, capsys, mutate, message):
         doc = basic_document()
-        mutate(doc)
-        code, out = self._run(tmp_path, capsys, doc, "estimate", "--format", "csv")
+        argv = mutate(doc) or ("estimate", "--format", "csv")  # a case may name the command to run instead
+        code, out = self._run(tmp_path, capsys, doc, *argv)
         assert code == 2 and out.out == ""
         assert out.err.startswith(f"error: {message}")
 
@@ -394,3 +403,59 @@ class TestRejectsBadValues:
         code, out = self._run(tmp_path, capsys, doc, "pareto", "--gammas", "0,1")
         assert code == 2 and out.out == ""
         assert "tCDP" in out.err
+
+
+class TestOverrideMatchesEditedFixture:
+    """A technology_overrides entry behaves exactly like the same edit made to a fixture copy."""
+
+    CONFIG = Path(__file__).resolve().parent.parent / "configs" / "hybrid_2die_7nm.json"
+    # 7nm is the dies' node; 5nm is named only by the overrides (and by the commands below)
+    OVERRIDES = {
+        "7nm": {"defect_density_d0": 0.5, "gate_area_scaling": 400},
+        "5nm": {"defect_density_d0": 0.3, "gate_area_scaling": 500},
+    }
+
+    def _run(self, tmp_path, capsys, doc, argv):
+        path = write_config(tmp_path, doc)
+        assert main([argv[0], "-c", str(path), *argv[1:]]) == 0
+        return capsys.readouterr().out
+
+    def _both(self, tmp_path, capsys, monkeypatch, overrides, argv):
+        """The command's output on the override document, then on the plain one over an edited fixture copy."""
+        plain = json.loads(self.CONFIG.read_text())
+        with_override = self._run(tmp_path, capsys, {**plain, "technology_overrides": overrides}, argv)
+        root = tmp_path / "fixtures"
+        shutil.copytree(_BUNDLED_DIR, root)
+        for node, fields in overrides.items():
+            file = root / "nodes" / f"{node}.json"
+            file.write_text(json.dumps({**json.loads(file.read_text()), **fields}))
+        monkeypatch.setenv("CARBON3D_FIXTURES", str(root))
+        return with_override, self._run(tmp_path, capsys, plain, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--format", "csv"),
+        ("sweep", "--axis", "technology=7nm,5nm", "--baseline"),
+        ("switch", "--integration", "hybrid_3d", "--node", "7nm"),
+        ("switch", "--integration", "micro_3d", "--node", "5nm"),
+    ])
+    def test_same_data_rows(self, tmp_path, capsys, monkeypatch, argv):
+        with_override, edited = self._both(tmp_path, capsys, monkeypatch, self.OVERRIDES, argv)
+
+        # only the digest differs: it covers the 5nm override, which the plain document lacks
+        def strip(text):
+            return [line for line in text.splitlines() if not line.startswith("# inputs_digest=")]
+        assert strip(with_override) == strip(edited)
+        assert with_override != edited
+
+    def test_switch_is_byte_identical_when_the_dies_use_the_node(self, tmp_path, capsys, monkeypatch):
+        argv = ("switch", "--integration", "hybrid_3d", "--node", "7nm")
+        overrides = {"7nm": self.OVERRIDES["7nm"]}
+        with_override, edited = self._both(tmp_path, capsys, monkeypatch, overrides, argv)
+        assert with_override == edited
+
+    def test_technology_axis_row_matches_estimate(self, tmp_path, capsys):
+        doc = {**json.loads(self.CONFIG.read_text()), "technology_overrides": {"7nm": {"defect_density_d0": 0.5}}}
+        _, _, estimate = parse_csv(self._run(tmp_path, capsys, doc, ("estimate", "--format", "csv")))
+        _, _, rows = parse_csv(self._run(tmp_path, capsys, doc, ("sweep", "--axis", "technology=7nm")))
+        expected = {r["component"]: r["value"] for r in estimate}["c_embodied_overall"]
+        assert rows[0]["c_embodied_overall"] == expected == "4.34906294"

@@ -13,9 +13,6 @@ from carbon3d import (
     Stacking,
     build_design,
     design_to_document,
-    load_design,
-    load_environment,
-    load_profiles,
     load_scenario,
 )
 from carbon3d.errors import (
@@ -35,7 +32,7 @@ from conftest import basic_document, make_design, write_config
 
 class TestLoadDesign:
     def test_minimal_hybrid_f2f(self):
-        design = load_design(basic_document())
+        design = load_scenario(basic_document()).design
         assert design.integration is Integration.HYBRID_3D
         assert design.facing is Facing.F2F
         assert design.stacking is Stacking.D2W
@@ -45,37 +42,37 @@ class TestLoadDesign:
     def test_f2f_with_three_dies_rejected(self):
         doc = basic_document(dies=[{"technology": "7nm", "gate_count": 1e8}] * 3)
         with pytest.raises(InvalidCombination) as exc:
-            load_design(doc)
+            load_scenario(doc)
         assert "facing" in str(exc.value)
 
     def test_die_without_size_information(self):
         doc = basic_document(dies=[{"technology": "7nm"}, {"technology": "7nm", "gate_count": 1e8}])
         with pytest.raises(MissingField) as exc:
-            load_design(doc)
+            load_scenario(doc)
         assert "dies[0]" in str(exc.value)
 
     def test_defaults_applied(self):
         doc = basic_document()
         del doc["design"]["facing"], doc["design"]["stacking"]
-        design = load_design(doc)
+        design = load_scenario(doc).design
         assert design.facing is Facing.F2F       # 2 dies
         assert design.stacking is Stacking.D2W
 
     def test_f2b_default_for_deeper_stacks(self):
         doc = basic_document(dies=[{"technology": "7nm", "gate_count": 1e8}] * 3)
         del doc["design"]["facing"]
-        design = load_design(doc)
+        design = load_scenario(doc).design
         assert design.facing is Facing.F2B
 
     def test_facing_rejected_for_25d(self):
         doc = basic_document(integration="mcm")
         with pytest.raises(InvalidCombination):
-            load_design(doc)
+            load_scenario(doc)
 
     def test_mono2d_wants_one_die(self):
         doc = basic_document(integration="mono_2d", facing=None, stacking=None)
         with pytest.raises(InvalidCombination):
-            load_design(doc)
+            load_scenario(doc)
 
     def test_m3d_mixed_nodes_rejected(self):
         doc = basic_document(
@@ -84,13 +81,13 @@ class TestLoadDesign:
                   {"technology": "5nm", "gate_count": 5e8}],
         )
         with pytest.raises(InvalidCombination):
-            load_design(doc)
+            load_scenario(doc)
 
     def test_gate_count_2d_expansion(self):
         doc = basic_document()
         doc["design"].pop("dies")
         doc["design"].update({"gate_count_2d": 1e9, "n_dies": 2, "technology": "7nm"})
-        design = load_design(doc)
+        design = load_scenario(doc).design
         assert [d.gate_count for d in design.dies] == [5e8, 5e8]
 
     def test_gate_count_2d_with_ratios(self):
@@ -98,56 +95,56 @@ class TestLoadDesign:
         doc["design"].pop("dies")
         doc["design"].update({"gate_count_2d": 1e9, "n_dies": 2, "technology": "7nm",
                               "area_ratios": [3, 1]})
-        design = load_design(doc)
+        design = load_scenario(doc).design
         assert design.dies[0].gate_count == pytest.approx(7.5e8)
         assert design.dies[1].gate_count == pytest.approx(2.5e8)
 
     def test_unknown_integration_names_value(self):
         doc = basic_document(integration="origami")
         with pytest.raises(OutOfRange) as exc:
-            load_design(doc)
+            load_scenario(doc)
         assert "origami" in str(exc.value)
 
     def test_explicit_beol_above_cap(self):
         doc = basic_document()
         doc["design"]["dies"][0]["explicit_beol"] = 99
         with pytest.raises(OutOfRange) as exc:
-            load_design(doc)
+            load_scenario(doc)
         assert "explicit_beol" in str(exc.value)
 
     def test_usage_requires_exactly_one_energy_source(self):
         doc = basic_document()
         doc["usage"]["energy_override_kwh"] = 10.0
         with pytest.raises(InvalidCombination):
-            load_design(doc)
+            load_scenario(doc)
         del doc["usage"]["energy_override_kwh"], doc["usage"]["power_density"]
         with pytest.raises(MissingField):
-            load_design(doc)
+            load_scenario(doc)
 
     def test_t_app_bounded_by_t_exe(self):
         doc = basic_document()
         doc["usage"]["t_app_hours"] = 1e6
         with pytest.raises(OutOfRange):
-            load_design(doc)
+            load_scenario(doc)
 
     def test_malformed_value_is_typed_error(self):
         doc = basic_document()
         doc["design"]["dies"][0]["gate_count"] = "many"
         with pytest.raises(ValidationError) as exc:
-            load_design(doc)
+            load_scenario(doc)
         assert "dies[0]" in str(exc.value)
 
     def test_technology_override_applies(self):
         doc = basic_document()
         doc["technology_overrides"] = {"7nm": {"defect_density_d0": 0.42}}
-        design = load_design(doc)
+        design = load_scenario(doc).design
         assert design.dies[0].technology.defect_density_d0 == 0.42
 
     def test_surveyed_range_violation_warns_not_raises(self):
         doc = basic_document()
         doc["environment"] = {"ci_fab": 5.0}
         with pytest.warns(CarbonModelWarning):
-            load_environment(doc)
+            load_scenario(doc)
 
 
 class TestRegistry:
@@ -332,22 +329,21 @@ class TestRoundTrip:
             doc["design"].update(integration=integration)
         else:
             doc["design"].update(integration=integration, facing=None, stacking=None)
-        design = load_design(doc, registry)
-        profiles = load_profiles(doc, registry)
-        env = load_environment(doc, registry)
+        scenario = load_scenario(doc, registry)
 
-        serialized = design_to_document(design, profiles, env)
-        assert load_design(serialized, registry) == design
-        assert load_profiles(serialized, registry) == profiles
-        assert load_environment(serialized, registry) == env
+        reloaded = load_scenario(design_to_document(scenario), registry)
+        assert reloaded.design == scenario.design
+        assert reloaded.profiles == scenario.profiles
+        assert reloaded.environment == scenario.environment
 
     def test_round_trip_preserves_overrides(self, registry):
         doc = basic_document()
         doc["technology_overrides"] = {"7nm": {"gpa": 0.19}}
         doc["design"]["dies"][0]["explicit_beol"] = 5
-        design = load_design(doc, registry)
-        serialized = design_to_document(design, load_profiles(doc, registry), load_environment(doc, registry))
-        assert load_design(serialized, registry) == design
+        scenario = load_scenario(doc, registry)
+        reloaded = load_scenario(design_to_document(scenario), registry)
+        assert reloaded.design == scenario.design
+        assert reloaded.technology_overrides["7nm"] == scenario.technology_overrides["7nm"]
 
 
 class TestScenario:
@@ -359,7 +355,7 @@ class TestScenario:
 
     def test_interposer_profile_defaults(self, registry):
         doc = basic_document(integration="si_interposer", facing=None, stacking=None)
-        profiles = load_profiles(doc, registry)
+        profiles = load_scenario(doc, registry).profiles
         assert profiles.interposer_technology.node_name == "28nm"
         assert profiles.interposer_beol_layers == 4
 
@@ -368,14 +364,14 @@ class TestScenario:
         doc = basic_document()
         doc["design"]["dies"][die]["wiring"] = {"rent_p": 1.5}
         with pytest.raises(OutOfRange) as exc:
-            load_design(doc, registry)
+            load_scenario(doc, registry)
         assert exc.value.path == f"design.dies[{die}].wiring.rent_p"
 
     def test_wiring_that_is_not_an_object(self, registry):
         doc = basic_document()
         doc["design"]["dies"][1]["wiring"] = [0.5]
         with pytest.raises(OutOfRange) as exc:
-            load_design(doc, registry)
+            load_scenario(doc, registry)
         assert exc.value.path == "design.dies[1].wiring"
 
     def test_validate_design_is_reusable(self):
@@ -445,7 +441,7 @@ class TestSchemeRules:
                 doc = basic_document(integration=integ.value, dies=[{"technology": "7nm", "gate_count": 1e9 / n}] * n)
                 del doc["design"]["facing"], doc["design"]["stacking"]
                 try:
-                    loaded = load_design(doc, registry)
+                    loaded = load_scenario(doc, registry).design
                 except ValidationError:
                     continue  # the scheme does not take n dies
                 die = loaded.dies[0]
