@@ -229,18 +229,56 @@ def metrics(c_embodied: float, c_total: float, delay: float, energy: float) -> M
     return Metrics(cdp=c_embodied * delay, cep=c_embodied * energy, tcdp=c_total * delay)
 
 
-def evaluate(scenario: Scenario) -> CarbonBreakdown:
+class _EmbodiedChain:
+    """The embodied chain, geometry -> yields -> embodied carbon, reused stage by stage.
+
+    It keeps its last inputs and results.  Geometry and yields are computed
+    again only when the dies or the process profiles are other objects, or
+    the integration, facing, stacking or F2F signal count differ; embodied
+    carbon also when the fab environment is another object.  Every input is
+    a frozen dataclass and held here, so a hit gives exactly the floats a
+    fresh computation would (a reused stage does not raise its warnings again).
+    """
+
+    _design: DesignSpec | None = None
+    _profiles: ProcessProfiles | None = None
+    _env: FabEnvironment | None = None
+
+    def __call__(
+        self, design: DesignSpec, profiles: ProcessProfiles, env: FabEnvironment
+    ) -> tuple[StackGeometry, CarbonBreakdown]:
+        last = self._design
+        if not (
+            last is not None
+            and design.dies is last.dies
+            and profiles is self._profiles
+            and design.integration is last.integration
+            and design.facing is last.facing
+            and design.stacking is last.stacking
+            and design.signal_count_f2f == last.signal_count_f2f
+        ):
+            geom = stack_geometry(design, profiles.packaging)
+            yields = yield_context(design, geom, profiles)
+            self._design, self._profiles, self._env = design, profiles, None
+            self._geometry, self._yields = geom, yields
+        if env is not self._env:
+            self._embodied = embodied_breakdown(design, self._geometry, self._yields, env, profiles)
+            self._env = env
+        return self._geometry, self._embodied
+
+
+def evaluate(scenario: Scenario, *, _chain: _EmbodiedChain | None = None) -> CarbonBreakdown:
     """Full pipeline: geometry -> yields -> embodied -> operational -> metrics.
 
     Amortized embodied carbon is the t_app/t_exe share of the overall
     embodied carbon; the total is operational + gamma * amortized.
+    ``_chain`` lets the sweep and Pareto drivers reuse the embodied chain
+    of the previous scenario they evaluated.
     """
     design, profiles, env = scenario.design, scenario.profiles, scenario.environment
     usage = design.usage
     try:
-        geom = stack_geometry(design, profiles.packaging)
-        yields = yield_context(design, geom, profiles)
-        embodied = embodied_breakdown(design, geom, yields, env, profiles)
+        geom, embodied = (_chain or _EmbodiedChain())(design, profiles, env)
     except (ArithmeticError, ValueError) as exc:  # overflow, x/0 or int(nan) on extreme finite inputs
         raise UnsupportedConfiguration(f"inputs outside the model's numeric range: {exc}") from exc
     energy = operational_energy_kwh(usage, geom.equivalent_2d_area)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -206,14 +207,17 @@ def _parse_axis(text: str) -> explorer.SweepAxis:
     path, sep, raw = text.partition("=")
     if not sep or not raw:
         raise ValidationError("--axis", f"expected <path>=<v1,v2,...>, got {text!r}")
+    path = path.strip()
+    tokens = [token.strip() for token in raw.split(",")]
+    if explorer._names_node(path):  # node names such as "7" stay as typed
+        return explorer.SweepAxis(path, tokens)
     values = []
-    for token in raw.split(","):
-        token = token.strip()
+    for token in tokens:
         try:
             values.append(float(token))
         except ValueError:
             values.append(token)
-    return explorer.SweepAxis(path.strip(), values)
+    return explorer.SweepAxis(path, values)
 
 
 def cmd_sweep(args) -> int:
@@ -344,7 +348,9 @@ def _range_pair(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="carbon3d",
         description="Life-cycle carbon estimation and design-space exploration for 2D/2.5D/3D ICs.",

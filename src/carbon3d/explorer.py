@@ -7,6 +7,16 @@ share the scenario built for that prefix, which is applied once.  Rows are
 yielded one at a time, in fixed axis order (that of ``itertools.product``),
 so results are deterministic and memory does not grow with the row count.
 
+A row reuses the previous row's geometry and yields while its dies and
+process profiles are the same objects (and integration, facing, stacking
+and F2F signal count are equal), and its embodied carbon while the fab
+environment is the same object too; the baseline's merged die is built
+once per distinct dies.  Operational carbon, the total and the metrics are
+computed on every row.  So axes on ``usage``, ``environment`` or ``gamma``
+are cheapest as the inner (last) axes.  A reused stage gives the floats a
+fresh one would, but does not raise its warnings again.  ``gamma_pareto``
+reuses a design's embodied chain across its gammas in the same way.
+
 Supported parameter paths (the ``design.`` prefix is optional):
 
   gamma                          embodied/operational weighting
@@ -33,7 +43,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .carbon import CarbonBreakdown, evaluate
+from .carbon import CarbonBreakdown, _EmbodiedChain, evaluate
 from .errors import CapExceeded, CarbonModelWarning, OutOfRange, UnresolvablePath, UnsupportedConfiguration
 from .geometry import area_2d
 from .params import (
@@ -108,6 +118,18 @@ def _replace_at(obj, attrs: tuple[str, ...], update: Callable):
     return dataclasses.replace(obj, **{attrs[0]: _replace_at(getattr(obj, attrs[0]), attrs[1:], update)})
 
 
+def _normalized(path: str) -> str:
+    """The path without its optional ``design.`` prefix; ``technology`` is ``dies[*].technology``."""
+    p = path.strip().removeprefix("design.")
+    return "dies[*].technology" if p == "technology" else p
+
+
+def _names_node(path: str) -> bool:
+    """Whether a parameter path sets dies' technology, so that its values are node names."""
+    m = _DIE_PATH.match(_normalized(path))
+    return m is not None and m[2] == "technology" and m[3] is None
+
+
 def apply_parameter(scenario: Scenario, path: str, value, registry: FixtureRegistry | None = None) -> Scenario:
     """Return a copy of the scenario with one parameter path set to value.
 
@@ -117,11 +139,11 @@ def apply_parameter(scenario: Scenario, path: str, value, registry: FixtureRegis
     ``validate_design``.
     """
     registry = registry or FixtureRegistry.bundled()
-    p = path.strip().removeprefix("design.")
+    p = _normalized(path)
     if p == "gamma":
         return dataclasses.replace(scenario, gamma=validate_gamma(value, p))
 
-    m = _DIE_PATH.match("dies[*].technology" if p == "technology" else p)
+    m = _DIE_PATH.match(p)
     if m is None:
         section, _, key = p.rpartition(".")
         if section not in _SECTIONS:
@@ -186,21 +208,38 @@ def mono2d_equivalent(design: DesignSpec) -> DesignSpec:
 # Sweep
 # ---------------------------------------------------------------------------
 
-def _rows(prefix: Scenario, axes: tuple[SweepAxis, ...], registry: FixtureRegistry, baseline: bool, values: tuple = ()):
-    """Yield each row in ``itertools.product`` order; each value of the first axis is
-    applied once, to the prefix scenario that every combination of the later axes shares."""
-    if axes:
-        head, rest = axes[0], axes[1:]
-        for value in head.values:
-            scenario = apply_parameter(prefix, head.parameter_path, value, registry)
-            yield from _rows(scenario, rest, registry, baseline, values + (value,))
+def _scenarios(prefix: Scenario, axes: tuple[SweepAxis, ...], registry: FixtureRegistry, values: tuple = ()):
+    """Yield each row's values and scenario in ``itertools.product`` order; each value of
+    the first axis is applied once, to the prefix scenario that every combination of the
+    later axes shares."""
+    if not axes:
+        yield values, prefix
         return
-    validate_design(prefix.design)
-    breakdown = evaluate(prefix)
-    base = None
-    if baseline:
-        base = evaluate(Scenario(mono2d_equivalent(prefix.design), prefix.profiles, prefix.environment, prefix.gamma))
-    yield SweepRow(values, prefix, breakdown, base)
+    head, rest = axes[0], axes[1:]
+    for value in head.values:
+        scenario = apply_parameter(prefix, head.parameter_path, value, registry)
+        yield from _scenarios(scenario, rest, registry, values + (value,))
+
+
+def _rows(template: Scenario, axes: tuple[SweepAxis, ...], registry: FixtureRegistry, baseline: bool):
+    """Evaluate each row, and with ``baseline`` its mono-2D equivalent, reusing the
+    previous row's embodied chain and baseline design where their inputs are unchanged."""
+    chain, base_chain = _EmbodiedChain(), _EmbodiedChain()
+    merged_from = base_design = None
+    for values, scenario in _scenarios(template, axes, registry):
+        design = scenario.design
+        validate_design(design)
+        breakdown = evaluate(scenario, _chain=chain)
+        base = None
+        if baseline:
+            # the baseline depends on the dies and the usage only
+            if design.dies is not merged_from:
+                merged_from, base_design = design.dies, mono2d_equivalent(design)
+            elif design.usage is not base_design.usage:
+                base_design = dataclasses.replace(base_design, usage=design.usage)
+            base_scenario = Scenario(base_design, scenario.profiles, scenario.environment, scenario.gamma)
+            base = evaluate(base_scenario, _chain=base_chain)
+        yield SweepRow(values, scenario, breakdown, base)
 
 
 def sweep(
@@ -421,7 +460,8 @@ def gamma_pareto(
     scenario's own design's tCDP at gamma = 1.
     """
     gammas = tuple(validate_gamma(g, f"gammas[{i}]") for i, g in enumerate(gammas))
-    ref = evaluate(dataclasses.replace(base, gamma=1.0))
+    chain = _EmbodiedChain()     # one design's gammas share its embodied chain
+    ref = evaluate(dataclasses.replace(base, gamma=1.0), _chain=chain)
     ref_tcdp = ref.metrics.tcdp
     if ref_tcdp == 0:
         raise UnsupportedConfiguration("the reference design's tCDP at gamma=1 is 0; cannot normalize")
@@ -429,7 +469,7 @@ def gamma_pareto(
     for name, design in designs:
         points = []
         for g in gammas:
-            result = evaluate(dataclasses.replace(base, design=design, gamma=g))
+            result = evaluate(dataclasses.replace(base, design=design, gamma=g), _chain=chain)
             points.append(result.metrics.tcdp / ref_tcdp)
         series[name] = tuple(points)
     return ParetoResult(

@@ -1,13 +1,16 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
 from carbon3d import Integration, evaluate, load_scenario, switching_point
-from carbon3d.cli import main
+from carbon3d.cli import build_parser, main
 from carbon3d.params import _BUNDLED_DIR
 
 from conftest import basic_document, write_config
@@ -95,6 +98,23 @@ class TestSweep:
         path = write_config(tmp_path, basic_document())
         assert main(["sweep", "-c", str(path), "--axis", "garbage"]) == 2
 
+    def test_technology_axis_takes_node_names_as_typed(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, basic_document())
+        assert main(["sweep", "-c", str(path), "--axis", "technology=7"]) == 2
+        assert "technology: unknown node '7';" in capsys.readouterr().err
+
+        root = tmp_path / "fixtures"
+        shutil.copytree(_BUNDLED_DIR, root)
+        shutil.copy(root / "nodes" / "7nm.json", root / "nodes" / "7.json")
+        monkeypatch.setenv("CARBON3D_FIXTURES", str(root))
+        assert main(["sweep", "-c", str(path), "--axis", "technology=7nm"]) == 0
+        _, _, (same_profile,) = parse_csv(capsys.readouterr().out)
+        for axis in ("technology", "design.dies[*].technology", "dies[0].technology"):
+            assert main(["sweep", "-c", str(path), "--axis", f"{axis}= 7", "--axis", "gamma=1"]) == 0
+            _, _, (row,) = parse_csv(capsys.readouterr().out)
+            assert row.pop(axis) == "7" and row.pop("gamma") == "1"
+            assert row == {k: v for k, v in same_profile.items() if k != "technology"}
+
     def test_plot_data_file(self, tmp_path):
         path = write_config(tmp_path, basic_document())
         out = tmp_path / "s.csv"
@@ -125,6 +145,40 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err == "error: bonding.bond_yield: must be in (0, 1]\n"
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+class TestMainInOneProcess:
+    """main() builds its parser once per process; a call must not see an earlier one."""
+
+    CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "mcm_hetero_4die.json")
+    SEQUENCE = (
+        ("sweep", "-c", CONFIG, "--baseline", "--axis", "dies[*].gate_count=1e8,3e8", "--axis", "gamma=1,2"),
+        ("sweep", "-c", CONFIG, "--axis", "garbage"),
+        ("estimate", "-c", CONFIG, "--format", "xml"),
+        ("estimate", "-c", CONFIG, "--format", "csv", "--breakdown"),
+    )
+
+    def test_sequence_matches_each_call_alone(self, capsys, monkeypatch):
+        monkeypatch.delenv("CARBON3D_FIXTURES", raising=False)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        alone = []
+        for argv in self.SEQUENCE:
+            done = subprocess.run([sys.executable, "-m", "carbon3d.cli", *argv], capture_output=True, text=True, env=env)
+            alone.append((done.returncode, done.stdout, done.stderr))
+
+        in_sequence = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse rejects the option
+                code = exc.code
+            out = capsys.readouterr()
+            in_sequence.append((code, out.out, out.err))
+        assert in_sequence == alone
+        assert [code for code, _, _ in alone] == [0, 2, 2, 0]
+        assert "heterogeneous-node design" in alone[0][2] and "invalid choice" in alone[2][2]
+        assert build_parser() is build_parser()
 
 
 class TestSwitch:

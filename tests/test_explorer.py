@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import itertools
@@ -24,6 +25,8 @@ from carbon3d import (
     sweep,
     switching_point,
 )
+from carbon3d import carbon, explorer
+from carbon3d.cli import main
 from carbon3d.errors import (
     CapExceeded,
     CarbonModelError,
@@ -141,10 +144,19 @@ class TestSweep:
             next(rows)
 
     def test_memory_does_not_grow_with_row_count(self):
+        def fill_tuple_free_lists():
+            # The interpreter keeps up to 2000 freed tuples of each length up
+            # to 20 for reuse, and tracemalloc counts those allocated while it
+            # traces.  Freeing that many of each length fills the lists, so a
+            # measured run frees its tuples for good, however many it makes.
+            held = [tuple(range(i, i + n)) for n in range(1, 21) for i in range(2000)]
+            del held
+
         def peak(n):
             axes = [SweepAxis("dies[*].gate_count", [1e8 + i for i in range(n // 4)]),
                     SweepAxis("gamma", [0.5, 1.0, 1.5, 2.0])]
             scenario = make_scenario()
+            fill_tuple_free_lists()
             tracemalloc.start()
             try:
                 for _ in sweep(scenario, axes, baseline=True):
@@ -153,10 +165,8 @@ class TestSweep:
             finally:
                 tracemalloc.stop()
 
-        # The interpreter's free lists keep up to 2000 freed tuples of each
-        # small size, and tracemalloc counts them as allocated.  Fill them
-        # first, and keep a full collection (which empties them) out of the
-        # measured runs.
+        # A first run makes the objects the code creates only once.  A full
+        # collection empties the free lists, so none runs while measuring.
         peak(2400)
         enabled = gc.isenabled()
         gc.disable()
@@ -242,6 +252,106 @@ class TestSweepMatchesRowByRow:
             return [(row.values, row.scenario, row.breakdown) for row in rows], [row.baseline for row in rows]
 
         assert _outcome(swept) == _outcome(lambda: _row_by_row(scenario, axes, registry))
+
+
+# Inner axes that leave the dies alone, so rows can reuse the stages before them.
+INNER_AXES = {
+    "usage.power_density": (5.0, 25.0, 40.0),
+    "environment.ci_fab": (0.1, 0.3, 0.5),
+    "gamma": (0.0, 1.0, 2.5),
+    "bonding.bond_yield": (0.9, 0.95, 0.99),
+}
+# The larger gate count clamps the die-per-wafer count of a baseline or a die.
+GATE_AXIS = SweepAxis("dies[*].gate_count", (1e9, 2e11))
+
+
+def _recorded_texts(run):
+    """Each distinct warning text run() raises, in first-seen order (as the CLI reports them)."""
+    texts = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: texts.setdefault(str(message))
+        run()
+    return list(texts)
+
+
+class TestReuseMatchesFreshEvaluation:
+    """Sweep rows and gamma points reuse the previous one's geometry, yields and embodied
+    carbon where their inputs are unchanged; every number must be a fresh evaluation's."""
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    @pytest.mark.parametrize("inner", sorted(INNER_AXES))
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+    def test_rows_equal_fresh_evaluate(self, registry, config, inner, baseline):
+        scenario = load_scenario(config, registry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = list(sweep(scenario, [GATE_AXIS, SweepAxis(inner, INNER_AXES[inner])], registry, baseline=baseline))
+            assert [row.values for row in rows] == list(itertools.product(GATE_AXIS.values, INNER_AXES[inner]))
+            for row in rows:
+                assert row.breakdown == evaluate(row.scenario)
+                if baseline:
+                    base = dataclasses.replace(row.scenario, design=mono2d_equivalent(row.scenario.design))
+                    assert row.baseline == evaluate(base)
+                else:
+                    assert row.baseline is None
+
+    @pytest.mark.parametrize("inner, geometry_calls, embodied_calls", [
+        ("usage.power_density", 4, 4),
+        ("gamma", 4, 4),
+        ("environment.ci_fab", 4, 12),
+        ("bonding.bond_yield", 12, 12),
+    ])
+    def test_rows_recompute_only_the_stages_they_change(self, registry, monkeypatch, inner, geometry_calls, embodied_calls):
+        calls = collections.Counter()
+        for module, name in ((carbon, "stack_geometry"), (carbon, "yield_context"),
+                             (carbon, "embodied_breakdown"), (explorer, "mono2d_equivalent")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, _f=original, _n=name: calls.update([_n]) or _f(*args))
+        scenario = load_scenario(CONFIGS[0], registry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = list(sweep(scenario, [GATE_AXIS, SweepAxis(inner, INNER_AXES[inner])], registry, baseline=True))
+        # 6 rows and 6 baselines over 2 distinct die sets
+        assert len(rows) == 6
+        assert calls == {"stack_geometry": geometry_calls, "yield_context": geometry_calls,
+                         "embodied_breakdown": embodied_calls, "mono2d_equivalent": 2}
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+    def test_gamma_pareto_equals_per_point_evaluate(self, registry, config):
+        scenario = load_scenario(config, registry)
+        die = scenario.design.dies[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            designs = [
+                ("reference", scenario.design),
+                ("mono_2d", mono2d_equivalent(scenario.design)),
+                ("hybrid_3d", build_design(Integration.HYBRID_3D, die.technology, die.wiring, 2, 2e9, scenario.design.usage)),
+            ]
+            gammas = (0.0, 0.5, 1.0, 4.0)
+            result = gamma_pareto(scenario, designs, gammas)
+            ref = evaluate(dataclasses.replace(scenario, gamma=1.0)).metrics.tcdp
+            assert result.reference_tcdp == ref
+            for name, design in designs:
+                expected = tuple(
+                    evaluate(dataclasses.replace(scenario, design=design, gamma=g)).metrics.tcdp / ref for g in gammas
+                )
+                assert result.series[name] == expected
+
+    @pytest.mark.parametrize("inner", sorted(INNER_AXES))
+    @pytest.mark.parametrize("config", ["hybrid_2die_7nm", "mcm_hetero_4die"])
+    def test_cli_warnings_equal_fresh_rows(self, registry, capsys, config, inner):
+        path = next(p for p in CONFIGS if p.stem == config)
+        axes = [GATE_AXIS, SweepAxis(inner, INNER_AXES[inner])]
+        expected = _recorded_texts(lambda: _row_by_row(load_scenario(path, registry), axes, registry))
+        assert any("clamping to 1" in text for text in expected)
+        assert (config == "mcm_hetero_4die") == any("heterogeneous-node design" in text for text in expected)
+
+        argv = ["sweep", "-c", str(path), "--baseline"]
+        for axis in axes:
+            argv += ["--axis", f"{axis.parameter_path}={','.join(map(repr, axis.values))}"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == "".join(f"warning: {text}\n" for text in expected)
 
 
 class TestFindCrossing:
