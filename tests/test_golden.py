@@ -4,7 +4,10 @@
 ``estimate``, ``sweep`` and ``switch`` on the committed ``configs/*.json``;
 they must match byte for byte.  ``tests/golden/validate_design.json`` holds
 ``validate_design``'s verdict (accepted, or error type and path) for every
-integration x facing x stacking x die-count combination.
+integration x facing x stacking x die-count combination.  ``tests/golden/embodied.json``
+holds the ``repr`` of every ``embodied_breakdown`` component, or the error type
+name, for each scheme x die count x stacking x node x gate count built with
+``build_design`` on the bundled fixtures.
 
 Re-freeze only for a change that is meant to alter these outputs, and say so:
 
@@ -15,11 +18,25 @@ import contextlib
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from carbon3d import DesignSpec, DieSpec, Facing, Integration, Stacking, UsageProfile
+from carbon3d import (
+    DesignSpec,
+    DieSpec,
+    Facing,
+    FixtureRegistry,
+    Integration,
+    Stacking,
+    UsageProfile,
+    build_design,
+    embodied_breakdown,
+    load_scenario,
+    stack_geometry,
+    yield_context,
+)
 from carbon3d.cli import main
 from carbon3d.errors import CarbonModelError
 from carbon3d.params import validate_design
@@ -30,6 +47,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIGS = sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
 DIE_COUNTS = (1, 2, 3, 4)
+EMBODIED_NODES = ("28nm", "7nm", "3nm")
+EMBODIED_GATES = (1e6, 3e8, 2e9, 4e10)
 
 
 def cli_cases() -> dict[str, list[str]]:
@@ -92,6 +111,37 @@ def verdict(design: DesignSpec) -> str:
     return "ok"
 
 
+def embodied_cases() -> dict[str, dict[str, str] | str]:
+    base = load_scenario(ROOT / "configs" / "hybrid_2die_7nm.json")
+    registry = FixtureRegistry.bundled()
+    profiles, env, usage = base.profiles, base.environment, base.design.usage
+    cases = {}
+    for integ in Integration:
+        for n in DIE_COUNTS:
+            for stacking in (Stacking.D2W, Stacking.W2W):
+                for node in EMBODIED_NODES:
+                    tech, wiring = registry.technology(node), registry.default_wiring(node)
+                    for gates in EMBODIED_GATES:
+                        key = f"{integ.value}/{n}/{stacking.value}/{node}/{gates:g}"
+                        try:
+                            with warnings.catch_warnings():
+                                warnings.simplefilter("ignore")
+                                design = build_design(integ, tech, wiring, n, gates, usage, stacking=stacking)
+                                geom = stack_geometry(design, profiles.packaging)
+                                yields = yield_context(design, geom, profiles)
+                                b = embodied_breakdown(design, geom, yields, env, profiles)
+                        except (CarbonModelError, ArithmeticError, ValueError) as exc:
+                            cases[key] = type(exc).__name__
+                            continue
+                        cases[key] = {
+                            "c_die_per_die": repr(b.c_die_per_die),
+                            "c_bonding": repr(b.c_bonding),
+                            "c_packaging": repr(b.c_packaging),
+                            "c_substrate": repr(b.c_substrate),
+                        }
+    return cases
+
+
 def _load(name: str) -> dict:
     return json.loads((GOLDEN / name).read_text(encoding="utf-8"))
 
@@ -111,11 +161,16 @@ def test_validate_design_matrix_matches_golden():
     assert got == frozen
 
 
+def test_embodied_grid_matches_golden():
+    assert embodied_cases() == _load("embodied.json")
+
+
 def freeze():
     GOLDEN.mkdir(exist_ok=True)
     cli = {case: run_cli(argv) for case, argv in cli_cases().items()}
     matrix = {key: verdict(design) for key, design in validation_cases().items()}
-    for name, data in (("cli.json", cli), ("validate_design.json", matrix)):
+    embodied = embodied_cases()
+    for name, data in (("cli.json", cli), ("validate_design.json", matrix), ("embodied.json", embodied)):
         (GOLDEN / name).write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
