@@ -3,7 +3,6 @@
 from .carbon import (
     CarbonBreakdown,
     Metrics,
-    WaferCost,
     bonding_wafer_carbon,
     dies_per_wafer,
     embodied_breakdown,

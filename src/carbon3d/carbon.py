@@ -2,7 +2,7 @@
 
 Accounting structure (all kg CO2e per packaged device):
 
-  die        sum_i  wafer_carbon_i / (DPW_i * Y_die_i)
+  die        sum_i  wafer_carbon_i / DPW_i / Y_die_i
   bonding    3D:    sum of per-interface bond-wafer shares / Y_bond
              InFO:  chip-last RDL bonding per area (chip-first has none)
              Si:    interposer D2W bond wafer share, once per die attach
@@ -12,10 +12,15 @@ Accounting structure (all kg CO2e per packaged device):
   amortized  overall * t_app / t_exe
   total      operational + gamma * amortized
 
+Every part cut from a wafer (a logic die, an M3D tier, a 3D bond layer,
+the silicon interposer) is charged by one rule: the carbon of its wafer
+divided by the dies per wafer at the part's area, then by the part's
+yield.  Only the per-wafer carbon differs from part to part.
+
 M3D is the one integration without a per-die wafer pass: both sequential
 tiers share a single wafer, so fab energy for FEOL+MOL is charged per
 tier, the BEOL stack and the per-wafer gas/material footprints are
-charged once, and there is no bonding term.
+charged once (with tier 0), and there is no bonding term.
 """
 
 from __future__ import annotations
@@ -52,14 +57,6 @@ class Metrics:
     cdp: float      # kg*s, overall embodied carbon x delay
     cep: float      # kg*kWh, overall embodied carbon x operational energy
     tcdp: float     # kg*s, total carbon x delay
-
-
-@dataclass(frozen=True)
-class WaferCost:
-    epa_total: float        # kWh/cm^2, FEOL + MOL + used BEOL layers
-    c_wafer: float          # kg CO2 per wafer
-    wafer_area: float       # cm^2
-    dpw: int = 0            # gross dies per wafer; 0 when no die area given
 
 
 @dataclass(frozen=True)
@@ -109,58 +106,28 @@ def dies_per_wafer(wafer_diameter: float, die_area: float) -> int:
     return count
 
 
-def wafer_carbon(
-    tech: TechnologyProfile,
-    beol_layers: int,
-    env: FabEnvironment,
-    die_area: float | None = None,
-) -> WaferCost:
-    """Per-wafer fab carbon: (CI_fab*EPA + GPA + MPA) * wafer area.
+def wafer_carbon(tech: TechnologyProfile, beol_layers: int, env: FabEnvironment) -> float:
+    """Per-wafer fab carbon in kg CO2: (CI_fab*EPA + GPA + MPA) * wafer area.
 
-    EPA sums FEOL, MOL and the first ``beol_layers`` per-layer BEOL
-    energies.  When ``die_area`` is given the gross die-per-wafer count is
-    filled in as well.
+    EPA sums FEOL, MOL and the first ``beol_layers`` per-layer BEOL energies.
     """
     if beol_layers > tech.max_beol_layers:
         raise LayerCountExceedsProfile(
             f"{beol_layers} BEOL layers exceeds {tech.node_name}'s max of {tech.max_beol_layers}"
         )
     epa = tech.epa_feol + tech.epa_mol + sum(tech.epa_beol_per_layer[:beol_layers])
-    wafer_area = env.wafer_area
-    c = (env.ci_fab * epa + tech.gpa + tech.mpa) * wafer_area
-    dpw = dies_per_wafer(env.wafer_diameter_cm, die_area) if die_area is not None else 0
-    return WaferCost(epa_total=epa, c_wafer=c, wafer_area=wafer_area, dpw=dpw)
+    return (env.ci_fab * epa + tech.gpa + tech.mpa) * env.wafer_area
 
 
-def bonding_wafer_carbon(
-    stacking: Stacking,
-    bonding: BondingProfile,
-    env: FabEnvironment,
-    wafer_area: float,
-) -> float:
+def bonding_wafer_carbon(stacking: Stacking, bonding: BondingProfile, env: FabEnvironment) -> float:
     """Per-wafer bonding carbon: CI_bonding * EPA_{D2W|W2W} * wafer area."""
     epa = bonding.epa_w2w if stacking is Stacking.W2W else bonding.epa_d2w
-    return env.ci_bonding * epa * wafer_area
+    return env.ci_bonding * epa * env.wafer_area
 
 
-def _m3d_die_carbon(
-    spec: DesignSpec,
-    geom: StackGeometry,
-    yields: YieldContext,
-    env: FabEnvironment,
-) -> list[float]:
-    # One wafer, two device passes: FEOL+MOL per tier, BEOL stack and
-    # GPA/MPA once (charged with the top tier, index 0).
-    tech = spec.dies[0].technology
-    out = []
-    for i, g in enumerate(geom.dies):
-        if i == 0:
-            per_wafer = wafer_carbon(tech, g.beol_layers, env).c_wafer
-        else:
-            per_wafer = env.ci_fab * (tech.epa_feol + tech.epa_mol) * env.wafer_area
-        dpw = dies_per_wafer(env.wafer_diameter_cm, g.total_area)
-        out.append(per_wafer / dpw / yields.effective_die_y[i])
-    return out
+def _share(per_wafer: float, area: float, env: FabEnvironment) -> float:
+    # one part's share of its wafer's carbon, before yield
+    return per_wafer / dies_per_wafer(env.wafer_diameter_cm, area)
 
 
 def embodied_breakdown(
@@ -174,39 +141,36 @@ def embodied_breakdown(
     n = len(spec.dies)
     if len(geom.dies) != n or len(yields.effective_die_y) != n:
         raise CardinalityMismatch("design, geometry and yields disagree on the die count")
-    integ = spec.integration
-    rules = integ.rules
+    rules = spec.integration.rules
     bonding = profiles.bonding
 
-    c_bond = c_sub = 0.0
-    if integ is Integration.M3D:
-        c_die = _m3d_die_carbon(spec, geom, yields, env)
-    else:
-        c_die = []
-        for die, g, y in zip(spec.dies, geom.dies, yields.effective_die_y):
-            wc = wafer_carbon(die.technology, g.beol_layers, env, die_area=g.total_area)
-            c_die.append(wc.c_wafer / wc.dpw / y)
+    m3d = spec.integration is Integration.M3D
+    tech0 = spec.dies[0].technology
+    c_die = []
+    for i, (die, g, y) in enumerate(zip(spec.dies, geom.dies, yields.effective_die_y)):
+        if m3d and i > 0:  # a later tier on tier 0's wafer: its FEOL+MOL pass only
+            per_wafer = env.ci_fab * (tech0.epa_feol + tech0.epa_mol) * env.wafer_area
+        else:
+            per_wafer = wafer_carbon(die.technology, g.beol_layers, env)
+        c_die.append(_share(per_wafer, g.total_area, env) / y)
 
-        if rules.bonds == "n-1":
-            for i in range(n - 1):
-                # interface i binds die i and i+1; charged at die i+1's wafer share
-                lower = geom.dies[i + 1]
-                dpw = dies_per_wafer(env.wafer_diameter_cm, lower.total_area)
-                per_wafer = bonding_wafer_carbon(spec.stacking, bonding, env, env.wafer_area)
-                c_bond += per_wafer / dpw / yields.effective_bond_y[i]
-        elif rules.bonds == "n" and rules.substrate == "rdl":  # chip-last InFO
-            c_bond = bonding.cpa_bonding * geom.substrate_area / yields.effective_bond_y[0]
-        elif rules.bonds == "n":  # one D2W micro-bump attach per die onto the silicon interposer
-            per_wafer = env.ci_bonding * bonding.epa_d2w * env.wafer_area
-            dpw = dies_per_wafer(env.wafer_diameter_cm, geom.substrate_area)
-            c_bond = per_wafer / dpw * sum(1.0 / y for y in yields.effective_bond_y)
+    c_bond = c_sub = 0.0
+    if rules.bonds == "n-1":
+        per_wafer = bonding_wafer_carbon(spec.stacking, bonding, env)
+        for i in range(n - 1):
+            # interface i binds die i and i+1; charged at die i+1's wafer share
+            c_bond += _share(per_wafer, geom.dies[i + 1].total_area, env) / yields.effective_bond_y[i]
+    elif rules.bonds == "n" and rules.substrate == "rdl":  # chip-last InFO
+        c_bond = bonding.cpa_bonding * geom.substrate_area / yields.effective_bond_y[0]
+    elif rules.bonds == "n":  # one D2W micro-bump attach per die onto the silicon interposer
+        per_wafer = bonding_wafer_carbon(Stacking.D2W, bonding, env)
+        c_bond = _share(per_wafer, geom.substrate_area, env) * sum(1.0 / y for y in yields.effective_bond_y)
 
     if rules.substrate == "rdl":
         c_sub = bonding.cpa_rdl * geom.substrate_area / yields.substrate_y
     elif rules.substrate == "interposer":
-        tech = profiles.interposer_technology
-        wc = wafer_carbon(tech, profiles.interposer_beol_layers, env, die_area=geom.substrate_area)
-        c_sub = wc.c_wafer / wc.dpw / yields.substrate_y
+        per_wafer = wafer_carbon(profiles.interposer_technology, profiles.interposer_beol_layers, env)
+        c_sub = _share(per_wafer, geom.substrate_area, env) / yields.substrate_y
 
     c_pack = profiles.packaging.cpa_packaging * geom.package_area
     return CarbonBreakdown(

@@ -34,6 +34,7 @@ from .params import (
     Stacking,
     _check,
     _enum,
+    check_die_count,
     design_to_document,
     load_scenario,
     resolve_technology,
@@ -255,6 +256,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_switch(args) -> int:
     _check(1 <= args.dies <= MAX_DIES, "--dies", f"must be in [1, {MAX_DIES}]")
+    integration = Integration(args.integration)
+    check_die_count(integration, args.dies, "--dies")
     registry = FixtureRegistry.bundled()
     lo, hi = args.range
     with _recorded_warnings() as rec:
@@ -263,7 +266,7 @@ def cmd_switch(args) -> int:
         resolve_technology(args.node, scenario.technology_overrides, registry, "--node")
         point = explorer.switching_point(
             scenario,
-            Integration(args.integration),
+            integration,
             args.node,
             args.dies,
             lo,
@@ -300,6 +303,8 @@ def cmd_pareto(args) -> int:
         )
         for name in (args.integrations.split(",") if args.integrations else []):
             integ = _enum(name, Integration, "--integrations")
+            if integ.rules.max_dies != 1:  # build_design makes a one-die scheme one die, whatever --dies says
+                check_die_count(integ, args.dies, "--dies")
             design = explorer.build_design(
                 integ, base_die.technology, base_die.wiring, args.dies, total_gates, scenario.design.usage
             )

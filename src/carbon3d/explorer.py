@@ -65,7 +65,7 @@ from .params import (
 )
 
 PRESCAN_POINTS = 17
-DEFAULT_ROW_CAP = 1_000_000
+ROW_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,6 @@ def sweep(
     scenario: Scenario,
     axes: Sequence[SweepAxis],
     registry: FixtureRegistry | None = None,
-    cap: int = DEFAULT_ROW_CAP,
     baseline: bool = False,
 ) -> Iterator[SweepRow]:
     """Evaluate the cartesian product of the axes over a template scenario, row by row.
@@ -257,8 +256,8 @@ def sweep(
     """
     axes = tuple(a if isinstance(a, SweepAxis) else SweepAxis(*a) for a in axes)
     total = math.prod(len(a.values) for a in axes) if axes else 1
-    if total > cap:
-        raise CapExceeded(f"sweep would evaluate {total} rows, cap is {cap}")
+    if total > ROW_CAP:
+        raise CapExceeded(f"sweep would evaluate {total} rows, cap is {ROW_CAP}")
     return _rows(scenario, axes, registry or FixtureRegistry.bundled(), baseline)
 
 

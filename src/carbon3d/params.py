@@ -526,6 +526,15 @@ def validate_usage(usage: UsageProfile, path: str = "usage"):
     _warn_range(usage.t_exe_hours / HOURS_PER_YEAR, SURVEYED["t_exe_years"], f"{path}.t_exe_hours (years)")
 
 
+def check_die_count(integration: Integration, n: int, path: str):
+    """The scheme's die-count rule from SCHEME_RULES; a count it forbids is an error on ``path``."""
+    rules = integration.rules
+    if not rules.min_dies <= n <= (rules.max_dies or n):
+        lo, hi = rules.min_dies, rules.max_dies
+        count = f"exactly {lo}" if hi == lo else f">= {lo}" if hi is None else f"{lo} to {hi}"
+        raise InvalidCombination(path, f"{integration.value} requires {count} dies, got {n}")
+
+
 def validate_design(design: DesignSpec, path: str = "design"):
     """Enforce the cross-field and per-die rules of a design.
 
@@ -537,10 +546,7 @@ def validate_design(design: DesignSpec, path: str = "design"):
     n = len(design.dies)
     integ = design.integration
     rules = integ.rules
-    if not rules.min_dies <= n <= (rules.max_dies or n):
-        lo, hi = rules.min_dies, rules.max_dies
-        count = f"exactly {lo}" if hi == lo else f">= {lo}" if hi is None else f"{lo} to {hi}"
-        raise InvalidCombination(f"{path}.dies", f"{integ.value} requires {count} dies, got {n}")
+    check_die_count(integ, n, f"{path}.dies")
     if design.facing not in rules.facings:
         raise InvalidCombination(f"{path}.facing", f"{integ.value} does not allow facing {design.facing.value}")
     if design.stacking not in rules.stackings:

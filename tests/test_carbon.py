@@ -53,23 +53,23 @@ class TestDiesPerWafer:
 
 class TestWaferCarbon:
     def test_epa_sum(self):
-        tech = make_tech(epa_feol=0.3, epa_mol=0.1, epa_beol_per_layer=(0.8, 0.8, 0.8), max_beol_layers=3)
-        env = make_env()
-        assert wafer_carbon(tech, 2, env).epa_total == pytest.approx(2.0, rel=1e-12)
+        # no gas or material footprint and CI_fab = 1: the wafer carbon is EPA * wafer area
+        tech = make_tech(epa_feol=0.3, epa_mol=0.1, epa_beol_per_layer=(0.8, 0.8, 0.8), max_beol_layers=3,
+                         gpa=0.0, mpa=0.0)
+        env = make_env(ci_fab=1.0)
+        assert wafer_carbon(tech, 2, env) == pytest.approx(2.0 * env.wafer_area, rel=1e-12)
 
     def test_reference_wafer(self):
         # (0.5*2.0 + 0.2 + 0.5) * pi * 225 = 1201.66 kg
         tech = make_tech(epa_feol=0.3, epa_mol=0.1, epa_beol_per_layer=(0.8, 0.8, 0.8),
                          max_beol_layers=3, gpa=0.2, mpa=0.5)
         env = make_env(ci_fab=0.5)
-        wc = wafer_carbon(tech, 2, env, die_area=1.0)
-        assert wc.c_wafer == pytest.approx(1.7 * math.pi * 225.0, rel=1e-12)
-        assert wc.dpw == 640
+        assert wafer_carbon(tech, 2, env) == pytest.approx(1.7 * math.pi * 225.0, rel=1e-12)
 
     def test_zero_intensity_fab(self):
         tech = make_tech(gpa=0.0, mpa=0.0)
         env = make_env(ci_fab=0.0)
-        assert wafer_carbon(tech, 3, env).c_wafer == 0.0
+        assert wafer_carbon(tech, 3, env) == 0.0
 
     def test_layer_count_cap(self):
         tech = make_tech(max_beol_layers=3, epa_beol_per_layer=(0.8,) * 3)
@@ -82,19 +82,18 @@ class TestBondingWaferCarbon:
         profiles = make_profiles()
         bonding = dataclasses.replace(profiles.bonding, epa_d2w=1.0)
         env = make_env(ci_bonding=0.5)
-        got = bonding_wafer_carbon(Stacking.D2W, bonding, env, math.pi * 225.0)
+        got = bonding_wafer_carbon(Stacking.D2W, bonding, env)
         assert got == pytest.approx(353.4292, abs=1e-3)
 
     def test_linear_in_epa(self):
         profiles = make_profiles()
         env = make_env()
-        area = math.pi * 225.0
-        low = bonding_wafer_carbon(Stacking.W2W, dataclasses.replace(profiles.bonding, epa_w2w=0.9), env, area)
-        high = bonding_wafer_carbon(Stacking.W2W, dataclasses.replace(profiles.bonding, epa_w2w=2.75), env, area)
+        low = bonding_wafer_carbon(Stacking.W2W, dataclasses.replace(profiles.bonding, epa_w2w=0.9), env)
+        high = bonding_wafer_carbon(Stacking.W2W, dataclasses.replace(profiles.bonding, epa_w2w=2.75), env)
         assert high / low == pytest.approx(2.75 / 0.9, rel=1e-12)
 
     def test_zero_intensity(self):
-        assert bonding_wafer_carbon(Stacking.D2W, make_profiles().bonding, make_env(ci_bonding=0.0), 700.0) == 0.0
+        assert bonding_wafer_carbon(Stacking.D2W, make_profiles().bonding, make_env(ci_bonding=0.0)) == 0.0
 
 
 def direct_2d_embodied(area, layers, tech, env, packaging):
@@ -128,10 +127,10 @@ class TestEmbodied:
         perfect = YieldContext((1.0, 1.0), (1.0,), (1.0, 1.0), (1.0,))
         got = embodied_breakdown(design, geom, perfect, env, profiles)
         tech = design.dies[0].technology
-        wc = wafer_carbon(tech, 5, env, die_area=0.5)
-        assert got.c_die == pytest.approx(2 * wc.c_wafer / wc.dpw, rel=1e-12)
-        bond = bonding_wafer_carbon(Stacking.D2W, profiles.bonding, env, env.wafer_area)
-        assert got.c_bonding == pytest.approx(bond / wc.dpw, rel=1e-12)
+        dpw = dies_per_wafer(env.wafer_diameter_cm, 0.5)
+        assert got.c_die == pytest.approx(2 * wafer_carbon(tech, 5, env) / dpw, rel=1e-12)
+        bond = bonding_wafer_carbon(Stacking.D2W, profiles.bonding, env)
+        assert got.c_bonding == pytest.approx(bond / dpw, rel=1e-12)
 
     def test_halving_one_die_yield_doubles_its_term(self):
         design = make_design(Integration.HYBRID_3D, n=2, explicit_areas=[0.5, 0.5], explicit_beol=5)
@@ -313,7 +312,7 @@ class TestIntegrationComposition:
         geom = stack_geometry(design, profiles.packaging)
         ylds = yield_context(design, geom, profiles)
         got = embodied_breakdown(design, geom, ylds, env, profiles)
-        per_wafer = bonding_wafer_carbon(Stacking.D2W, profiles.bonding, env, env.wafer_area)
+        per_wafer = bonding_wafer_carbon(Stacking.D2W, profiles.bonding, env)
         want = sum(
             per_wafer
             / dies_per_wafer(env.wafer_diameter_cm, geom.dies[i + 1].total_area)
@@ -337,8 +336,8 @@ class TestIntegrationComposition:
         b = profiles.bonding
         # same W2W yield context cancels out of the ratio only if yields match;
         # compare energies through the per-wafer term instead
-        d2w = bonding_wafer_carbon(Stacking.D2W, b, env, 1.0)
-        w2w = bonding_wafer_carbon(Stacking.W2W, b, env, 1.0)
+        d2w = bonding_wafer_carbon(Stacking.D2W, b, env)
+        w2w = bonding_wafer_carbon(Stacking.W2W, b, env)
         assert d2w / w2w == pytest.approx(b.epa_d2w / b.epa_w2w, rel=1e-12)
         assert ratio != 1.0
 
@@ -387,8 +386,8 @@ class TestIntegrationComposition:
         assert got.c_bonding == pytest.approx(want_bond, rel=1e-12)
 
         itech = profiles.interposer_technology
-        wc = wafer_carbon(itech, profiles.interposer_beol_layers, env, die_area=geom.substrate_area)
-        assert got.c_substrate == pytest.approx(wc.c_wafer / wc.dpw / ylds.substrate_y, rel=1e-12)
+        per_wafer_int = wafer_carbon(itech, profiles.interposer_beol_layers, env)
+        assert got.c_substrate == pytest.approx(per_wafer_int / dpw_int / ylds.substrate_y, rel=1e-12)
 
     def test_mcm_folds_bonding_into_packaging(self):
         design = make_design(Integration.MCM, n=2, explicit_areas=[0.5, 0.5], explicit_beol=5)

@@ -427,6 +427,15 @@ class TestRejectsBadValues:
         assert code == 2 and out.out == ""
         assert out.err.startswith(f"error: {where}: ")
 
+    @pytest.mark.parametrize("argv", [
+        ("switch", "--integration", "m3d", "--node", "7nm", "--dies", "3"),
+        ("pareto", "--dies", "3"),  # the default --integrations includes m3d
+    ])
+    def test_die_count_the_scheme_forbids_is_an_error_on_dies(self, tmp_path, capsys, argv):
+        code, out = self._run(tmp_path, capsys, basic_document(), *argv)
+        assert code == 2 and out.out == ""
+        assert out.err == "error: --dies: m3d requires exactly 2 dies, got 3\n"
+
     @pytest.mark.parametrize("content, why", [(None, "cannot read"), (b"\xd0\xff{}", "not valid JSON")])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, content, why):
         path = tmp_path  # a directory when there is no content

@@ -35,7 +35,7 @@ from carbon3d.errors import (
     UnresolvablePath,
     UnsupportedConfiguration,
 )
-from carbon3d.explorer import apply_parameter
+from carbon3d.explorer import ROW_CAP, apply_parameter
 from carbon3d.params import validate_design
 
 from conftest import make_design, make_env, make_profiles, make_scenario, make_tech
@@ -103,9 +103,11 @@ class TestSweep:
         assert areas[1] == pytest.approx(2 * areas[0], rel=1e-12)
 
     def test_cap(self):
-        # raised by the call itself, before any row is asked for
+        # 1001 x 1000 rows is over the cap; raised by the call itself, before any row is built
+        assert 1001 * 1000 > ROW_CAP
+        axes = [SweepAxis("gamma", list(range(1001))), SweepAxis("dies[*].gate_count", [1e9] * 1000)]
         with pytest.raises(CapExceeded):
-            sweep(make_scenario(), [SweepAxis("gamma", list(range(100)))], cap=99)
+            sweep(make_scenario(), axes)
 
     def test_deterministic(self):
         axes = [SweepAxis("dies[*].gate_count", [1e8, 3e8, 9e8])]
