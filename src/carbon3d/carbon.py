@@ -48,6 +48,7 @@ from .params import (
     Stacking,
     TechnologyProfile,
     UsageProfile,
+    left_sum,
 )
 from .yieldmodel import YieldContext, yield_context
 
@@ -74,7 +75,7 @@ class CarbonBreakdown:
 
     @property
     def c_die(self) -> float:
-        return sum(self.c_die_per_die)
+        return left_sum(self.c_die_per_die)
 
     @property
     def c_embodied_overall(self) -> float:
@@ -115,7 +116,7 @@ def wafer_carbon(tech: TechnologyProfile, beol_layers: int, env: FabEnvironment)
         raise LayerCountExceedsProfile(
             f"{beol_layers} BEOL layers exceeds {tech.node_name}'s max of {tech.max_beol_layers}"
         )
-    epa = tech.epa_feol + tech.epa_mol + sum(tech.epa_beol_per_layer[:beol_layers])
+    epa = tech.epa_feol + tech.epa_mol + left_sum(tech.epa_beol_per_layer[:beol_layers])
     return (env.ci_fab * epa + tech.gpa + tech.mpa) * env.wafer_area
 
 
@@ -164,7 +165,7 @@ def embodied_breakdown(
         c_bond = bonding.cpa_bonding * geom.substrate_area / yields.effective_bond_y[0]
     elif rules.bonds == "n":  # one D2W micro-bump attach per die onto the silicon interposer
         per_wafer = bonding_wafer_carbon(Stacking.D2W, bonding, env)
-        c_bond = _share(per_wafer, geom.substrate_area, env) * sum(1.0 / y for y in yields.effective_bond_y)
+        c_bond = _share(per_wafer, geom.substrate_area, env) * left_sum(1.0 / y for y in yields.effective_bond_y)
 
     if rules.substrate == "rdl":
         c_sub = bonding.cpa_rdl * geom.substrate_area / yields.substrate_y

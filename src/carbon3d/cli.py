@@ -36,6 +36,7 @@ from .params import (
     _enum,
     check_die_count,
     design_to_document,
+    left_sum,
     load_scenario,
     resolve_technology,
 )
@@ -297,14 +298,13 @@ def cmd_pareto(args) -> int:
         gammas = [_number(g, "--gammas") for g in args.gammas.split(",") if g.strip()]
         designs = [("reference", scenario.design)]
         base_die = scenario.design.dies[0]
-        total_gates = sum(
+        total_gates = left_sum(
             d.gate_count if d.gate_count is not None else gates_from_area(d.explicit_area, d.technology)
             for d in scenario.design.dies
         )
         for name in (args.integrations.split(",") if args.integrations else []):
             integ = _enum(name, Integration, "--integrations")
-            if integ.rules.max_dies != 1:  # build_design makes a one-die scheme one die, whatever --dies says
-                check_die_count(integ, args.dies, "--dies")
+            check_die_count(integ, explorer._die_count(integ, args.dies), "--dies")
             design = explorer.build_design(
                 integ, base_die.technology, base_die.wiring, args.dies, total_gates, scenario.design.usage
             )

@@ -59,6 +59,7 @@ from .params import (
     WiringParameters,
     _FIELDS,
     _profile,
+    left_sum,
     resolve_technology,
     validate_design,
     validate_gamma,
@@ -186,10 +187,10 @@ def mono2d_equivalent(design: DesignSpec) -> DesignSpec:
         merged = DieSpec(
             technology=dies[0].technology,
             wiring=dies[0].wiring,
-            gate_count=sum(d.gate_count for d in dies),
+            gate_count=left_sum(d.gate_count for d in dies),
         )
     else:
-        total_area = sum(
+        total_area = left_sum(
             d.explicit_area if d.explicit_area is not None else area_2d(d.gate_count, d.technology)
             for d in dies
         )
@@ -350,6 +351,11 @@ def find_crossing(
     return CrossingResult(status="crossing", value=0.5 * (a + b), evaluations=evals)
 
 
+def _die_count(integration: Integration, n_dies: int) -> int:
+    """The die count ``build_design`` makes: a one-die scheme is one die whatever ``n_dies`` says."""
+    return 1 if integration.rules.max_dies == 1 else n_dies
+
+
 def build_design(
     integration: Integration,
     technology: TechnologyProfile,
@@ -366,8 +372,7 @@ def build_design(
     to a single die regardless of n_dies.
     """
     rules = integration.rules
-    if rules.max_dies == 1:
-        n_dies = 1
+    n_dies = _die_count(integration, n_dies)
     dies = tuple(
         DieSpec(technology=technology, wiring=wiring, gate_count=gate_count_2d / n_dies)
         for _ in range(n_dies)

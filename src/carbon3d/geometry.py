@@ -30,6 +30,7 @@ from .params import (
     PackagingProfile,
     TechnologyProfile,
     WiringParameters,
+    left_sum,
 )
 
 # Relative slack for integer ceilings so that a value computed to be an
@@ -176,7 +177,7 @@ def die_areas(spec: DesignSpec) -> list[DieGeometry]:
     if integ is Integration.M3D:
         if n != 2:
             raise UnsupportedConfiguration(f"m3d supports exactly 2 tiers, got {n}")
-        a_2d = sum(bases)
+        a_2d = left_sum(bases)
         return [
             DieGeometry(gate_area=die.explicit_area if die.explicit_area is not None else a_2d / 2.0)
             for die in spec.dies
@@ -210,13 +211,13 @@ def package_area(spec: DesignSpec, die_geoms: Sequence[DieGeometry], packaging: 
     areas = [g.total_area for g in die_geoms]
     if spec.integration.rules.package == "max":
         return packaging.s_package_3d * max(areas)
-    return packaging.s_package_25d * sum(areas)
+    return packaging.s_package_25d * left_sum(areas)
 
 
 def substrate_area(spec: DesignSpec, die_geoms: Sequence[DieGeometry], packaging: PackagingProfile) -> float:
     """Unifying-substrate area (RDL or interposer); 0 when not applicable."""
     if spec.integration.rules.substrate != "none":
-        return packaging.s_substrate_25d * sum(g.total_area for g in die_geoms)
+        return packaging.s_substrate_25d * left_sum(g.total_area for g in die_geoms)
     return 0.0
 
 
@@ -237,5 +238,5 @@ def stack_geometry(spec: DesignSpec, packaging: PackagingProfile) -> StackGeomet
         dies=tuple(resolved),
         package_area=package_area(spec, resolved, packaging),
         substrate_area=substrate_area(spec, resolved, packaging),
-        equivalent_2d_area=sum(g.gate_area for g in resolved),
+        equivalent_2d_area=left_sum(g.gate_area for g in resolved),
     )

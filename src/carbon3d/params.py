@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import json
 import math
+import operator
 import os
 import sys
 import warnings
@@ -41,6 +43,13 @@ from .errors import (
 
 HOURS_PER_YEAR = 8766.0
 MAX_DIES = 1000     # the die count a document or a CLI option may ask for
+
+
+def left_sum(values):
+    """``sum`` as a plain left-to-right fold.  From Python 3.12 on, ``sum``
+    compensates float rounding, so its last bit differs between versions;
+    the model adds with this instead, so a result is the same on each."""
+    return functools.reduce(operator.add, values, 0)
 
 # Survey bounds used for soft (warning-level) range checks.  Bundled
 # fixtures must sit inside these; user overrides merely get a warning.
@@ -688,7 +697,7 @@ def _expand_dies(design_doc: dict, path: str) -> list[dict]:
         raise OutOfRange(f"{path}.area_ratios", f"expected {n} entries, got {len(weights)}")
     if any(w <= 0 for w in weights):
         raise OutOfRange(f"{path}.area_ratios", "ratios must be > 0")
-    total_w = sum(weights)
+    total_w = left_sum(weights)
     return [{"technology": node, "gate_count": total * w / total_w} for w in weights]
 
 

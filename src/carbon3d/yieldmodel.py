@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import UnsupportedConfiguration
-from .params import DesignSpec, Integration, ProcessProfiles, Stacking
+from .params import DesignSpec, Integration, ProcessProfiles, Stacking, left_sum
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def yield_context(spec: DesignSpec, geometry, profiles: ProcessProfiles) -> Yiel
     bonding = profiles.bonding
 
     if integ is Integration.M3D:
-        combined_area = sum(g.total_area for g in geometry.dies)
+        combined_area = left_sum(g.total_area for g in geometry.dies)
         tech = spec.dies[0].technology
         y = die_yield_negbin(combined_area, tech.defect_density_d0, tech.cluster_alpha)
         n = len(spec.dies)
