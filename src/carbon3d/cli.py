@@ -43,6 +43,9 @@ from .params import (
 
 SCHEMA_VERSION = "1"
 
+# pareto's variants when --integrations is not given
+PARETO_INTEGRATIONS = (Integration.MONO_2D, Integration.MICRO_3D, Integration.HYBRID_3D, Integration.M3D)
+
 BREAKDOWN_COLUMNS = (
     "c_die", "c_bonding", "c_packaging", "c_substrate",
     "c_embodied_overall", "c_operational", "c_embodied_amortized", "c_total",
@@ -185,9 +188,8 @@ def _report_warnings(texts) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def cmd_estimate(args) -> int:
-    registry = FixtureRegistry.bundled()
     with _recorded_warnings() as rec:
-        scenario = load_scenario(args.config, registry, gamma=args.gamma)
+        scenario = load_scenario(args.config, gamma=args.gamma)
         breakdown = evaluate(scenario)
     warning_list = _report_warnings(rec)
 
@@ -223,11 +225,10 @@ def _parse_axis(text: str) -> explorer.SweepAxis:
 
 
 def cmd_sweep(args) -> int:
-    registry = FixtureRegistry.bundled()
     with _recorded_warnings() as rec:
-        scenario = load_scenario(args.config, registry, gamma=args.gamma)
+        scenario = load_scenario(args.config, gamma=args.gamma)
         axes = [_parse_axis(a) for a in args.axis or []]
-        rows = explorer.sweep(scenario, axes, registry, baseline=args.baseline)
+        rows = explorer.sweep(scenario, axes, baseline=args.baseline)
         digest = _inputs_digest(scenario)
         axis_names = [a.parameter_path for a in axes]
         columns = axis_names + list(BREAKDOWN_COLUMNS) + ["baseline_c_embodied_overall"] * args.baseline
@@ -259,21 +260,13 @@ def cmd_switch(args) -> int:
     _check(1 <= args.dies <= MAX_DIES, "--dies", f"must be in [1, {MAX_DIES}]")
     integration = Integration(args.integration)
     check_die_count(integration, args.dies, "--dies")
-    registry = FixtureRegistry.bundled()
     lo, hi = args.range
     with _recorded_warnings() as rec:
-        scenario = load_scenario(args.config, registry, gamma=args.gamma)
+        scenario = load_scenario(args.config, gamma=args.gamma)
         # an unknown node is an error on the option, not on the library's parameter name
-        resolve_technology(args.node, scenario.technology_overrides, registry, "--node")
+        resolve_technology(args.node, scenario.technology_overrides, scenario.registry, "--node")
         point = explorer.switching_point(
-            scenario,
-            integration,
-            args.node,
-            args.dies,
-            lo,
-            hi,
-            registry,
-            stacking=Stacking(args.stacking),
+            scenario, integration, args.node, args.dies, lo, hi, stacking=Stacking(args.stacking)
         )
     _report_warnings(rec)
 
@@ -292,17 +285,20 @@ def cmd_switch(args) -> int:
 
 def cmd_pareto(args) -> int:
     _check(1 <= args.dies <= MAX_DIES, "--dies", f"must be in [1, {MAX_DIES}]")
-    registry = FixtureRegistry.bundled()
     with _recorded_warnings() as rec:
-        scenario = load_scenario(args.config, registry, gamma=args.gamma)
+        scenario = load_scenario(args.config, gamma=args.gamma)
         gammas = [_number(g, "--gammas") for g in args.gammas.split(",") if g.strip()]
+        _check(bool(gammas), "--gammas", "needs at least one value")
         designs = [("reference", scenario.design)]
         base_die = scenario.design.dies[0]
         total_gates = left_sum(
             d.gate_count if d.gate_count is not None else gates_from_area(d.explicit_area, d.technology)
             for d in scenario.design.dies
         )
-        for name in (args.integrations.split(",") if args.integrations else []):
+        variants = args.integrations.split(",") if args.integrations else []
+        if args.integrations is None:  # the default variants that admit --dies
+            variants = [i for i in PARETO_INTEGRATIONS if i.rules.admits(explorer._die_count(i, args.dies))]
+        for name in variants:
             integ = _enum(name, Integration, "--integrations")
             check_die_count(integ, explorer._die_count(integ, args.dies), "--dies")
             design = explorer.build_design(
@@ -398,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pareto", help="normalized tCDP curves over a gamma grid")
     common(p)
     p.add_argument("--gammas", default="0,0.25,0.5,1,2,4")
-    p.add_argument("--integrations", default="mono_2d,micro_3d,hybrid_3d,m3d",
-                   help="comma-separated variants to compare against the config design")
+    p.add_argument("--integrations", help="comma-separated variants to compare against the config design "
+                   f"(default: those of {','.join(i.value for i in PARETO_INTEGRATIONS)} that --dies admits)")
     p.add_argument("--dies", type=int, default=2, help="die count for the built variants")
     p.add_argument("--plot-out", help="also write the table as plot data")
     p.set_defaults(func=cmd_pareto)

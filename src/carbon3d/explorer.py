@@ -21,10 +21,9 @@ Supported parameter paths (the ``design.`` prefix is optional):
 
   gamma                          embodied/operational weighting
   technology                     node name, applied to every die (or dies[i]);
-                                 a node the document's technology_overrides
-                                 names keeps its override, as the loader's
-                                 dies do; wiring still resets to the node's
-                                 fixture wiring
+                                 resolved as the loader's dies are, through the
+                                 scenario's registry and technology_overrides;
+                                 wiring still resets to the fixture wiring
   dies[*].gate_count             any DieSpec field, broadcast or dies[i]
   dies[*].wiring.rent_p          per-die wiring overrides
   signal_count_f2f
@@ -32,6 +31,10 @@ Supported parameter paths (the ``design.`` prefix is optional):
   environment.ci_fab             any FabEnvironment field
   bonding.bond_yield             any BondingProfile field
   packaging.cpa_packaging        any PackagingProfile field
+
+Two axes may not set one parameter (``technology`` is ``dies[*].technology``);
+overlapping paths, such as ``dies[*].gate_count`` then ``dies[0].gate_count``,
+apply in order.  ``switching_point`` resolves its node as a technology axis does.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from .params import (
     DesignSpec,
     DieSpec,
     Facing,
-    FixtureRegistry,
     Integration,
     Scenario,
     Stacking,
@@ -131,15 +133,14 @@ def _names_node(path: str) -> bool:
     return m is not None and m[2] == "technology" and m[3] is None
 
 
-def apply_parameter(scenario: Scenario, path: str, value, registry: FixtureRegistry | None = None) -> Scenario:
+def apply_parameter(scenario: Scenario, path: str, value) -> Scenario:
     """Return a copy of the scenario with one parameter path set to value.
 
     The patched profile is parsed and validated by the loader's builder,
     on the axis path (a wiring patch on ``design.dies[i].wiring`` of each
     die it touches); the design's cross-field rules are left to
-    ``validate_design``.
+    ``validate_design``.  A node resolves through ``scenario.registry``.
     """
-    registry = registry or FixtureRegistry.bundled()
     p = _normalized(path)
     if p == "gamma":
         return dataclasses.replace(scenario, gamma=validate_gamma(value, p))
@@ -161,8 +162,8 @@ def apply_parameter(scenario: Scenario, path: str, value, registry: FixtureRegis
         die = dies[i]
         if field_name == "technology" and sub is None:
             node = str(value)
-            tech = resolve_technology(node, scenario.technology_overrides, registry, path)
-            dies[i] = dataclasses.replace(die, technology=tech, wiring=registry.default_wiring(node))
+            tech = resolve_technology(node, scenario.technology_overrides, scenario.registry, path)
+            dies[i] = dataclasses.replace(die, technology=tech, wiring=scenario.registry.default_wiring(node))
         elif field_name == "wiring" and sub is not None:
             wiring = _patched(die.wiring, sub, value, f"design.dies[{i}].wiring", path)
             dies[i] = dataclasses.replace(die, wiring=wiring)
@@ -209,7 +210,7 @@ def mono2d_equivalent(design: DesignSpec) -> DesignSpec:
 # Sweep
 # ---------------------------------------------------------------------------
 
-def _scenarios(prefix: Scenario, axes: tuple[SweepAxis, ...], registry: FixtureRegistry, values: tuple = ()):
+def _scenarios(prefix: Scenario, axes: tuple[SweepAxis, ...], values: tuple = ()):
     """Yield each row's values and scenario in ``itertools.product`` order; each value of
     the first axis is applied once, to the prefix scenario that every combination of the
     later axes shares."""
@@ -218,16 +219,16 @@ def _scenarios(prefix: Scenario, axes: tuple[SweepAxis, ...], registry: FixtureR
         return
     head, rest = axes[0], axes[1:]
     for value in head.values:
-        scenario = apply_parameter(prefix, head.parameter_path, value, registry)
-        yield from _scenarios(scenario, rest, registry, values + (value,))
+        scenario = apply_parameter(prefix, head.parameter_path, value)
+        yield from _scenarios(scenario, rest, values + (value,))
 
 
-def _rows(template: Scenario, axes: tuple[SweepAxis, ...], registry: FixtureRegistry, baseline: bool):
+def _rows(template: Scenario, axes: tuple[SweepAxis, ...], baseline: bool):
     """Evaluate each row, and with ``baseline`` its mono-2D equivalent, reusing the
     previous row's embodied chain and baseline design where their inputs are unchanged."""
     chain, base_chain = _EmbodiedChain(), _EmbodiedChain()
     merged_from = base_design = None
-    for values, scenario in _scenarios(template, axes, registry):
+    for values, scenario in _scenarios(template, axes):
         design = scenario.design
         validate_design(design)
         breakdown = evaluate(scenario, _chain=chain)
@@ -238,7 +239,8 @@ def _rows(template: Scenario, axes: tuple[SweepAxis, ...], registry: FixtureRegi
                 merged_from, base_design = design.dies, mono2d_equivalent(design)
             elif design.usage is not base_design.usage:
                 base_design = dataclasses.replace(base_design, usage=design.usage)
-            base_scenario = Scenario(base_design, scenario.profiles, scenario.environment, scenario.gamma)
+            base_scenario = Scenario(base_design, scenario.profiles, scenario.environment, scenario.gamma,
+                                     registry=scenario.registry)
             base = evaluate(base_scenario, _chain=base_chain)
         yield SweepRow(values, scenario, breakdown, base)
 
@@ -246,20 +248,23 @@ def _rows(template: Scenario, axes: tuple[SweepAxis, ...], registry: FixtureRegi
 def sweep(
     scenario: Scenario,
     axes: Sequence[SweepAxis],
-    registry: FixtureRegistry | None = None,
     baseline: bool = False,
 ) -> Iterator[SweepRow]:
     """Evaluate the cartesian product of the axes over a template scenario, row by row.
 
-    The axes and the row cap are checked at the call.  Each row is built and
-    evaluated when the returned iterator reaches it, so a bad row raises
-    there; with ``baseline=True`` it carries its mono-2D equivalent's breakdown.
+    The axes (no two may set one parameter) and the row cap are checked at
+    the call.  Each row is built and evaluated when the returned iterator
+    reaches it, so a bad row raises there; with ``baseline=True`` it carries
+    its mono-2D equivalent's breakdown.
     """
     axes = tuple(a if isinstance(a, SweepAxis) else SweepAxis(*a) for a in axes)
+    paths = [_normalized(a.parameter_path) for a in axes]
+    if repeated := sorted({p for p in paths if paths.count(p) > 1}):
+        raise UnresolvablePath(f"more than one axis sets {', '.join(repeated)}")
     total = math.prod(len(a.values) for a in axes) if axes else 1
     if total > ROW_CAP:
         raise CapExceeded(f"sweep would evaluate {total} rows, cap is {ROW_CAP}")
-    return _rows(scenario, axes, registry or FixtureRegistry.bundled(), baseline)
+    return _rows(scenario, axes, baseline)
 
 
 def crossing(a: SweepRow, b: SweepRow) -> tuple[float, str] | None:
@@ -405,7 +410,6 @@ def switching_point(
     n_dies: int,
     gate_lo: float,
     gate_hi: float,
-    registry: FixtureRegistry | None = None,
     stacking: Stacking = Stacking.D2W,
 ) -> SwitchingPoint:
     """2D-vs-integration embodied-carbon switching point over gate count.
@@ -414,13 +418,12 @@ def switching_point(
     ``find_crossing``'s default relative tolerance; reports 0 when the
     integration is already cheaper across the whole range and inf when it
     never is.  The node resolves as the base document's dies do: its
-    ``technology_overrides`` entry if there is one, else its fixture.
+    ``technology_overrides`` entry if there is one, else ``base.registry``'s.
     """
     if not 0 < gate_lo < gate_hi < math.inf:
         raise OutOfRange("range", f"need finite 0 < lo < hi, got [{gate_lo:g}, {gate_hi:g}]")
-    registry = registry or FixtureRegistry.bundled()
-    tech = resolve_technology(node, base.technology_overrides, registry, "node")
-    wiring = registry.default_wiring(node)
+    tech = resolve_technology(node, base.technology_overrides, base.registry, "node")
+    wiring = base.registry.default_wiring(node)
     usage = base.design.usage
 
     def embodied(integ: Integration, g: float) -> float:
@@ -464,6 +467,8 @@ def gamma_pareto(
     scenario's own design's tCDP at gamma = 1.
     """
     gammas = tuple(validate_gamma(g, f"gammas[{i}]") for i, g in enumerate(gammas))
+    if not gammas:
+        raise OutOfRange("gammas", "needs at least one value")
     chain = _EmbodiedChain()     # one design's gammas share its embodied chain
     ref = evaluate(dataclasses.replace(base, gamma=1.0), _chain=chain)
     ref_tcdp = ref.metrics.tcdp

@@ -106,6 +106,9 @@ class SchemeRules:
     facings: tuple[Facing, ...]                     # legal values
     stackings: tuple[Stacking, ...]                 # legal values, the default first
 
+    def admits(self, n_dies: int) -> bool:
+        return self.min_dies <= n_dies <= (self.max_dies or n_dies)
+
     def bond_count(self, n_dies: int) -> int:
         return {"0": 0, "n-1": n_dies - 1, "n": n_dies}[self.bonds]
 
@@ -232,16 +235,17 @@ class ProcessProfiles:
 
     bonding: BondingProfile
     packaging: PackagingProfile
-    interposer_technology: TechnologyProfile | None = None
-    interposer_beol_layers: int = 4
+    interposer_technology: TechnologyProfile
+    interposer_beol_layers: int
 
 
 @dataclass(frozen=True)
 class Scenario:
     """Everything one full-pipeline evaluation needs.
 
-    ``technology_overrides`` holds the document's resolved override profile
-    of each node it names (read-only; empty for a scenario built in code),
+    ``registry`` holds the fixtures the scenario was loaded from (bundled
+    for one built in code), ``technology_overrides`` the document's resolved
+    override of each node it names (read-only; empty for one built in code),
     so that a node chosen later, by a sweep or a switching-point search,
     resolves as the document's dies do (see ``resolve_technology``).
     """
@@ -252,6 +256,8 @@ class Scenario:
     gamma: float = 1.0
     technology_overrides: Mapping[str, TechnologyProfile] = dataclasses.field(
         default_factory=lambda: MappingProxyType({}), hash=False)
+    registry: FixtureRegistry = dataclasses.field(
+        default_factory=lambda: FixtureRegistry.bundled(), compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +544,7 @@ def validate_usage(usage: UsageProfile, path: str = "usage"):
 def check_die_count(integration: Integration, n: int, path: str):
     """The scheme's die-count rule from SCHEME_RULES; a count it forbids is an error on ``path``."""
     rules = integration.rules
-    if not rules.min_dies <= n <= (rules.max_dies or n):
+    if not rules.admits(n):
         lo, hi = rules.min_dies, rules.max_dies
         count = f"exactly {lo}" if hi == lo else f">= {lo}" if hi is None else f"{lo} to {hi}"
         raise InvalidCombination(path, f"{integration.value} requires {count} dies, got {n}")
@@ -794,6 +800,7 @@ def load_scenario(
         environment=_profile(FabEnvironment, registry.environment(), document.get("environment"), "environment"),
         gamma=validate_gamma(gamma),
         technology_overrides=MappingProxyType(overrides),
+        registry=registry,
     )
 
 
@@ -809,11 +816,10 @@ def design_to_document(scenario: Scenario) -> dict:
     overrides: dict[str, dict] = {}
     for tech in (*scenario.technology_overrides.values(), *(d.technology for d in design.dies),
                  profiles.interposer_technology):
-        if tech is not None:
-            fields = dataclasses.asdict(tech)
-            del fields["node_name"]
-            fields["epa_beol_per_layer"] = list(tech.epa_beol_per_layer)
-            overrides[tech.node_name] = fields
+        fields = dataclasses.asdict(tech)
+        del fields["node_name"]
+        fields["epa_beol_per_layer"] = list(tech.epa_beol_per_layer)
+        overrides[tech.node_name] = fields
     dies = []
     for die in design.dies:
         entry: dict[str, Any] = {
@@ -836,12 +842,11 @@ def design_to_document(scenario: Scenario) -> dict:
         "dies": dies,
         "bonding": dataclasses.asdict(profiles.bonding),
         "packaging": dataclasses.asdict(profiles.packaging),
-    }
-    if profiles.interposer_technology is not None:
-        design_doc["interposer"] = {
+        "interposer": {
             "technology": profiles.interposer_technology.node_name,
             "beol_layers": profiles.interposer_beol_layers,
-        }
+        },
+    }
     usage = {k: v for k, v in dataclasses.asdict(design.usage).items() if v is not None}
     return {
         "design": design_doc,

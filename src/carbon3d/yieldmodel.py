@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import UnsupportedConfiguration
 from .params import DesignSpec, Integration, ProcessProfiles, Stacking, left_sum
 
 
@@ -127,7 +126,5 @@ def yield_context(spec: DesignSpec, geometry, profiles: ProcessProfiles) -> Yiel
         sub_y = bonding.interposer_yield
     else:
         tech = profiles.interposer_technology
-        if tech is None:
-            raise UnsupportedConfiguration(f"{integ.value} needs an interposer technology profile")
         sub_y = die_yield_negbin(geometry.substrate_area, tech.defect_density_d0, tech.cluster_alpha)
     return compose_25d(spec, die_y, bond_y, substrate_y=sub_y)

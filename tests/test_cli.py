@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -115,6 +116,29 @@ class TestSweep:
             assert row.pop(axis) == "7" and row.pop("gamma") == "1"
             assert row == {k: v for k, v in same_profile.items() if k != "technology"}
 
+    @pytest.mark.parametrize("first, second, expected", [
+        ("gamma=0", "gamma=2", "gamma"),
+        ("technology=5nm", "dies[*].technology=7nm", "dies[*].technology"),
+    ])
+    def test_two_axes_on_one_parameter_exit_2(self, tmp_path, capsys, first, second, expected):
+        path = write_config(tmp_path, basic_document())
+        assert main(["sweep", "-c", str(path), "--axis", first, "--axis", second]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: more than one axis sets {expected}\n"
+
+    def test_overlapping_axes_apply_in_order(self, tmp_path, capsys):
+        path = write_config(tmp_path, basic_document())
+        argv = ["sweep", "-c", str(path), "--axis", "dies[*].gate_count=1e9", "--axis", "dies[0].gate_count=2e9"]
+        assert main(argv) == 0
+        _, _, (row,) = parse_csv(capsys.readouterr().out)
+        scenario = load_scenario(path)
+        scenario = dataclasses.replace(scenario, design=dataclasses.replace(scenario.design, dies=(
+            dataclasses.replace(scenario.design.dies[0], gate_count=2e9),
+            dataclasses.replace(scenario.design.dies[1], gate_count=1e9),
+        )))
+        assert row["c_total"] == format(evaluate(scenario).c_total, ".9g")
+
     def test_plot_data_file(self, tmp_path):
         path = write_config(tmp_path, basic_document())
         out = tmp_path / "s.csv"
@@ -191,7 +215,7 @@ class TestSwitch:
         assert code == 0
         _, _, rows = parse_csv(capsys.readouterr().out)
         scenario = load_scenario(path, registry, gamma=1.0)
-        point = switching_point(scenario, Integration.HYBRID_3D, "7nm", 2, 1e6, 1e11, registry)
+        point = switching_point(scenario, Integration.HYBRID_3D, "7nm", 2, 1e6, 1e11)
         assert rows[0]["status"] == point.status
         if point.status == "crossing":
             assert float(rows[0]["gate_count"]) == pytest.approx(point.gate_count, rel=1e-8)
@@ -228,6 +252,26 @@ class TestPareto:
         assert len(rows) == 4
         by_gamma = {float(r["gamma"]): r for r in rows}
         assert float(by_gamma[1.0]["tcdp_norm_reference"]) == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("dies, variants", [
+        ("1", ["mono_2d"]),
+        ("2", ["mono_2d", "micro_3d", "hybrid_3d", "m3d"]),
+        ("3", ["mono_2d", "micro_3d", "hybrid_3d"]),
+    ])
+    def test_default_variants_are_those_the_die_count_admits(self, capsys, dies, variants):
+        config = Path(__file__).resolve().parent.parent / "configs" / "hybrid_2die_7nm.json"
+        assert main(["pareto", "-c", str(config), "--dies", dies]) == 0
+        _, header, rows = parse_csv(capsys.readouterr().out)
+        assert header == ["gamma", "tcdp_norm_reference"] + [f"tcdp_norm_{v}" for v in variants]
+        assert len(rows) == 6
+
+    @pytest.mark.parametrize("gammas", ["", ","])
+    def test_no_gammas_exits_2(self, tmp_path, capsys, gammas):
+        path = write_config(tmp_path, basic_document())
+        assert main(["pareto", "-c", str(path), "--gammas", gammas]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: --gammas: needs at least one value\n"
 
     def test_variant_columns_present(self, tmp_path, capsys):
         path = write_config(tmp_path, basic_document())
@@ -429,7 +473,7 @@ class TestRejectsBadValues:
 
     @pytest.mark.parametrize("argv", [
         ("switch", "--integration", "m3d", "--node", "7nm", "--dies", "3"),
-        ("pareto", "--dies", "3"),  # the default --integrations includes m3d
+        ("pareto", "--integrations", "m3d", "--dies", "3"),  # an explicit variant is not dropped
     ])
     def test_die_count_the_scheme_forbids_is_an_error_on_dies(self, tmp_path, capsys, argv):
         code, out = self._run(tmp_path, capsys, basic_document(), *argv)

@@ -2,7 +2,9 @@ import collections
 import dataclasses
 import gc
 import itertools
+import json
 import math
+import shutil
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carbon3d import (
+    FixtureRegistry,
     Integration,
     SweepAxis,
     build_design,
@@ -36,7 +39,7 @@ from carbon3d.errors import (
     UnsupportedConfiguration,
 )
 from carbon3d.explorer import ROW_CAP, apply_parameter
-from carbon3d.params import validate_design
+from carbon3d.params import _BUNDLED_DIR, validate_design
 
 from conftest import make_design, make_env, make_profiles, make_scenario, make_tech
 
@@ -66,7 +69,7 @@ class TestApplyParameter:
     def test_technology_axis(self, registry):
         doc_scn = make_scenario()
         # swap in registry-backed dies first so node switching makes sense
-        scn = apply_parameter(doc_scn, "technology", "5nm", registry)
+        scn = apply_parameter(doc_scn, "technology", "5nm")
         assert all(d.technology.node_name == "5nm" for d in scn.design.dies)
 
     def test_wiring_subfield(self):
@@ -138,6 +141,20 @@ class TestSweep:
         assert crossing(*sweep(scn, [axis])) is None
         two_axes = list(sweep(scn, [axis, SweepAxis("gamma", [1.0])], baseline=True))
         assert crossing(*two_axes) is None
+
+    @pytest.mark.parametrize("first, second", [
+        (("gamma", [0.0]), ("gamma", [2.0])),
+        (("technology", ["5nm"]), ("dies[*].technology", ["7nm"])),
+        (("design.usage.t_app_hours", [100.0]), ("usage.t_app_hours", [200.0])),
+    ])
+    def test_two_axes_on_one_parameter_raise_at_the_call(self, first, second):
+        with pytest.raises(UnresolvablePath, match="^more than one axis sets "):
+            sweep(make_scenario(), [SweepAxis(*first), SweepAxis(*second)])
+
+    def test_overlapping_axes_apply_in_order(self):
+        axes = [SweepAxis("dies[*].gate_count", [1e8]), SweepAxis("dies[0].gate_count", [3e8])]
+        (row,) = sweep(make_scenario(), axes)
+        assert [d.gate_count for d in row.scenario.design.dies] == [3e8, 1e8]
 
     def test_rows_are_built_as_they_are_consumed(self):
         rows = sweep(make_scenario(), [SweepAxis("bonding.bond_yield", [0.9, 1.5])])
@@ -224,13 +241,13 @@ def _outcome(run):
             return type(exc).__name__, str(exc)
 
 
-def _row_by_row(scenario, axes, registry):
+def _row_by_row(scenario, axes):
     """The per-row chain: apply every axis to the template, then evaluate."""
     rows, baselines = [], []
     for combo in itertools.product(*(a.values for a in axes)):
         scn = scenario
         for axis, value in zip(axes, combo):
-            scn = apply_parameter(scn, axis.parameter_path, value, registry)
+            scn = apply_parameter(scn, axis.parameter_path, value)
         validate_design(scn.design)
         rows.append((combo, scn, evaluate(scn)))
         baselines.append(evaluate(dataclasses.replace(scn, design=mono2d_equivalent(scn.design))))
@@ -250,10 +267,10 @@ class TestSweepMatchesRowByRow:
         scenario = scenarios[config]
 
         def swept():
-            rows = list(sweep(scenario, axes, registry, baseline=True))
+            rows = list(sweep(scenario, axes, baseline=True))
             return [(row.values, row.scenario, row.breakdown) for row in rows], [row.baseline for row in rows]
 
-        assert _outcome(swept) == _outcome(lambda: _row_by_row(scenario, axes, registry))
+        assert _outcome(swept) == _outcome(lambda: _row_by_row(scenario, axes))
 
 
 # Inner axes that leave the dies alone, so rows can reuse the stages before them.
@@ -288,7 +305,7 @@ class TestReuseMatchesFreshEvaluation:
         scenario = load_scenario(config, registry)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rows = list(sweep(scenario, [GATE_AXIS, SweepAxis(inner, INNER_AXES[inner])], registry, baseline=baseline))
+            rows = list(sweep(scenario, [GATE_AXIS, SweepAxis(inner, INNER_AXES[inner])], baseline=baseline))
             assert [row.values for row in rows] == list(itertools.product(GATE_AXIS.values, INNER_AXES[inner]))
             for row in rows:
                 assert row.breakdown == evaluate(row.scenario)
@@ -313,7 +330,7 @@ class TestReuseMatchesFreshEvaluation:
         scenario = load_scenario(CONFIGS[0], registry)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rows = list(sweep(scenario, [GATE_AXIS, SweepAxis(inner, INNER_AXES[inner])], registry, baseline=True))
+            rows = list(sweep(scenario, [GATE_AXIS, SweepAxis(inner, INNER_AXES[inner])], baseline=True))
         # 6 rows and 6 baselines over 2 distinct die sets
         assert len(rows) == 6
         assert calls == {"stack_geometry": geometry_calls, "yield_context": geometry_calls,
@@ -345,7 +362,7 @@ class TestReuseMatchesFreshEvaluation:
     def test_cli_warnings_equal_fresh_rows(self, registry, capsys, config, inner):
         path = next(p for p in CONFIGS if p.stem == config)
         axes = [GATE_AXIS, SweepAxis(inner, INNER_AXES[inner])]
-        expected = _recorded_texts(lambda: _row_by_row(load_scenario(path, registry), axes, registry))
+        expected = _recorded_texts(lambda: _row_by_row(load_scenario(path, registry), axes))
         assert any("clamping to 1" in text for text in expected)
         assert (config == "mcm_hetero_4die") == any("heterogeneous-node design" in text for text in expected)
 
@@ -396,13 +413,13 @@ class TestFindCrossing:
 class TestSwitchingPoint:
     def test_m3d_always_cheaper_on_bundled_fixture(self, registry):
         scn = make_scenario()
-        point = switching_point(scn, Integration.M3D, "7nm", 2, 1e6, 1e11, registry)
+        point = switching_point(scn, Integration.M3D, "7nm", 2, 1e6, 1e11)
         assert point.status == "always_below"
         assert point.gate_count == 0.0
 
     def test_crossing_reports_area(self, registry):
         scn = make_scenario()
-        point = switching_point(scn, Integration.MICRO_3D, "7nm", 2, 1e6, 1e11, registry)
+        point = switching_point(scn, Integration.MICRO_3D, "7nm", 2, 1e6, 1e11)
         if point.status == "crossing":
             tech = registry.technology("7nm")
             expected = point.gate_count * tech.gate_area_scaling * tech.feature_size_cm**2
@@ -430,6 +447,11 @@ class TestGammaPareto:
         fine = gamma_pareto(scn, [("self", scn.design)], [0.0, 0.5, 1.0])
         assert coarse.series["self"][0] == fine.series["self"][0]
         assert coarse.series["self"][1] == fine.series["self"][2]
+
+    def test_no_gammas_is_an_error(self):
+        scn = make_scenario()
+        with pytest.raises(OutOfRange, match="^gammas: "):
+            gamma_pareto(scn, [("self", scn.design)], [])
 
     def test_monotone_in_gamma(self):
         scn = make_scenario()
@@ -466,3 +488,38 @@ def test_gamma_pareto_zero_reference_tcdp_is_a_typed_error():
     )
     with pytest.raises(UnsupportedConfiguration, match="tCDP"):
         gamma_pareto(scn, [("self", design)], [0.0, 1.0])
+
+
+class TestNodesResolveThroughTheScenarioRegistry:
+    """A node named after loading resolves in the fixtures the scenario was loaded from."""
+
+    CONFIG = Path(__file__).resolve().parent.parent / "configs" / "hybrid_2die_7nm.json"
+
+    def _fixtures(self, tmp_path, **fields):
+        root = tmp_path / "fixtures"
+        shutil.copytree(_BUNDLED_DIR, root)
+        file = root / "nodes" / "7nm.json"
+        file.write_text(json.dumps({**json.loads(file.read_text()), **fields}))
+        return root
+
+    def test_technology_axis_and_apply_parameter(self, tmp_path):
+        scenario = load_scenario(self.CONFIG, FixtureRegistry(self._fixtures(tmp_path, defect_density_d0=0.5)))
+        expected = evaluate(scenario).c_embodied_overall
+        (row,) = sweep(scenario, [SweepAxis("technology", ["7nm"])])
+        assert row.breakdown.c_embodied_overall == expected
+        assert evaluate(apply_parameter(scenario, "technology", "7nm")).c_embodied_overall == expected
+
+    def test_switching_point_matches_switch_on_the_same_fixtures(self, tmp_path, capsys, monkeypatch):
+        root = self._fixtures(tmp_path, gate_area_scaling=400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CarbonModelWarning)
+            scenario = load_scenario(self.CONFIG, FixtureRegistry(root))
+            point = switching_point(scenario, Integration.HYBRID_3D, "7nm", 2, 1e6, 1e11)
+            bundled = switching_point(load_scenario(self.CONFIG), Integration.HYBRID_3D, "7nm", 2, 1e6, 1e11)
+        assert point.status == bundled.status == "crossing" and point.gate_count != bundled.gate_count
+
+        monkeypatch.setenv("CARBON3D_FIXTURES", str(root))
+        argv = ["switch", "-c", str(self.CONFIG), "--integration", "hybrid_3d", "--node", "7nm", "--range", "1e6:1e11"]
+        assert main(argv) == 0
+        (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("hybrid_3d,")]
+        assert line.split(",")[3:5] == [point.status, format(point.gate_count, ".9g")]
