@@ -194,6 +194,9 @@ def metrics(c_embodied: float, c_total: float, delay: float, energy: float) -> M
     return Metrics(cdp=c_embodied * delay, cep=c_embodied * energy, tcdp=c_total * delay)
 
 
+_OUT_OF_RANGE = "inputs outside the model's numeric range: "
+
+
 class _EmbodiedChain:
     """The embodied chain, geometry -> yields -> embodied carbon, reused stage by stage.
 
@@ -203,6 +206,8 @@ class _EmbodiedChain:
     carbon also when the fab environment is another object.  Every input is
     a frozen dataclass and held here, so a hit gives exactly the floats a
     fresh computation would (a reused stage does not raise its warnings again).
+    Inputs outside the model's numeric range, including a non-finite overall
+    embodied carbon, raise UnsupportedConfiguration.
     """
 
     _design: DesignSpec | None = None
@@ -213,22 +218,27 @@ class _EmbodiedChain:
         self, design: DesignSpec, profiles: ProcessProfiles, env: FabEnvironment
     ) -> tuple[StackGeometry, CarbonBreakdown]:
         last = self._design
-        if not (
-            last is not None
-            and design.dies is last.dies
-            and profiles is self._profiles
-            and design.integration is last.integration
-            and design.facing is last.facing
-            and design.stacking is last.stacking
-            and design.signal_count_f2f == last.signal_count_f2f
-        ):
-            geom = stack_geometry(design, profiles.packaging)
-            yields = yield_context(design, geom, profiles)
-            self._design, self._profiles, self._env = design, profiles, None
-            self._geometry, self._yields = geom, yields
-        if env is not self._env:
-            self._embodied = embodied_breakdown(design, self._geometry, self._yields, env, profiles)
-            self._env = env
+        try:
+            if not (
+                last is not None
+                and design.dies is last.dies
+                and profiles is self._profiles
+                and design.integration is last.integration
+                and design.facing is last.facing
+                and design.stacking is last.stacking
+                and design.signal_count_f2f == last.signal_count_f2f
+            ):
+                geom = stack_geometry(design, profiles.packaging)
+                yields = yield_context(design, geom, profiles)
+                self._design, self._profiles, self._env = design, profiles, None
+                self._geometry, self._yields = geom, yields
+            if env is not self._env:
+                embodied = embodied_breakdown(design, self._geometry, self._yields, env, profiles)
+                if not math.isfinite(embodied.c_embodied_overall):
+                    raise UnsupportedConfiguration(_OUT_OF_RANGE + "a result is not finite")
+                self._embodied, self._env = embodied, env
+        except (ArithmeticError, ValueError) as exc:  # overflow, x/0 or int(nan) on extreme finite inputs
+            raise UnsupportedConfiguration(f"{_OUT_OF_RANGE}{exc}") from exc
         return self._geometry, self._embodied
 
 
@@ -242,10 +252,7 @@ def evaluate(scenario: Scenario, *, _chain: _EmbodiedChain | None = None) -> Car
     """
     design, profiles, env = scenario.design, scenario.profiles, scenario.environment
     usage = design.usage
-    try:
-        geom, embodied = (_chain or _EmbodiedChain())(design, profiles, env)
-    except (ArithmeticError, ValueError) as exc:  # overflow, x/0 or int(nan) on extreme finite inputs
-        raise UnsupportedConfiguration(f"inputs outside the model's numeric range: {exc}") from exc
+    geom, embodied = (_chain or _EmbodiedChain())(design, profiles, env)
     energy = operational_energy_kwh(usage, geom.equivalent_2d_area)
     c_operational = env.ci_use * energy
     overall = embodied.c_embodied_overall
@@ -254,7 +261,7 @@ def evaluate(scenario: Scenario, *, _chain: _EmbodiedChain | None = None) -> Car
     result_metrics = metrics(overall, c_total, usage.delay_s, energy)
     # finite inputs can still overflow; c_total and the metrics cover every reported value
     if not all(map(math.isfinite, (c_total, result_metrics.cdp, result_metrics.cep, result_metrics.tcdp))):
-        raise UnsupportedConfiguration("inputs outside the model's numeric range: a result is not finite")
+        raise UnsupportedConfiguration(_OUT_OF_RANGE + "a result is not finite")
     return CarbonBreakdown(
         c_die_per_die=embodied.c_die_per_die,
         c_bonding=embodied.c_bonding,

@@ -361,6 +361,23 @@ def _die_count(integration: Integration, n_dies: int) -> int:
     return 1 if integration.rules.max_dies == 1 else n_dies
 
 
+def _equal_split(integration, technology, wiring, n_dies, gate_count_2d, usage, stacking) -> DesignSpec:
+    # build_design's design, before validation
+    rules = integration.rules
+    n_dies = _die_count(integration, n_dies)
+    dies = tuple(
+        DieSpec(technology=technology, wiring=wiring, gate_count=gate_count_2d / n_dies)
+        for _ in range(n_dies)
+    )
+    return DesignSpec(
+        integration=integration,
+        facing=rules.default_facing(n_dies),
+        stacking=stacking if len(rules.stackings) > 1 else rules.default_stacking,
+        dies=dies,
+        usage=usage,
+    )
+
+
 def build_design(
     integration: Integration,
     technology: TechnologyProfile,
@@ -376,19 +393,7 @@ def build_design(
     ``stacking`` applies where the scheme offers a choice.  Mono-2D collapses
     to a single die regardless of n_dies.
     """
-    rules = integration.rules
-    n_dies = _die_count(integration, n_dies)
-    dies = tuple(
-        DieSpec(technology=technology, wiring=wiring, gate_count=gate_count_2d / n_dies)
-        for _ in range(n_dies)
-    )
-    design = DesignSpec(
-        integration=integration,
-        facing=rules.default_facing(n_dies),
-        stacking=stacking if len(rules.stackings) > 1 else rules.default_stacking,
-        dies=dies,
-        usage=usage,
-    )
+    design = _equal_split(integration, technology, wiring, n_dies, gate_count_2d, usage, stacking)
     validate_design(design)
     return design
 
@@ -417,18 +422,24 @@ def switching_point(
     Bisects f(g) = C_embodied(integration, g) - C_embodied(2D, g) to
     ``find_crossing``'s default relative tolerance; reports 0 when the
     integration is already cheaper across the whole range and inf when it
-    never is.  The node resolves as the base document's dies do: its
-    ``technology_overrides`` entry if there is one, else ``base.registry``'s.
+    never is.  Each leg's design is validated once, at ``gate_lo``, and each
+    point runs the embodied chain only: operational carbon, which f does
+    not read, is not computed.  The node resolves as the base document's
+    dies do: its ``technology_overrides`` entry if there is one, else
+    ``base.registry``'s.
     """
     if not 0 < gate_lo < gate_hi < math.inf:
         raise OutOfRange("range", f"need finite 0 < lo < hi, got [{gate_lo:g}, {gate_hi:g}]")
     tech = resolve_technology(node, base.technology_overrides, base.registry, "node")
     wiring = base.registry.default_wiring(node)
     usage = base.design.usage
+    for integ in (integration, Integration.MONO_2D):
+        # only the gate count changes with g, and every g is >= gate_lo > 0: this validates every point
+        build_design(integ, tech, wiring, n_dies, gate_lo, usage, stacking=stacking)
 
     def embodied(integ: Integration, g: float) -> float:
-        design = build_design(integ, tech, wiring, n_dies, g, usage, stacking=stacking)
-        return evaluate(dataclasses.replace(base, design=design)).c_embodied_overall
+        design = _equal_split(integ, tech, wiring, n_dies, g, usage, stacking)
+        return _EmbodiedChain()(design, base.profiles, base.environment)[1].c_embodied_overall
 
     def f(g: float) -> float:
         return embodied(integration, g) - embodied(Integration.MONO_2D, g)

@@ -75,9 +75,7 @@ class Integration(enum.Enum):
     INFO_CHIP_LAST = "info_chip_last"
     SI_INTERPOSER = "si_interposer"
 
-    @property
-    def rules(self) -> "SchemeRules":
-        return SCHEME_RULES[self]
+    rules: SchemeRules      # the member's SCHEME_RULES row, set below the table
 
 
 class Facing(enum.Enum):
@@ -137,6 +135,9 @@ SCHEME_RULES = {
     Integration.INFO_CHIP_LAST:  SchemeRules(2, None, True,  False, "n",   "rdl",        "sum", _NO_F,         _NO_S),
     Integration.SI_INTERPOSER:   SchemeRules(2, None, True,  False, "n",   "interposer", "sum", _NO_F,         _NO_S),
 }
+# a plain attribute, so that reading it costs no hash and lookup
+for _member in Integration:
+    _member.rules = SCHEME_RULES[_member]
 
 
 @dataclass(frozen=True)
@@ -268,29 +269,49 @@ FIXTURES_ENV_VAR = "CARBON3D_FIXTURES"
 _BUNDLED_DIR = Path(__file__).resolve().parent / "fixtures"
 
 
-def _read_fixture(file: Path, path: str) -> dict:
-    """One fixture file's JSON object; unreadable or malformed files raise on ``path``."""
+def _read_fixture(file: Path, path: str) -> bytes:
+    """One fixture file's bytes; an unreadable file raises on ``path``."""
     try:
-        with open(file, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+        with open(file, "rb") as f:
+            return f.read()
     except OSError as exc:
         raise ValidationError(path, f"cannot read the fixture file: {exc.strerror or exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ValidationError(path, f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MissingField(path, "expected an object")
-    return doc
+
+
+# (kind, name) -> (fixture file bytes, the profile built from them, the warnings building it raised).
+# Process-wide, one entry per key: it holds parsed inputs, never model results.
+_BUILT: dict[tuple[str, str], tuple[bytes, Any, tuple]] = {}
+
+
+def _built(kind: str, name: str, data: bytes, path: str, build: Callable[[dict], Any]) -> Any:
+    """The profile ``build`` makes from the JSON object in fixture ``data``, parsed and validated
+    again only when the bytes differ from the last build's; its warnings are raised on every call."""
+    entry = _BUILT.get((kind, name))
+    if entry is None or entry[0] != data:
+        try:
+            doc = json.loads(data.decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValidationError(path, f"not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise MissingField(path, "expected an object")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            profile = build(doc)
+        entry = _BUILT[kind, name] = (data, profile, tuple(caught))
+    for w in entry[2]:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return entry[1]
 
 
 class FixtureRegistry:
     """Filesystem-backed registry of per-node and shared fixture profiles.
 
     A registry reads each fixture file, and the list of nodes, at most
-    once and pins them for its lifetime: every profile is parsed and
-    validated on first use, and later calls return the same frozen object.
-    Edits to the fixture files take effect with the next registry (in the
-    CLI, the next command).  Failures are not cached; an unknown node or a
-    missing file raises again on every call.
+    once and pins them for its lifetime; later calls return the same frozen
+    object.  Edits to the fixture files take effect with the next registry
+    (in the CLI, the next command).  Failures are not cached.  A profile is
+    parsed and validated only when its file's bytes differ from those it
+    was last built from in this process; its warnings are raised again.
     """
 
     def __init__(self, root: Path | str):
@@ -313,42 +334,47 @@ class FixtureRegistry:
             return (int(digits) if digits else 1 << 30, n)
         return sorted(names, key=key)
 
-    def _cached(self, kind: str, name: str, build: Callable[[], Any]) -> Any:
-        key = (kind, name)
-        value = self._cache.get(key)
-        if value is None:  # a failed build raises and leaves no entry
-            value = self._cache[key] = build()
-        return value
+    def _from_file(self, kind: str, name: str, file: str, path: str, build: Callable[[dict], Any]) -> Any:
+        # the file's bytes are pinned once a profile is built from them, so technology()
+        # and default_wiring() share one read, and a failed read or parse is retried
+        data = self._cache.get(("file", file))
+        if data is None:
+            data = _read_fixture(self.root / file, path)
+        profile = self._cache[kind, name] = _built(kind, name, data, path, build)
+        self._cache["file", file] = data
+        return profile
 
-    def _node_doc(self, node_name: str, path: str) -> dict:
-        # technology() and default_wiring() share one read of the node file
-        def read():
-            known = self._cached("listing", "nodes", self.node_names)  # no path from an unchecked name
-            if node_name not in known:
-                raise UnknownNode(path, node_name, known)
-            return _read_fixture(self.root / "nodes" / f"{node_name}.json", f"fixtures/nodes/{node_name}")
-        return self._cached("nodes", node_name, read)
+    def _node(self, kind: str, node_name: str, path: str) -> Any:
+        known = self._cache.get(("listing", "nodes"))
+        if known is None:
+            known = self._cache["listing", "nodes"] = self.node_names()
+        if node_name not in known:  # no path from an unchecked name
+            raise UnknownNode(path, node_name, known)
+        where = f"fixtures/nodes/{node_name}"
+
+        def build(doc: dict) -> Any:
+            if kind == "default_wiring":
+                return _profile(WiringParameters, None, doc.get("wiring", {}), f"{where}.wiring")
+            doc = {k: v for k, v in doc.items() if k != "wiring"}
+            return _profile(TechnologyProfile, None, doc, where, node_name=node_name)
+        return self._from_file(kind, node_name, f"nodes/{node_name}.json", where, build)
 
     def technology(self, node_name: str, path: str = "technology") -> TechnologyProfile:
         """The node's fixture profile; an unknown node is an error on ``path``."""
-        def build():
-            doc = {k: v for k, v in self._node_doc(node_name, path).items() if k != "wiring"}
-            return _profile(TechnologyProfile, None, doc, f"fixtures/nodes/{node_name}", node_name=node_name)
-        return self._cached("technology", node_name, build)
+        return self._cache.get(("technology", node_name)) or self._node("technology", node_name, path)
 
     def default_wiring(self, node_name: str) -> WiringParameters:
-        def build():
-            doc = self._node_doc(node_name, "technology").get("wiring", {})
-            return _profile(WiringParameters, None, doc, f"fixtures/nodes/{node_name}.wiring")
-        return self._cached("default_wiring", node_name, build)
+        wiring = self._cache.get(("default_wiring", node_name))
+        return wiring or self._node("default_wiring", node_name, "technology")
 
     def _shared(self, cls: type, stem: str) -> Any:
-        def build():
-            file = self.root / f"{stem}.json"
-            if not file.is_file():
+        profile = self._cache.get(("shared", stem))
+        if profile is None:
+            if not (self.root / f"{stem}.json").is_file():
                 raise MissingField(f"fixtures/{stem}.json", "fixture file not found")
-            return _profile(cls, None, _read_fixture(file, f"fixtures/{stem}"), f"fixtures/{stem}")
-        return self._cached("shared", stem, build)
+            where = f"fixtures/{stem}"
+            profile = self._from_file("shared", stem, f"{stem}.json", where, lambda doc: _profile(cls, None, doc, where))
+        return profile
 
     def bonding(self) -> BondingProfile:
         return self._shared(BondingProfile, "bonding")
@@ -816,7 +842,7 @@ def design_to_document(scenario: Scenario) -> dict:
     overrides: dict[str, dict] = {}
     for tech in (*scenario.technology_overrides.values(), *(d.technology for d in design.dies),
                  profiles.interposer_technology):
-        fields = dataclasses.asdict(tech)
+        fields = _fields_of(tech)
         del fields["node_name"]
         fields["epa_beol_per_layer"] = list(tech.epa_beol_per_layer)
         overrides[tech.node_name] = fields
@@ -824,7 +850,7 @@ def design_to_document(scenario: Scenario) -> dict:
     for die in design.dies:
         entry: dict[str, Any] = {
             "technology": die.technology.node_name,
-            "wiring": dataclasses.asdict(die.wiring),
+            "wiring": _fields_of(die.wiring),
         }
         if die.gate_count is not None:
             entry["gate_count"] = die.gate_count
@@ -840,17 +866,22 @@ def design_to_document(scenario: Scenario) -> dict:
         "stacking": design.stacking.value,
         "signal_count_f2f": design.signal_count_f2f,
         "dies": dies,
-        "bonding": dataclasses.asdict(profiles.bonding),
-        "packaging": dataclasses.asdict(profiles.packaging),
+        "bonding": _fields_of(profiles.bonding),
+        "packaging": _fields_of(profiles.packaging),
         "interposer": {
             "technology": profiles.interposer_technology.node_name,
             "beol_layers": profiles.interposer_beol_layers,
         },
     }
-    usage = {k: v for k, v in dataclasses.asdict(design.usage).items() if v is not None}
+    usage = {k: v for k, v in _fields_of(design.usage).items() if v is not None}
     return {
         "design": design_doc,
         "technology_overrides": overrides,
-        "environment": dataclasses.asdict(scenario.environment),
+        "environment": _fields_of(scenario.environment),
         "usage": usage,
     }
+
+
+def _fields_of(profile) -> dict:
+    """A flat profile's fields by name, in declaration order (``dataclasses.asdict`` without its deep copy)."""
+    return {name: getattr(profile, name) for name in profile.__dataclass_fields__}

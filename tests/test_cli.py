@@ -243,6 +243,38 @@ class TestSwitch:
             assert math.isinf(float(rows[0]["gate_count"]))
 
 
+class TestSwitchReadsEmbodiedCarbonOnly:
+    """switch reports embodied carbon only, so operational carbon, which it never
+    computes, cannot fail it; an overflow of the embodied chain still does."""
+
+    CONFIG = Path(__file__).resolve().parent.parent / "configs" / "hybrid_2die_7nm.json"
+    ARGV = ["switch", "--integration", "hybrid_3d", "--node", "7nm", "--range", "1e6:1e10"]
+
+    def _edited(self, tmp_path, section, **fields):
+        doc = json.loads(self.CONFIG.read_text())
+        doc[section].update(fields)
+        return write_config(tmp_path, doc)
+
+    def test_operational_overflow_leaves_the_output_unchanged(self, tmp_path, capsys):
+        hot = self._edited(tmp_path, "usage", power_density=1e308)
+        assert main(self.ARGV + ["-c", str(hot)]) == 0
+        hot_out = capsys.readouterr().out.splitlines()
+        assert main(self.ARGV + ["-c", str(self.CONFIG)]) == 0
+        plain_out = capsys.readouterr().out.splitlines()
+        assert len(hot_out) == len(plain_out)
+        differing = [(a, b) for a, b in zip(hot_out, plain_out) if a != b]
+        assert [a.split("=")[0] for a, _ in differing] == ["# inputs_digest"]
+
+        assert main(["estimate", "-c", str(hot), "--format", "csv"]) == 2
+        assert "a result is not finite" in capsys.readouterr().err
+
+    def test_embodied_overflow_exits_2(self, tmp_path, capsys):
+        path = self._edited(tmp_path, "environment", ci_fab=1e308)
+        assert main(self.ARGV + ["-c", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error: inputs outside the model's numeric range: a result is not finite" in out.err.splitlines()
+
 class TestPareto:
     def test_reference_row(self, tmp_path, capsys):
         path = write_config(tmp_path, basic_document())

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from carbon3d import (
     FixtureRegistry,
     Integration,
+    Stacking,
     SweepAxis,
     build_design,
     crossing,
@@ -39,6 +40,7 @@ from carbon3d.errors import (
     UnsupportedConfiguration,
 )
 from carbon3d.explorer import ROW_CAP, apply_parameter
+from carbon3d.geometry import area_2d
 from carbon3d.params import _BUNDLED_DIR, validate_design
 
 from conftest import make_design, make_env, make_profiles, make_scenario, make_tech
@@ -523,3 +525,46 @@ class TestNodesResolveThroughTheScenarioRegistry:
         assert main(argv) == 0
         (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("hybrid_3d,")]
         assert line.split(",")[3:5] == [point.status, format(point.gate_count, ".9g")]
+
+
+class TestSwitchingPointMatchesTheFullPipeline:
+    """The search validates each leg once and runs the embodied chain only; its result must
+    be the one found over full evaluations of a validated design at every g."""
+
+    CONFIG = Path(__file__).resolve().parent.parent / "configs" / "hybrid_2die_7nm.json"
+    RANGES = ((1e6, 1e10), (3e7, 4e9))
+
+    @staticmethod
+    def _reference(base, integration, node, n_dies, lo, hi, stacking):
+        tech, wiring = base.registry.technology(node), base.registry.default_wiring(node)
+
+        def embodied(integ, g):
+            design = build_design(integ, tech, wiring, n_dies, g, base.design.usage, stacking=stacking)
+            return evaluate(dataclasses.replace(base, design=design)).c_embodied_overall
+
+        result = find_crossing(lambda g: embodied(integration, g) - embodied(Integration.MONO_2D, g), lo, hi)
+        area = area_2d(result.value, tech) if math.isfinite(result.value) else math.inf
+        return explorer.SwitchingPoint(integration.value, node, n_dies, result.status, result.value, area)
+
+    @staticmethod
+    def _cases():
+        for integ in Integration:
+            if integ is Integration.MONO_2D:
+                continue
+            for node, n_dies in itertools.product(("5nm", "7nm", "14nm"), (2, 4)):
+                if integ.rules.admits(n_dies):
+                    for stacking in integ.rules.stackings if len(integ.rules.stackings) > 1 else (Stacking.D2W,):
+                        yield integ, node, n_dies, stacking
+
+    def test_every_case_equals_the_reference(self):
+        base = load_scenario(self.CONFIG)
+        cases = list(self._cases())
+        assert len(cases) == 51
+        statuses = collections.Counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CarbonModelWarning)
+            for (integ, node, n_dies, stacking), (lo, hi) in itertools.product(cases, self.RANGES):
+                point = switching_point(base, integ, node, n_dies, lo, hi, stacking=stacking)
+                assert point == self._reference(base, integ, node, n_dies, lo, hi, stacking), (integ, node, n_dies)
+                statuses[point.status] += 1
+        assert statuses["crossing"] > 0 and statuses["always_below"] > 0

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import shutil
 import warnings
 from pathlib import Path
@@ -259,6 +260,50 @@ class TestRegistry:
         (root / relpath).write_text(good)
         read(*args)
 
+    def test_registries_share_the_built_profiles(self):
+        first, second = FixtureRegistry.bundled(), FixtureRegistry.bundled()
+        assert first.technology("7nm") is second.technology("7nm")
+        assert first.default_wiring("7nm") is second.default_wiring("7nm")
+        assert first.bonding() is second.bonding()
+        assert first.packaging() is second.packaging()
+        assert first.environment() is second.environment()
+
+    def test_an_edit_that_keeps_size_and_mtime_is_seen(self, tmp_path):
+        root = _fixture_copy(tmp_path)
+        file = root / "nodes" / "7nm.json"
+        assert FixtureRegistry(root).technology("7nm").epa_feol == 0.42
+        before, text = file.stat(), file.read_text()
+        edited = text.replace('"epa_feol": 0.42,', '"epa_feol": 0.43,')
+        assert edited != text and len(edited) == len(text)
+        file.write_text(edited)
+        os.utime(file, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = file.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert FixtureRegistry(root).technology("7nm").epa_feol == 0.43
+
+    def test_fixture_warnings_repeat_on_every_new_registry(self, tmp_path):
+        root = _fixture_copy(tmp_path)
+        _edit_node(root, "7nm", epa_feol=0.9)
+        for _ in range(3):
+            with pytest.warns(CarbonModelWarning, match=r"^fixtures/nodes/7nm\.epa_feol=0\.9 is outside"):
+                registry = FixtureRegistry(root)
+                tech = registry.technology("7nm")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert registry.technology("7nm") is tech  # once per registry
+
+    def test_memo_keeps_one_entry_per_profile(self, tmp_path):
+        root = _fixture_copy(tmp_path)
+        sizes = set()
+        for i in range(50):
+            _edit_node(root, "7nm", epa_feol=0.3 + i / 1000)
+            registry = FixtureRegistry(root)
+            assert registry.technology("7nm").epa_feol == 0.3 + i / 1000
+            registry.default_wiring("7nm")
+            sizes.add(len(params._BUILT))
+        assert len(sizes) == 1
+        assert sorted(kind for kind, name in params._BUILT if name == "7nm") == ["default_wiring", "technology"]
+
     def test_fixture_that_is_not_an_object(self, tmp_path):
         root = _fixture_copy(tmp_path)
         (root / "nodes" / "7nm.json").write_text("[1, 2]")
@@ -433,6 +478,10 @@ class TestSchemeRules:
             rules = integ.rules
             assert rules.default_stacking in rules.stackings
             assert all(rules.default_facing(n) in rules.facings for n in (2, 3))
+
+    def test_rules_is_the_members_table_row(self):
+        for integ in Integration:
+            assert integ.rules is params.SCHEME_RULES[integ]
 
     def test_defaults_agree_across_builders(self, registry):
         checked = 0
