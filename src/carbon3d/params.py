@@ -294,13 +294,22 @@ def _built(kind: str, name: str, data: bytes, path: str, build: Callable[[dict],
             raise ValidationError(path, f"not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise MissingField(path, "expected an object")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            profile = build(doc)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                profile = build(doc)
+        except Exception:
+            _warn_again(caught)  # the warnings a failed build raised come before its error
+            raise
         entry = _BUILT[kind, name] = (data, profile, tuple(caught))
-    for w in entry[2]:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    _warn_again(entry[2])
     return entry[1]
+
+
+def _warn_again(caught) -> None:
+    # the validators' warnings point (stacklevel) at frames of this module
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, module=__name__)
 
 
 class FixtureRegistry:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -48,29 +49,40 @@ def test_report_counts_wins_by_direction_and_gives_the_median_change():
     assert ms.startswith("op_ms_p50 (lower is better): ") and "change won 2 of 4" in ms
 
 
-def test_end_to_end_metrics_come_from_the_checkouts_benchmark(tmp_path):
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+def test_run_length_and_metrics_come_from_the_checkouts_benchmark(tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 20, "end_to_end": [
         {"name": "rows_per_s", "better": "higher", "unit": "1/s", "bound": 0.25},
         {"name": "peak_rss_mb", "better": "lower", "unit": "MB", "bound": 0.1},
     ]}))
-    assert bench_pairs.end_to_end(tmp_path) == [("rows_per_s", "higher"), ("peak_rss_mb", "lower")]
+    assert bench_pairs.benchmark(tmp_path) == (20, [("rows_per_s", "higher"), ("peak_rss_mb", "lower")])
 
 
 def test_main_prints_the_bytecode_setting_and_the_pairs(tmp_path, monkeypatch, capsys):
-    for side in ("parent", "change"):
+    for side, seconds in (("parent", 5), ("change", 7)):
         (tmp_path / side).mkdir()
-        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"run_seconds": seconds, "end_to_end": [
             {"name": "rows_per_s", "better": "higher"}]}))
-    values = {"parent": [(100, 3.0)] * 2, "change": [(120, 2.0)] * 2}
-    monkeypatch.setattr(bench_pairs, "run_bench", _stub([], values))
+    calls, values = [], {"parent": [(100, 3.0)] * 2, "change": [(120, 2.0)] * 2}
+    monkeypatch.setattr(bench_pairs, "run_bench", _stub(calls, values))
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--pairs", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "PYTHONDONTWRITEBYTECODE=1"
     assert out[1:3] == ["pair 1: rows_per_s=100->120  fail_ratio=0->0", "pair 2: rows_per_s=100->120  fail_ratio=0->0"]
     assert "change won 2 of 2" in out[3]
+    assert {seconds for *_, seconds in calls} == {7}  # the change's run length, for both sides
 
 
 def test_pairs_must_be_positive(tmp_path):
     with pytest.raises(SystemExit):
         bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "0"])
+
+
+def test_failed_ops_are_reported_not_raised(tmp_path, monkeypatch):
+    result = {"correct": False, "attempted": 200, "failed": 2, "metrics": {"rows_per_s": {"value": 90.0, "unit": "1/s"}}}
+
+    def fake_run(argv, cwd, **kwargs):
+        assert "--seconds" in argv and argv[argv.index("--seconds") + 1] == "20"
+        return subprocess.CompletedProcess(argv, 0, stdout="dse_search: ...\n" + json.dumps(result) + "\n")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.run_bench(tmp_path, "dse_search", 1, 20) == {"rows_per_s": 90.0, "fail_ratio": 0.01}

@@ -292,6 +292,25 @@ class TestRegistry:
                 warnings.simplefilter("error")
                 assert registry.technology("7nm") is tech  # once per registry
 
+    def test_a_fixture_that_warns_and_fails_gives_both(self, tmp_path):
+        root = _fixture_copy(tmp_path)
+        env = root / "environment.json"
+        env.write_text(json.dumps({**json.loads(env.read_text()), "ci_fab": 5.0, "wafer_diameter_cm": 0}))
+        for _ in range(2):  # the failure is not memoized, so each registry warns again
+            with pytest.warns(CarbonModelWarning, match=r"^fixtures/environment\.ci_fab=5 is outside"):
+                with pytest.raises(OutOfRange, match="wafer_diameter_cm"):
+                    FixtureRegistry(root).environment()
+
+    def test_fixture_warnings_come_from_the_params_module(self, tmp_path):
+        root = _fixture_copy(tmp_path)
+        _edit_node(root, "7nm", epa_feol=0.9)
+        for _ in range(2):  # the build, then the memo's replay
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                warnings.filterwarnings("ignore", module=r"carbon3d\.params\Z")
+                FixtureRegistry(root).technology("7nm")
+            assert caught == []
+
     def test_memo_keeps_one_entry_per_profile(self, tmp_path):
         root = _fixture_copy(tmp_path)
         sizes = set()
