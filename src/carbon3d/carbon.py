@@ -55,6 +55,8 @@ from .yieldmodel import YieldContext, yield_context
 
 @dataclass(frozen=True)
 class Metrics:
+    """The CDP, CEP and tCDP trade-off metrics of one evaluation."""
+
     cdp: float      # kg*s, overall embodied carbon x delay
     cep: float      # kg*kWh, overall embodied carbon x operational energy
     tcdp: float     # kg*s, total carbon x delay
@@ -62,6 +64,8 @@ class Metrics:
 
 @dataclass(frozen=True)
 class CarbonBreakdown:
+    """Embodied carbon by component and, from evaluate, operational carbon and metrics."""
+
     c_die_per_die: tuple[float, ...]
     c_bonding: float
     c_packaging: float

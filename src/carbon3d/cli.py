@@ -86,13 +86,25 @@ def _inputs_digest(scenario: Scenario) -> str:
 
 
 @contextlib.contextmanager
-def _output(path: str | None):
+def _writing(path: str | None, option: str):
+    """An OSError in the block becomes a ValidationError on ``option`` naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(option, f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+@contextlib.contextmanager
+def _output(path: str | None, option: str = "--out"):
     """A temp file for a command's output that is renamed onto ``path`` (atomically)
-    or copied to stdout only if the block succeeds, and otherwise removed."""
+    or copied to stdout only if the block succeeds, and otherwise removed.  A target
+    that cannot be written is an error on ``option``; a directory is refused at once."""
     target = Path(path) if path else None
-    if target is not None:
-        target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target and target.parent, prefix=target.name if target else "carbon3d", suffix=".tmp")
+    with _writing(path, option):
+        if target is not None:
+            _check(not target.is_dir(), option, f"cannot write {path}: it is a directory")
+            target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=target and target.parent, prefix=target.name if target else "carbon3d", suffix=".tmp")
     try:
         with os.fdopen(fd, "w+", encoding="utf-8", newline="") as f:
             yield f
@@ -100,7 +112,8 @@ def _output(path: str | None):
                 f.seek(0)
                 shutil.copyfileobj(f, sys.stdout)
         if target is not None:
-            os.replace(tmp, target)
+            with _writing(path, option):
+                os.replace(tmp, target)
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
@@ -233,21 +246,22 @@ def cmd_sweep(args) -> int:
         axis_names = [a.parameter_path for a in axes]
         columns = axis_names + list(BREAKDOWN_COLUMNS) + ["baseline_c_embodied_overall"] * args.baseline
         plot_columns = [axis_names[0] if axis_names else "index", "c_embodied_overall", "c_operational", "c_total"]
+        # one template per sweep: axis values through _fmt, every number as .9g; without
+        # --baseline it has no baseline cell, and format ignores the extra None
+        template = ",".join(["{}"] * len(axes) + ["{:.9g}"] * (len(columns) - len(axes))) + "\n"
         # each row goes to both outputs as it arrives; neither appears unless every row succeeds
-        with (_output(args.plot_out) if args.plot_out else contextlib.nullcontext()) as plot, _output(args.out) as out:
+        with (_output(args.plot_out, "--plot-out") if args.plot_out else contextlib.nullcontext()) as plot, \
+                _output(args.out) as out:
             out.write(_csv_header(digest, columns))
             if plot is not None:
                 plot.write(_csv_header(digest, plot_columns))
             points, previous = [], None
             for i, row in enumerate(rows):
                 b = row.breakdown
-                cells = [*row.values, *_breakdown_values(b)]
-                if row.baseline is not None:
-                    cells.append(row.baseline.c_embodied_overall)
-                out.write(",".join(map(_fmt, cells)) + "\n")
+                out.write(template.format(*map(_fmt, row.values), *_breakdown_values(b), row.baseline))
                 if plot is not None:
                     x = row.values[0] if row.values else i
-                    plot.write(",".join(map(_fmt, (x, b.c_embodied_overall, b.c_operational, b.c_total))) + "\n")
+                    plot.write(f"{_fmt(x)},{b.c_embodied_overall:.9g},{b.c_operational:.9g},{b.c_total:.9g}\n")
                 if previous is not None and (point := explorer.crossing(previous, row)):
                     points.append(point)
                 previous = row
@@ -314,23 +328,23 @@ def cmd_pareto(args) -> int:
     text = _csv_header(_inputs_digest(scenario), columns, extra_meta=meta) + "".join(
         ",".join([_fmt(g)] + [_fmt(result.series[n][i]) for n in names]) + "\n" for i, g in enumerate(result.gammas)
     )
-    for path in (args.out, args.plot_out) if args.plot_out else (args.out,):
-        with _output(path) as out:
-            out.write(text)
+    with (_output(args.plot_out, "--plot-out") if args.plot_out else contextlib.nullcontext()) as plot, \
+            _output(args.out) as out:
+        for f in (out, plot) if plot else (out,):
+            f.write(text)
     return 0
 
 
 def cmd_fixtures(args) -> int:
-    registry = FixtureRegistry.bundled()
-    if args.fixtures_action == "list":
-        print(f"{'node':<8}{'lambda(cm)':>12}{'beta':>8}{'EPA_FEOL':>10}{'maxBEOL':>9}{'D0':>7}{'alpha':>7}")
-        for name in registry.node_names():
-            t = registry.technology(name)
-            print(
-                f"{t.node_name:<8}{t.feature_size_cm:>12.2e}{t.gate_area_scaling:>8g}"
-                f"{t.epa_feol:>10g}{t.max_beol_layers:>9d}{t.defect_density_d0:>7g}{t.cluster_alpha:>7g}"
-            )
-        print(f"\nfixture root: {registry.root}")
+    registry = FixtureRegistry.bundled()  # "list" is the one action
+    print(f"{'node':<8}{'lambda(cm)':>12}{'beta':>8}{'EPA_FEOL':>10}{'maxBEOL':>9}{'D0':>7}{'alpha':>7}")
+    for name in registry.node_names():
+        t = registry.technology(name)
+        print(
+            f"{t.node_name:<8}{t.feature_size_cm:>12.2e}{t.gate_area_scaling:>8g}"
+            f"{t.epa_feol:>10g}{t.max_beol_layers:>9d}{t.defect_density_d0:>7g}{t.cluster_alpha:>7g}"
+        )
+    print(f"\nfixture root: {registry.root}")
     return 0
 
 

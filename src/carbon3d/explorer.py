@@ -11,11 +11,12 @@ A row reuses the previous row's geometry and yields while its dies and
 process profiles are the same objects (and integration, facing, stacking
 and F2F signal count are equal), and its embodied carbon while the fab
 environment is the same object too; the baseline's merged die is built
-once per distinct dies.  Operational carbon, the total and the metrics are
-computed on every row.  So axes on ``usage``, ``environment`` or ``gamma``
-are cheapest as the inner (last) axes.  A reused stage gives the floats a
-fresh one would, but does not raise its warnings again.  ``gamma_pareto``
-reuses a design's embodied chain across its gammas in the same way.
+once per distinct dies, and only its embodied carbon is computed.
+Operational carbon, the total and the metrics are computed on every row.
+So axes on ``usage``, ``environment`` or ``gamma`` are cheapest as the
+inner (last) axes.  A reused stage gives the floats a fresh one would, but
+does not raise its warnings again.  ``gamma_pareto`` reuses a design's
+embodied chain across its gammas in the same way.
 
 Supported parameter paths (the ``design.`` prefix is optional):
 
@@ -48,7 +49,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .carbon import CarbonBreakdown, _EmbodiedChain, evaluate
 from .errors import CapExceeded, CarbonModelWarning, OutOfRange, UnresolvablePath, UnsupportedConfiguration
-from .geometry import area_2d
+from .geometry import _base_gate_areas, area_2d
 from .params import (
     DesignSpec,
     DieSpec,
@@ -73,6 +74,8 @@ ROW_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class SweepAxis:
+    """One sweep axis: a parameter path and its ordered values."""
+
     parameter_path: str
     values: tuple
 
@@ -85,10 +88,12 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep row: its axis values, scenario, breakdown and optional mono-2D baseline."""
+
     values: tuple
     scenario: Scenario
     breakdown: CarbonBreakdown
-    baseline: CarbonBreakdown | None = None     # the mono-2D equivalent's, with baseline=True
+    baseline: float | None = None     # the mono-2D equivalent's c_embodied_overall, with baseline=True
 
 
 # ---------------------------------------------------------------------------
@@ -184,18 +189,11 @@ def mono2d_equivalent(design: DesignSpec) -> DesignSpec:
             CarbonModelWarning,
             stacklevel=2,
         )
+    first = dies[0]
     if all(d.gate_count is not None for d in dies):
-        merged = DieSpec(
-            technology=dies[0].technology,
-            wiring=dies[0].wiring,
-            gate_count=left_sum(d.gate_count for d in dies),
-        )
+        merged = DieSpec(first.technology, first.wiring, gate_count=left_sum(d.gate_count for d in dies))
     else:
-        total_area = left_sum(
-            d.explicit_area if d.explicit_area is not None else area_2d(d.gate_count, d.technology)
-            for d in dies
-        )
-        merged = DieSpec(technology=dies[0].technology, wiring=dies[0].wiring, explicit_area=total_area)
+        merged = DieSpec(first.technology, first.wiring, explicit_area=left_sum(_base_gate_areas(dies)))
     return DesignSpec(
         integration=Integration.MONO_2D,
         facing=Facing.NA,
@@ -224,8 +222,9 @@ def _scenarios(prefix: Scenario, axes: tuple[SweepAxis, ...], values: tuple = ()
 
 
 def _rows(template: Scenario, axes: tuple[SweepAxis, ...], baseline: bool):
-    """Evaluate each row, and with ``baseline`` its mono-2D equivalent, reusing the
-    previous row's embodied chain and baseline design where their inputs are unchanged."""
+    """Evaluate each row and, with ``baseline``, its mono-2D equivalent's embodied carbon
+    only, reusing the previous row's embodied chains and baseline design where their
+    inputs are unchanged."""
     chain, base_chain = _EmbodiedChain(), _EmbodiedChain()
     merged_from = base_design = None
     for values, scenario in _scenarios(template, axes):
@@ -234,14 +233,9 @@ def _rows(template: Scenario, axes: tuple[SweepAxis, ...], baseline: bool):
         breakdown = evaluate(scenario, _chain=chain)
         base = None
         if baseline:
-            # the baseline depends on the dies and the usage only
-            if design.dies is not merged_from:
+            if design.dies is not merged_from:  # embodied carbon does not read the usage
                 merged_from, base_design = design.dies, mono2d_equivalent(design)
-            elif design.usage is not base_design.usage:
-                base_design = dataclasses.replace(base_design, usage=design.usage)
-            base_scenario = Scenario(base_design, scenario.profiles, scenario.environment, scenario.gamma,
-                                     registry=scenario.registry)
-            base = evaluate(base_scenario, _chain=base_chain)
+            base = base_chain(base_design, scenario.profiles, scenario.environment)[1].c_embodied_overall
         yield SweepRow(values, scenario, breakdown, base)
 
 
@@ -254,8 +248,9 @@ def sweep(
 
     The axes (no two may set one parameter) and the row cap are checked at
     the call.  Each row is built and evaluated when the returned iterator
-    reaches it, so a bad row raises there; with ``baseline=True`` it carries
-    its mono-2D equivalent's breakdown.
+    reaches it, so a bad row raises there.  With ``baseline=True`` it carries
+    its mono-2D equivalent's overall embodied carbon, from the embodied chain
+    alone: the baseline's operational carbon and metrics are not computed.
     """
     axes = tuple(a if isinstance(a, SweepAxis) else SweepAxis(*a) for a in axes)
     paths = [_normalized(a.parameter_path) for a in axes]
@@ -271,13 +266,14 @@ def crossing(a: SweepRow, b: SweepRow) -> tuple[float, str] | None:
     """The 2D switching point between adjacent sweep rows ``a`` and ``b``, or None.
 
     Rows of one numeric axis with a baseline cross where the embodied-carbon
-    excess over the baseline turns from positive to non-positive; the point
-    is linearly interpolated on the axis value and paired with the scheme.
+    excess over the baseline (the float ``row.baseline``) turns from positive
+    to non-positive; the point is linearly interpolated on the axis value and
+    paired with the scheme.
     """
     if not all(r.baseline is not None and len(r.values) == 1 and isinstance(r.values[0], (int, float)) for r in (a, b)):
         return None
-    fa = a.breakdown.c_embodied_overall - a.baseline.c_embodied_overall
-    fb = b.breakdown.c_embodied_overall - b.baseline.c_embodied_overall
+    fa = a.breakdown.c_embodied_overall - a.baseline
+    fb = b.breakdown.c_embodied_overall - b.baseline
     if not fa > 0 >= fb:
         return None
     xa, xb = float(a.values[0]), float(b.values[0])
@@ -400,6 +396,8 @@ def build_design(
 
 @dataclass(frozen=True)
 class SwitchingPoint:
+    """Where a scheme's embodied carbon falls to the 2D baseline's, over gate count."""
+
     integration: str
     node: str
     n_dies: int
@@ -462,6 +460,8 @@ def switching_point(
 
 @dataclass(frozen=True)
 class ParetoResult:
+    """Normalized tCDP curves of each design over a gamma grid."""
+
     gammas: tuple[float, ...]
     series: Mapping[str, tuple[float, ...]]     # design name -> normalized tCDP
     reference_tcdp: float                       # the base design's tCDP at gamma = 1

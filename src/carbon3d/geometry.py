@@ -59,6 +59,8 @@ class DieGeometry:
 
 @dataclass(frozen=True)
 class StackGeometry:
+    """Per-die geometry plus the package, substrate and 2D-equivalent areas."""
+
     dies: tuple[DieGeometry, ...]
     package_area: float
     substrate_area: float       # 0 unless InFO / silicon interposer
@@ -149,14 +151,9 @@ def beol_layers(die: DieSpec, area: float) -> tuple[int, float]:
     return layers, area
 
 
-def _base_gate_areas(spec: DesignSpec) -> list[float]:
-    areas = []
-    for die in spec.dies:
-        if die.explicit_area is not None:
-            areas.append(die.explicit_area)
-        else:
-            areas.append(area_2d(die.gate_count, die.technology))
-    return areas
+def _base_gate_areas(dies: Sequence[DieSpec]) -> list[float]:
+    # each die's gate area before overheads: its explicit_area, else its 2D area
+    return [d.explicit_area if d.explicit_area is not None else area_2d(d.gate_count, d.technology) for d in dies]
 
 
 def die_areas(spec: DesignSpec) -> list[DieGeometry]:
@@ -171,7 +168,7 @@ def die_areas(spec: DesignSpec) -> list[DieGeometry]:
       mono 2D:       bare gate area
     """
     integ = spec.integration
-    bases = _base_gate_areas(spec)
+    bases = _base_gate_areas(spec.dies)
     n = len(spec.dies)
 
     if integ is Integration.M3D:
@@ -187,21 +184,16 @@ def die_areas(spec: DesignSpec) -> list[DieGeometry]:
     geoms: list[DieGeometry] = []
     for i, die in enumerate(spec.dies):
         gate = bases[i]
-        tsv_area = 0.0
-        tsv_count = 0
+        tsv_count, tsv_area = 0, 0.0
         io_area = die.technology.io_overhead_ratio * gate if rules.io_strip else 0.0
-        if rules.tsvs:
-            pitch = die.technology.tsv_pitch_cm
-            if spec.facing is Facing.F2F:
-                if i == n - 1:  # bottom die carries the package-bound signal TSVs
-                    tsv_count = spec.signal_count_f2f
-                    tsv_area = tsv_count * pitch**2
+        f2f = spec.facing is Facing.F2F
+        if rules.tsvs and (i == n - 1 if f2f else i < n - 1):
+            if f2f:  # the bottom die carries the package-bound signal TSVs
+                tsv_count = spec.signal_count_f2f
             else:  # F2B: dies 1..N-1 carry the inter-die TSVs of interface i
-                if i < n - 1:
-                    ng_i = _die_gate_count(die, gate)
-                    ng_j = _die_gate_count(spec.dies[i + 1], bases[i + 1])
-                    tsv_count = tsv_count_f2b(ng_i, ng_j, die.wiring)
-                    tsv_area = tsv_count * pitch**2
+                ng_j = _die_gate_count(spec.dies[i + 1], bases[i + 1])
+                tsv_count = tsv_count_f2b(_die_gate_count(die, gate), ng_j, die.wiring)
+            tsv_area = tsv_count * die.technology.tsv_pitch_cm**2
         geoms.append(DieGeometry(gate_area=gate, tsv_area=tsv_area, io_area=io_area, tsv_count=tsv_count))
     return geoms
 

@@ -161,6 +161,8 @@ class TechnologyProfile:
 
 @dataclass(frozen=True)
 class FabEnvironment:
+    """Fab and use-phase carbon intensities and the wafer size."""
+
     ci_fab: float                   # kg CO2/kWh
     ci_use: float
     ci_bonding: float
@@ -185,6 +187,8 @@ class WiringParameters:
 
 @dataclass(frozen=True)
 class BondingProfile:
+    """Bonding energies and carbon per area, and the bond, RDL and interposer yields."""
+
     epa_d2w: float                  # kWh/cm^2 per bonding wafer pass
     epa_w2w: float
     cpa_bonding: float              # kg CO2/cm^2, chip-last InFO bonding
@@ -196,6 +200,8 @@ class BondingProfile:
 
 @dataclass(frozen=True)
 class PackagingProfile:
+    """Package carbon per area and the package and substrate area scale factors."""
+
     cpa_packaging: float            # kg CO2/cm^2 (package technology specific)
     s_package_3d: float             # >= 1, times max stacked die area
     s_package_25d: float            # >= 1, times total die area
@@ -204,6 +210,8 @@ class PackagingProfile:
 
 @dataclass(frozen=True)
 class UsageProfile:
+    """Application and lifetime hours, power or energy, and the per-task delay."""
+
     t_app_hours: float              # application run-time
     t_exe_hours: float              # overall execution lifetime
     power_density: float | None = None      # W/cm^2 over active logic area
@@ -213,6 +221,8 @@ class UsageProfile:
 
 @dataclass(frozen=True)
 class DieSpec:
+    """One die: its node and wiring, and a gate count or an explicit area."""
+
     technology: TechnologyProfile
     wiring: WiringParameters
     gate_count: float | None = None
@@ -222,6 +232,8 @@ class DieSpec:
 
 @dataclass(frozen=True)
 class DesignSpec:
+    """An integration scheme with its facing, stacking, dies (top first) and usage."""
+
     integration: Integration
     facing: Facing
     stacking: Stacking
@@ -269,7 +281,7 @@ FIXTURES_ENV_VAR = "CARBON3D_FIXTURES"
 _BUNDLED_DIR = Path(__file__).resolve().parent / "fixtures"
 
 
-def _read_fixture(file: Path, path: str) -> bytes:
+def _read_fixture(file: str, path: str) -> bytes:
     """One fixture file's bytes; an unreadable file raises on ``path``."""
     try:
         with open(file, "rb") as f:
@@ -315,19 +327,22 @@ def _warn_again(caught) -> None:
 class FixtureRegistry:
     """Filesystem-backed registry of per-node and shared fixture profiles.
 
-    A registry reads each fixture file, and the list of nodes, at most
-    once and pins them for its lifetime; later calls return the same frozen
-    object.  Edits to the fixture files take effect with the next registry
-    (in the CLI, the next command).  Failures are not cached.  A profile is
+    A registry reads each fixture file, and lists the ``nodes`` directory,
+    at most once and pins them for its lifetime; later calls return the
+    same frozen object.  A node name must name a file in that listing before
+    any path is built from it.  Edits to the fixture files take effect with
+    the next registry (in the CLI, the next command).  Failures are not cached.  A profile is
     parsed and validated only when its file's bytes differ from those it
     was last built from in this process; its warnings are raised again.
     """
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
-        if not (self.root / "nodes").is_dir():
+        self._dir = str(self.root)     # the read path joins strings, not Paths
+        if not os.path.isdir(os.path.join(self._dir, "nodes")):
             raise FileNotFoundError(f"no 'nodes' directory under {self.root}")
         self._cache: dict[tuple[str, str], Any] = {}
+        self._node_files: frozenset[str] | None = None
 
     @classmethod
     def bundled(cls) -> "FixtureRegistry":
@@ -335,30 +350,32 @@ class FixtureRegistry:
         override = os.environ.get(FIXTURES_ENV_VAR)
         return cls(override) if override else cls(_BUNDLED_DIR)
 
+    def _listing(self) -> frozenset[str]:
+        # the names of the node files, listed once per registry
+        if self._node_files is None:
+            self._node_files = frozenset(n for n in os.listdir(os.path.join(self._dir, "nodes")) if n.endswith(".json"))
+        return self._node_files
+
     def node_names(self) -> list[str]:
-        names = [p.stem for p in sorted((self.root / "nodes").glob("*.json"))]
-        # sort numerically where possible: 3nm before 28nm
+        """The node names, sorted numerically where possible: 3nm before 28nm."""
         def key(n: str):
             digits = "".join(ch for ch in n if ch.isdigit())
             return (int(digits) if digits else 1 << 30, n)
-        return sorted(names, key=key)
+        return sorted((file[:-5] for file in self._listing()), key=key)
 
     def _from_file(self, kind: str, name: str, file: str, path: str, build: Callable[[dict], Any]) -> Any:
         # the file's bytes are pinned once a profile is built from them, so technology()
         # and default_wiring() share one read, and a failed read or parse is retried
         data = self._cache.get(("file", file))
         if data is None:
-            data = _read_fixture(self.root / file, path)
+            data = _read_fixture(os.path.join(self._dir, file), path)
         profile = self._cache[kind, name] = _built(kind, name, data, path, build)
         self._cache["file", file] = data
         return profile
 
     def _node(self, kind: str, node_name: str, path: str) -> Any:
-        known = self._cache.get(("listing", "nodes"))
-        if known is None:
-            known = self._cache["listing", "nodes"] = self.node_names()
-        if node_name not in known:  # no path from an unchecked name
-            raise UnknownNode(path, node_name, known)
+        if f"{node_name}.json" not in self._listing():  # no path from an unchecked name
+            raise UnknownNode(path, node_name, self.node_names())
         where = f"fixtures/nodes/{node_name}"
 
         def build(doc: dict) -> Any:
@@ -379,7 +396,7 @@ class FixtureRegistry:
     def _shared(self, cls: type, stem: str) -> Any:
         profile = self._cache.get(("shared", stem))
         if profile is None:
-            if not (self.root / f"{stem}.json").is_file():
+            if not os.path.isfile(os.path.join(self._dir, f"{stem}.json")):
                 raise MissingField(f"fixtures/{stem}.json", "fixture file not found")
             where = f"fixtures/{stem}"
             profile = self._from_file("shared", stem, f"{stem}.json", where, lambda doc: _profile(cls, None, doc, where))
@@ -857,16 +874,10 @@ def design_to_document(scenario: Scenario) -> dict:
         overrides[tech.node_name] = fields
     dies = []
     for die in design.dies:
-        entry: dict[str, Any] = {
-            "technology": die.technology.node_name,
-            "wiring": _fields_of(die.wiring),
-        }
-        if die.gate_count is not None:
-            entry["gate_count"] = die.gate_count
-        if die.explicit_area is not None:
-            entry["explicit_area"] = die.explicit_area
-        if die.explicit_beol is not None:
-            entry["explicit_beol"] = die.explicit_beol
+        entry = {"technology": die.technology.node_name, "wiring": _fields_of(die.wiring)}
+        for key in ("gate_count", "explicit_area", "explicit_beol"):  # the sizes the die sets
+            if getattr(die, key) is not None:
+                entry[key] = getattr(die, key)
         dies.append(entry)
 
     design_doc: dict[str, Any] = {

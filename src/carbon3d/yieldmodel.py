@@ -25,6 +25,8 @@ from .params import DesignSpec, Integration, ProcessProfiles, Stacking, left_sum
 
 @dataclass(frozen=True)
 class YieldContext:
+    """Standalone and effective die and bond yields, and the substrate yield."""
+
     standalone_die_y: tuple[float, ...]
     standalone_bond_y: tuple[float, ...]
     effective_die_y: tuple[float, ...]
@@ -41,19 +43,12 @@ def die_yield_negbin(area: float, d0: float, alpha: float) -> float:
     return math.exp(-alpha * math.log1p(area * d0 / alpha))
 
 
-def _product(values: Sequence[float]) -> float:
-    out = 1.0
-    for v in values:
-        out *= v
-    return out
-
-
 def compose_3d(spec: DesignSpec, die_y: Sequence[float], bond_y: Sequence[float]) -> YieldContext:
     """Effective die/bond yields for stacked (micro/hybrid) 3D ICs."""
     n = len(spec.dies)
-    bond_product = _product(bond_y)
+    bond_product = math.prod(bond_y)
     if spec.stacking is Stacking.W2W:
-        combined = _product(die_y) * bond_product
+        combined = math.prod(die_y) * bond_product
         eff_die = (combined,) * n
         eff_bond = (combined,) * (n - 1)
     else:  # D2W: dies are known-good before bonding
@@ -81,7 +76,7 @@ def compose_25d(
     if not bond_y:
         eff_die = tuple(y * substrate_y for y in die_y)
         return YieldContext(tuple(die_y), (), eff_die, (), substrate_y=substrate_y)
-    bond_product = _product(bond_y)
+    bond_product = math.prod(bond_y)
     return YieldContext(
         standalone_die_y=tuple(die_y),
         standalone_bond_y=tuple(bond_y),

@@ -312,6 +312,59 @@ class TestPareto:
         assert "tcdp_norm_mono_2d" in header and "tcdp_norm_m3d" in header
 
 
+class TestOutputTargets:
+    """An --out or --plot-out that cannot be written is an error on that option, exit 2,
+    that names the target and leaves no file behind."""
+
+    COMMANDS = {
+        "estimate": ["estimate", "--format", "csv"],
+        "sweep": ["sweep", "--axis", "gamma=0,1", "--baseline"],
+        "switch": ["switch", "--integration", "hybrid_3d", "--node", "7nm"],
+        "pareto": ["pareto", "--gammas", "0,1"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_a_directory_is_an_error_on_out(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, basic_document())
+        target = tmp_path / "report"
+        target.mkdir()
+        assert main([*self.COMMANDS[command], "-c", str(path), "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: --out: cannot write {target}: it is a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "report"]
+        assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["sweep", "pareto"])
+    def test_a_directory_is_an_error_on_plot_out(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, basic_document())
+        plot = tmp_path / "plot"
+        plot.mkdir()
+        argv = [*self.COMMANDS[command], "-c", str(path), "--out", str(tmp_path / "out.csv"), "--plot-out", str(plot)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith(f"error: --plot-out: cannot write {plot}: it is a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "plot"]  # no --out file either
+        assert list(plot.iterdir()) == []
+
+    def test_an_unwritable_target_names_the_option_not_the_temp_file(self, tmp_path, capsys):
+        path = write_config(tmp_path, basic_document())
+        (tmp_path / "file").write_text("")
+        target = tmp_path / "file" / "out.csv"  # its parent is a file
+        assert main(["estimate", "-c", str(path), "--out", str(target)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --out: cannot write {target}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]
+
+    def test_a_failed_rename_is_an_error_on_the_option(self, tmp_path, capsys, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+        monkeypatch.setattr(os, "replace", refuse)
+        path = write_config(tmp_path, basic_document())
+        target = tmp_path / "out.csv"
+        assert main(["estimate", "-c", str(path), "--out", str(target)]) == 2
+        assert capsys.readouterr().err == f"error: --out: cannot write {target}: Permission denied\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 class TestFixtures:
     def test_list(self, capsys):
         assert main(["fixtures", "list"]) == 0

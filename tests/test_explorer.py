@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import shutil
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -126,14 +127,35 @@ class TestSweep:
         scn = make_scenario(design=make_design(Integration.HYBRID_3D, n=2, gate_count=1e6))
         values = [1e5, 1e6, 1e7, 1e8, 1e9]
         rows = list(sweep(scn, [SweepAxis("dies[*].gate_count", values)], baseline=True))
-        assert all(r.baseline is not None for r in rows) and len(rows) == len(values)
-        diffs = [r.breakdown.c_embodied_overall - r.baseline.c_embodied_overall for r in rows]
+        assert [r.baseline for r in rows] == [_mono2d_embodied(r.scenario) for r in rows]
+        assert len(rows) == len(values)
+        diffs = [r.breakdown.c_embodied_overall - r.baseline for r in rows]
         assert diffs[0] > 0 and diffs[-1] < 0  # brackets at least one crossing
         switching_points = [p for p in map(crossing, rows, rows[1:]) if p is not None]
         assert switching_points
         for value, integ in switching_points:
             assert values[0] <= value <= values[-1]
             assert integ == "hybrid_3d"
+
+    def test_a_baseline_sweep_evaluates_once_per_row(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(explorer, "evaluate", lambda *a, _f=explorer.evaluate, **k: calls.append(1) or _f(*a, **k))
+        argv = ["sweep", "-c", str(CONFIGS[0]), "--baseline",
+                "--axis", "dies[*].gate_count=1e8,1e9", "--axis", "usage.power_density=5,25,40"]
+        assert main(argv) == 0
+        assert len(calls) == 6 and len(capsys.readouterr().out.splitlines()) == 4 + 6
+
+    def test_a_baseline_whose_metrics_overflow_still_gives_its_embodied_carbon(self, registry):
+        # a delay between max/row and max/baseline: the row's CDP is finite, the baseline's is not
+        scenario = load_scenario(next(p for p in CONFIGS if p.stem == "hybrid_2die_7nm"), registry)
+        row, base = evaluate(scenario).c_embodied_overall, _mono2d_embodied(scenario)
+        assert row < base
+        usage = dataclasses.replace(scenario.design.usage, power_density=0.0, delay_s=sys.float_info.max / ((row + base) / 2))
+        scenario = dataclasses.replace(scenario, design=dataclasses.replace(scenario.design, usage=usage))
+        (swept,) = sweep(scenario, [SweepAxis("gamma", [1.0])], baseline=True)
+        assert swept.breakdown.c_embodied_overall == row and swept.baseline == base
+        with pytest.raises(UnsupportedConfiguration, match="not finite"):
+            _mono2d_embodied(scenario)
 
     def test_crossing_needs_one_numeric_axis_with_baseline(self):
         scn = make_scenario(design=make_design(Integration.HYBRID_3D, n=2, gate_count=1e6))
@@ -243,6 +265,11 @@ def _outcome(run):
             return type(exc).__name__, str(exc)
 
 
+def _mono2d_embodied(scenario):
+    """The overall embodied carbon of a full evaluation of the scenario's mono-2D equivalent."""
+    return evaluate(dataclasses.replace(scenario, design=mono2d_equivalent(scenario.design))).c_embodied_overall
+
+
 def _row_by_row(scenario, axes):
     """The per-row chain: apply every axis to the template, then evaluate."""
     rows, baselines = [], []
@@ -252,7 +279,7 @@ def _row_by_row(scenario, axes):
             scn = apply_parameter(scn, axis.parameter_path, value)
         validate_design(scn.design)
         rows.append((combo, scn, evaluate(scn)))
-        baselines.append(evaluate(dataclasses.replace(scn, design=mono2d_equivalent(scn.design))))
+        baselines.append(_mono2d_embodied(scn))
     return rows, baselines
 
 
@@ -312,8 +339,7 @@ class TestReuseMatchesFreshEvaluation:
             for row in rows:
                 assert row.breakdown == evaluate(row.scenario)
                 if baseline:
-                    base = dataclasses.replace(row.scenario, design=mono2d_equivalent(row.scenario.design))
-                    assert row.baseline == evaluate(base)
+                    assert row.baseline == _mono2d_embodied(row.scenario)
                 else:
                     assert row.baseline is None
 

@@ -161,6 +161,35 @@ class TestRegistry:
         with pytest.raises(UnknownNode):
             registry.technology("90nm")
 
+    def test_unknown_node_lists_the_known_nodes_in_numeric_order(self):
+        with pytest.raises(UnknownNode, match=r"^technology: unknown node '90nm'; "
+                                              r"known: 3nm, 5nm, 7nm, 10nm, 14nm, 20nm, 28nm$"):
+            FixtureRegistry.bundled().technology("90nm")
+
+    @pytest.mark.parametrize("name", ["../7nm", "7nm/x", "nodes/7nm", "7nm.json", ""])
+    def test_a_name_that_is_not_a_node_file_is_unknown(self, monkeypatch, name):
+        opened = []
+        monkeypatch.setattr(params, "open", lambda file, *a, **k: opened.append(file), raising=False)
+        with pytest.raises(UnknownNode) as exc:
+            FixtureRegistry.bundled().technology(name)
+        assert exc.value.node == name and opened == []
+
+    def test_the_nodes_are_listed_once_per_registry(self, monkeypatch):
+        listed = []
+        listdir = os.listdir
+        monkeypatch.setattr(os, "listdir", lambda path: listed.append(path) or listdir(path))
+        registry = FixtureRegistry.bundled()
+        for node in ("7nm", "14nm", "5nm"):
+            registry.technology(node)
+            registry.default_wiring(node)
+        for name in ("90nm", "../7nm"):
+            with pytest.raises(UnknownNode):
+                registry.technology(name)
+        assert registry.node_names()[:3] == ["3nm", "5nm", "7nm"]
+        assert len(listed) == 1
+        FixtureRegistry.bundled().technology("7nm")  # a new registry lists the directory again
+        assert len(listed) == 2
+
     def test_every_fixture_passes_invariants_silently(self):
         registry = FixtureRegistry.bundled()  # fresh: every profile is built and validated here
         with warnings.catch_warnings():

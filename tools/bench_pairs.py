@@ -9,10 +9,18 @@ order of the two runs swapped from one pair to the next.  Each run lasts the
 ``run_seconds`` of CHANGE's ``BENCHMARK.json``.  It prints every end-to-end
 metric that file declares, and the share of failed ops (``fail_ratio``), per
 pair, then per metric the parent's and the change's medians and quartiles,
-the median change, how many pairs the change won (a tie is not a win) and
-whether the medians differ by more than the parent's quartile spread.  The
-runs inherit the environment, so the ``PYTHONDONTWRITEBYTECODE`` setting is
-printed too.  Standard library only.
+the median change, how many pairs the change won (a tie is not a win) and a
+verdict, in the metric's ``better`` direction:
+
+  gain        the change won at least 9 of 10 pairs and its median is better
+              than the parent's by more than the parent's quartile spread;
+  worse       its median is worse than the parent's by more than the metric's
+              ``bound`` in BENCHMARK.json, a share of the parent's median
+              (``fail_ratio`` has bound 0: any rise is worse);
+  unresolved  neither.
+
+The runs inherit the environment, so the ``PYTHONDONTWRITEBYTECODE`` setting
+is printed too.  Standard library only.
 """
 
 from __future__ import annotations
@@ -41,12 +49,12 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return metrics
 
 
-def benchmark(checkout: Path) -> tuple[float, list[tuple[str, str]]]:
-    """The run length the checkout's BENCHMARK.json sets, and the (name, better) of each
-    end-to-end metric it declares."""
+def benchmark(checkout: Path) -> tuple[float, list[tuple[str, str, float]]]:
+    """The run length the checkout's BENCHMARK.json sets, and the (name, better, bound) of
+    each end-to-end metric it declares."""
     with open(checkout / "BENCHMARK.json", encoding="utf-8") as f:
         declared = json.load(f)
-    return declared["run_seconds"], [(m["name"], m["better"]) for m in declared["end_to_end"]]
+    return declared["run_seconds"], [(m["name"], m["better"], m["bound"]) for m in declared["end_to_end"]]
 
 
 def pairs(parent: Path, change: Path, workload: str, n: int, seconds: float, seed: int,
@@ -69,13 +77,24 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def report(results: list[tuple[dict, dict]], metrics: list[tuple[str, str]]) -> list[str]:
+def _verdict(wins: int, n: int, parent: tuple[float, float, float], change_median: float,
+             better: str, bound: float) -> str:
+    o1, om, o3 = parent
+    gain = (change_median - om) if better == "higher" else (om - change_median)
+    if 10 * wins >= 9 * n and gain > o3 - o1:
+        return "gain"
+    if -gain > bound * abs(om):
+        return "worse"
+    return "unresolved"
+
+
+def report(results: list[tuple[dict, dict]], metrics: list[tuple[str, str, float]]) -> list[str]:
     """The lines printed for the pairs: each pair, then one summary line per metric."""
     lines = []
     for i, (p, c) in enumerate(results):
-        cells = "  ".join(f"{name}={p[name]:.4g}->{c[name]:.4g}" for name, _ in metrics if name in p and name in c)
+        cells = "  ".join(f"{name}={p[name]:.4g}->{c[name]:.4g}" for name, *_ in metrics if name in p and name in c)
         lines.append(f"pair {i + 1}: {cells}")
-    for name, better in metrics:
+    for name, better, bound in metrics:
         both = [(p[name], c[name]) for p, c in results if name in p and name in c]
         if not both:
             continue
@@ -83,10 +102,10 @@ def report(results: list[tuple[dict, dict]], metrics: list[tuple[str, str]]) -> 
         wins = sum((c < p) if better == "lower" else (c > p) for p, c in both)
         (o1, om, o3), (n1, nm, n3) = _quartiles(old), _quartiles(new)
         change = f"{(nm - om) / om:+.1%}" if om else "n/a"
-        lines.append(f"{name} ({better} is better): parent {om:.4g} [{o1:.4g}, {o3:.4g}]  "
+        lines.append(f"{name} ({better} is better, bound {bound:g}): parent {om:.4g} [{o1:.4g}, {o3:.4g}]  "
                      f"change {nm:.4g} [{n1:.4g}, {n3:.4g}]  median change {change}  "
                      f"change won {wins} of {len(both)}  "
-                     f"medians differ by more than the parent's quartile spread: {abs(nm - om) > o3 - o1}")
+                     f"verdict: {_verdict(wins, len(both), (o1, om, o3), nm, better, bound)}")
     return lines
 
 
@@ -104,7 +123,7 @@ def main(argv=None) -> int:
     seconds, metrics = benchmark(args.change)
     print(f"PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', '(unset)')}")
     results = pairs(args.parent, args.change, args.workload, args.pairs, seconds, args.seed, run_bench)
-    print("\n".join(report(results, metrics + [("fail_ratio", "lower")])))
+    print("\n".join(report(results, metrics + [("fail_ratio", "lower", 0.0)])))
     return 0
 
 
