@@ -8,7 +8,11 @@ they must match byte for byte.  ``tests/golden/validate_design.json`` holds
 integration x facing x stacking x die-count combination.  ``tests/golden/embodied.json``
 holds the ``repr`` of every ``embodied_breakdown`` component, or the error type
 name, for each scheme x die count x stacking x node x gate count built with
-``build_design`` on the bundled fixtures.
+``build_design`` on the bundled fixtures.  ``tests/golden/ranges.json`` holds
+the output of ``estimate --format csv`` on ``configs/hybrid_2die_7nm.json``
+with one field set outside its hard range (``hard/<path>``) or outside its
+surveyed range (``surveyed/<path>``), for every ranged field a document can
+set, through the document section that sets it.
 
 Re-freeze only for a change that is meant to alter these outputs, and say so:
 
@@ -19,6 +23,7 @@ import contextlib
 import io
 import json
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -74,6 +79,68 @@ def cli_cases() -> dict[str, list[str]]:
                 "--node", "7nm", "--dies", "2", "--range", "1e6:1e11",
             ]
     return cases
+
+
+_EPA_BEOL = [1.1, 1.08, 1.06, 1.04, 1.02, 1.0, 0.98, 0.96, 0.94, 0.92, 0.9, 0.88, 0.86]  # 7nm's first 13
+
+# (range, case) -> the document edits: (dotted path, value) pairs
+RANGE_CASES = {
+    **{("hard", f"technology_overrides.7nm.{f}"): v for f, v in {
+        "feature_size_cm": 0, "gate_area_scaling": 0, "epa_feol": -0.1, "epa_mol": -0.1,
+        "epa_beol_per_layer": _EPA_BEOL + [-0.5], "max_beol_layers": 0, "gpa": -0.1, "mpa": -0.1,
+        "defect_density_d0": -0.1, "cluster_alpha": 0, "tsv_pitch_cm": 0, "io_overhead_ratio": 1.5,
+    }.items()},
+    **{("surveyed", f"technology_overrides.7nm.{f}"): v for f, v in {
+        "epa_feol": 0.9, "epa_mol": 0.05, "epa_beol_per_layer": _EPA_BEOL + [2.0], "gpa": 0.6, "tsv_pitch_cm": 3e-4,
+    }.items()},
+    **{("hard", f"design.dies[0].wiring.{f}"): v for f, v in {
+        "rent_k": 0, "rent_p": 1, "fanout": 0, "wire_pitch_cm": 0, "utilization": 1.5, "rent_alpha": 0,
+    }.items()},
+    **{("hard", f"design.bonding.{f}"): v for f, v in {
+        "epa_d2w": -1, "epa_w2w": -1, "cpa_bonding": -1, "cpa_rdl": -1,
+        "bond_yield": 1.5, "rdl_yield": 0, "interposer_yield": 1.5,
+    }.items()},
+    **{("surveyed", f"design.bonding.{f}"): v for f, v in {"epa_d2w": 3.0, "epa_w2w": 0.5}.items()},
+    **{("hard", f"design.packaging.{f}"): v for f, v in {
+        "cpa_packaging": -1, "s_package_3d": 0.5, "s_package_25d": 0.5, "s_substrate_25d": 0.5,
+    }.items()},
+    **{("hard", f"environment.{f}"): v for f, v in {
+        "ci_fab": -0.1, "ci_use": -0.1, "ci_bonding": -0.1, "wafer_diameter_cm": 0,
+    }.items()},
+    **{("surveyed", f"environment.{f}"): v for f, v in {"ci_fab": 0.8, "ci_use": 0.01, "ci_bonding": 0.9}.items()},
+    **{("hard", f"usage.{f}"): v for f, v in {
+        "t_app_hours": 0, "t_exe_hours": 8000, "power_density": -1, "delay_s": 0,
+    }.items()},
+    ("hard", "usage.energy_override_kwh"): -1,
+    ("surveyed", "usage.t_exe_hours"): 100000,
+    **{("hard", f"design.dies[0].{f}"): v for f, v in {"gate_count": 0, "explicit_area": 0, "explicit_beol": 0}.items()},
+    ("hard", "design.signal_count_f2f"): -1,
+}
+
+
+def range_edits(case: tuple[str, str]) -> list[tuple[str, object]]:
+    _, path = case
+    edits = [(path, RANGE_CASES[case])]
+    if path == "usage.energy_override_kwh":  # one of power_density / energy_override_kwh
+        edits.insert(0, ("usage.power_density", None))
+    return edits
+
+
+def run_range_case(case: tuple[str, str]) -> dict:
+    doc = json.loads((ROOT / "configs" / "hybrid_2die_7nm.json").read_text(encoding="utf-8"))
+    for path, value in range_edits(case):
+        *parents, leaf = path.replace("[0]", ".0").split(".")
+        node = doc
+        for key in parents:
+            node = node[int(key)] if key.isdigit() else node.setdefault(key, {})
+        node[leaf] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["estimate", "-c", str(config), "--format", "csv"])
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def run_cli(argv: list[str]) -> dict:
@@ -159,6 +226,15 @@ def test_golden_covers_every_cli_case():
     assert sorted(_load("cli.json")) == sorted(cli_cases())
 
 
+@pytest.mark.parametrize("case", sorted(RANGE_CASES), ids="/".join)
+def test_out_of_range_field_matches_golden(case):
+    assert run_range_case(case) == _load("ranges.json")["/".join(case)]
+
+
+def test_golden_covers_every_range_case():
+    assert sorted(_load("ranges.json")) == sorted("/".join(case) for case in RANGE_CASES)
+
+
 def test_validate_design_matrix_matches_golden():
     frozen = _load("validate_design.json")
     got = {key: verdict(design) for key, design in validation_cases().items()}
@@ -174,7 +250,9 @@ def freeze():
     cli = {case: run_cli(argv) for case, argv in cli_cases().items()}
     matrix = {key: verdict(design) for key, design in validation_cases().items()}
     embodied = embodied_cases()
-    for name, data in (("cli.json", cli), ("validate_design.json", matrix), ("embodied.json", embodied)):
+    ranges = {"/".join(case): run_range_case(case) for case in RANGE_CASES}
+    for name, data in (("cli.json", cli), ("validate_design.json", matrix), ("embodied.json", embodied),
+                       ("ranges.json", ranges)):
         (GOLDEN / name).write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
