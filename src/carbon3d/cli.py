@@ -86,22 +86,28 @@ def _writing(path: str | None, option: str):
 
 @contextlib.contextmanager
 def _output(path: str | None, option: str = "--out"):
-    """A temp file for a command's output that is renamed onto ``path`` (atomically)
-    or copied to stdout only if the block succeeds, and otherwise removed.  A target
-    that cannot be written is an error on ``option``; a directory is refused at once."""
+    """A temp file for a command's output that is renamed onto ``path`` (atomically), or copied to
+    stdout or to a ``path`` that is not a regular file (a FIFO), only if the block succeeds, and
+    otherwise removed.  A target that cannot be written is an error on ``option``; a directory is refused."""
     target = Path(path) if path else None
     with _writing(path, option):
         if target is not None:
             _check(not target.is_dir(), option, f"cannot write {path}: it is a directory")
             target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=target and target.parent, prefix=target.name if target else "carbon3d", suffix=".tmp")
+        rename = target is not None and (target.is_file() or not target.exists())  # both follow links
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=target.name if target else "carbon3d",
+                                   dir=target.parent if rename else None)
     try:
         with os.fdopen(fd, "w+", encoding="utf-8", newline="") as f:
             yield f
-            if target is None:
+            if not rename:
                 f.seek(0)
-                shutil.copyfileobj(f, sys.stdout)
-        if target is not None:
+                if target is None:
+                    shutil.copyfileobj(f, sys.stdout)
+                else:
+                    with _writing(path, option), open(target, "w", encoding="utf-8", newline="") as dest:
+                        shutil.copyfileobj(f, dest)
+        if rename:
             with _writing(path, option):
                 os.replace(tmp, target)
     finally:
@@ -355,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("-c", "--config", required=config_required, help="JSON design document")
+    def common(p):
+        p.add_argument("-c", "--config", required=True, help="JSON design document")
         p.add_argument("--gamma", type=float, default=1.0, help="embodied-vs-operational weight (default 1)")
         p.add_argument("--out", help="write the report here (atomic); default stdout")
 

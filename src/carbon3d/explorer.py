@@ -66,6 +66,7 @@ from .params import (
     resolve_technology,
     validate_design,
     validate_gamma,
+    validate_profile,
 )
 
 PRESCAN_POINTS = 17
@@ -391,6 +392,8 @@ def build_design(
     """
     design = _equal_split(integration, technology, wiring, n_dies, gate_count_2d, usage, stacking)
     validate_design(design)
+    validate_profile(design.dies[0], "design.dies[0]")  # the dies are equal
+    validate_profile(usage, "design.usage")
     return design
 
 

@@ -140,33 +140,48 @@ for _member in Integration:
     _member.rules = SCHEME_RULES[_member]
 
 
+def _ranged(rule: str, surveyed: str | None = None, **field: Any) -> Any:
+    """A dataclass field whose value must satisfy ``rule`` (``"> 0"``, ``">= 1"``, ``"(0, 1]"``; for a
+    list, each entry) and warns outside the survey range ``SURVEYED[surveyed]``.  Its ``bounds`` are
+    closed: an open end becomes the nearest float inside it, so that ``low <= v <= high`` checks any rule."""
+    interval = rule[0] in "(["
+    low, high = (float(x) for x in (rule[1:-1].split(",") if interval else (rule.split()[1], "inf")))
+    if rule[0] == "(" or rule[:2] == "> ":
+        low = math.nextafter(low, math.inf)
+    if rule[-1] == ")":
+        high = math.nextafter(high, -math.inf)
+    message = f"must be in {rule}" if interval else f"must be {rule}"
+    bounds = (low, high, message, surveyed and SURVEYED[surveyed])
+    return dataclasses.field(metadata={"range": rule, "surveyed": surveyed, "bounds": bounds}, **field)
+
+
 @dataclass(frozen=True)
 class TechnologyProfile:
     """Per-node fab parameters (canonical units, see module docstring)."""
 
     node_name: str
-    feature_size_cm: float          # lambda
-    gate_area_scaling: float        # beta; beta * lambda^2 = average area per gate
-    epa_feol: float                 # kWh/cm^2
-    epa_mol: float                  # kWh/cm^2
-    epa_beol_per_layer: tuple[float, ...]  # kWh/cm^2, index 0 = metal 1
-    max_beol_layers: int
-    gpa: float                      # kg CO2/cm^2 direct fab gases
-    mpa: float                      # kg CO2/cm^2 material procurement
-    defect_density_d0: float        # defects/cm^2
-    cluster_alpha: float            # negative-binomial clustering, > 0
-    tsv_pitch_cm: float             # via dimension
-    io_overhead_ratio: float = 0.1  # gamma_IO in [0, 1]
+    feature_size_cm: float = _ranged("> 0")                     # lambda
+    gate_area_scaling: float = _ranged("> 0")                   # beta; beta * lambda^2 = average area per gate
+    epa_feol: float = _ranged(">= 0", "epa_feol")               # kWh/cm^2
+    epa_mol: float = _ranged(">= 0", "epa_mol")                 # kWh/cm^2
+    epa_beol_per_layer: tuple[float, ...] = _ranged(">= 0", "epa_beol_layer")  # kWh/cm^2, index 0 = metal 1
+    max_beol_layers: int = _ranged(">= 1")
+    gpa: float = _ranged(">= 0", "gpa")                         # kg CO2/cm^2 direct fab gases
+    mpa: float = _ranged(">= 0")                                # kg CO2/cm^2 material procurement
+    defect_density_d0: float = _ranged(">= 0")                  # defects/cm^2
+    cluster_alpha: float = _ranged("> 0")                       # negative-binomial clustering
+    tsv_pitch_cm: float = _ranged("> 0", "tsv_pitch_cm")        # via dimension
+    io_overhead_ratio: float = _ranged("[0, 1]", default=0.1)   # gamma_IO
 
 
 @dataclass(frozen=True)
 class FabEnvironment:
     """Fab and use-phase carbon intensities and the wafer size."""
 
-    ci_fab: float                   # kg CO2/kWh
-    ci_use: float
-    ci_bonding: float
-    wafer_diameter_cm: float
+    ci_fab: float = _ranged(">= 0", "carbon_intensity")         # kg CO2/kWh
+    ci_use: float = _ranged(">= 0", "carbon_intensity")
+    ci_bonding: float = _ranged(">= 0", "carbon_intensity")
+    wafer_diameter_cm: float = _ranged("> 0")
 
     @property
     def wafer_area(self) -> float:
@@ -177,46 +192,46 @@ class FabEnvironment:
 class WiringParameters:
     """Rent's-rule and routing parameters used for TSV and BEOL estimation."""
 
-    rent_k: float                   # terminals per gate coefficient
-    rent_p: float                   # Rent exponent, in (0, 1)
-    fanout: float                   # average fanout (f.o.)
-    wire_pitch_cm: float            # omega
-    utilization: float              # eta, in (0, 1]
-    rent_alpha: float = 1.0         # terminal-to-connection factor
+    rent_k: float = _ranged("> 0")                              # terminals per gate coefficient
+    rent_p: float = _ranged("(0, 1)")                           # Rent exponent
+    fanout: float = _ranged("> 0")                              # average fanout (f.o.)
+    wire_pitch_cm: float = _ranged("> 0")                       # omega
+    utilization: float = _ranged("(0, 1]")                      # eta
+    rent_alpha: float = _ranged("> 0", default=1.0)             # terminal-to-connection factor
 
 
 @dataclass(frozen=True)
 class BondingProfile:
     """Bonding energies and carbon per area, and the bond, RDL and interposer yields."""
 
-    epa_d2w: float                  # kWh/cm^2 per bonding wafer pass
-    epa_w2w: float
-    cpa_bonding: float              # kg CO2/cm^2, chip-last InFO bonding
-    cpa_rdl: float                  # kg CO2/cm^2, RDL substrate build-up
-    bond_yield: float               # standalone per-interface yield
-    rdl_yield: float
-    interposer_yield: float | None = None   # None: derived from interposer area
+    epa_d2w: float = _ranged(">= 0", "epa_bonding")             # kWh/cm^2 per bonding wafer pass
+    epa_w2w: float = _ranged(">= 0", "epa_bonding")
+    cpa_bonding: float = _ranged(">= 0")                        # kg CO2/cm^2, chip-last InFO bonding
+    cpa_rdl: float = _ranged(">= 0")                            # kg CO2/cm^2, RDL substrate build-up
+    bond_yield: float = _ranged("(0, 1]")                       # standalone per-interface yield
+    rdl_yield: float = _ranged("(0, 1]")
+    interposer_yield: float | None = _ranged("(0, 1]", default=None)  # None: derived from interposer area
 
 
 @dataclass(frozen=True)
 class PackagingProfile:
     """Package carbon per area and the package and substrate area scale factors."""
 
-    cpa_packaging: float            # kg CO2/cm^2 (package technology specific)
-    s_package_3d: float             # >= 1, times max stacked die area
-    s_package_25d: float            # >= 1, times total die area
-    s_substrate_25d: float          # >= 1, times total die area (RDL / interposer)
+    cpa_packaging: float = _ranged(">= 0")                      # kg CO2/cm^2 (package technology specific)
+    s_package_3d: float = _ranged(">= 1")                       # times max stacked die area
+    s_package_25d: float = _ranged(">= 1")                      # times total die area
+    s_substrate_25d: float = _ranged(">= 1")                    # times total die area (RDL / interposer)
 
 
 @dataclass(frozen=True)
 class UsageProfile:
     """Application and lifetime hours, power or energy, and the per-task delay."""
 
-    t_app_hours: float              # application run-time
-    t_exe_hours: float              # overall execution lifetime
-    power_density: float | None = None      # W/cm^2 over active logic area
-    energy_override_kwh: float | None = None
-    delay_s: float = 1.0            # per-task delay for CDP/tCDP metrics
+    t_app_hours: float = _ranged("> 0")                         # application run-time
+    t_exe_hours: float                                          # overall execution lifetime
+    power_density: float | None = _ranged(">= 0", default=None)         # W/cm^2 over active logic area
+    energy_override_kwh: float | None = _ranged(">= 0", default=None)
+    delay_s: float = _ranged("> 0", default=1.0)                # per-task delay for CDP/tCDP metrics
 
 
 @dataclass(frozen=True)
@@ -225,8 +240,8 @@ class DieSpec:
 
     technology: TechnologyProfile
     wiring: WiringParameters
-    gate_count: float | None = None
-    explicit_area: float | None = None      # cm^2, overrides computed gate area
+    gate_count: float | None = _ranged("> 0", default=None)
+    explicit_area: float | None = _ranged("> 0", default=None)  # cm^2, overrides computed gate area
     explicit_beol: int | None = None        # bypasses BEOL estimation
 
 
@@ -239,7 +254,7 @@ class DesignSpec:
     stacking: Stacking
     dies: tuple[DieSpec, ...]
     usage: UsageProfile
-    signal_count_f2f: int = 0       # X_signal, package-bound signals for F2F
+    signal_count_f2f: int = _ranged(">= 0", default=0)          # X_signal, package-bound signals for F2F
 
 
 @dataclass(frozen=True)
@@ -498,77 +513,12 @@ def _check(cond: bool, path: str, message: str):
         raise OutOfRange(path, message)
 
 
-def _warn_range(value: float, bounds: tuple[float, float], path: str):
-    lo, hi = bounds
-    if not (lo <= value <= hi):
-        warnings.warn(
-            f"{path}={value:g} is outside the surveyed range [{lo:g}, {hi:g}]",
-            CarbonModelWarning,
-            stacklevel=3,
-        )
-
-
-def validate_technology(tech: TechnologyProfile, path: str = "technology"):
-    _check(tech.feature_size_cm > 0, f"{path}.feature_size_cm", "must be > 0")
-    _check(tech.gate_area_scaling > 0, f"{path}.gate_area_scaling", "must be > 0")
-    _check(tech.epa_feol >= 0, f"{path}.epa_feol", "must be >= 0")
-    _check(tech.epa_mol >= 0, f"{path}.epa_mol", "must be >= 0")
-    _check(tech.max_beol_layers >= 1, f"{path}.max_beol_layers", "must be >= 1")
-    _check(
-        len(tech.epa_beol_per_layer) >= tech.max_beol_layers,
-        f"{path}.epa_beol_per_layer",
-        f"needs at least max_beol_layers={tech.max_beol_layers} entries",
+def _warn_surveyed(value: float, bounds: tuple[float, float], path: str):
+    warnings.warn(
+        f"{path}={value:g} is outside the surveyed range [{bounds[0]:g}, {bounds[1]:g}]",
+        CarbonModelWarning,
+        stacklevel=3,
     )
-    _check(all(v >= 0 for v in tech.epa_beol_per_layer), f"{path}.epa_beol_per_layer", "entries must be >= 0")
-    _check(tech.gpa >= 0, f"{path}.gpa", "must be >= 0")
-    _check(tech.mpa >= 0, f"{path}.mpa", "must be >= 0")
-    _check(tech.defect_density_d0 >= 0, f"{path}.defect_density_d0", "must be >= 0")
-    _check(tech.cluster_alpha > 0, f"{path}.cluster_alpha", "must be > 0")
-    _check(tech.tsv_pitch_cm > 0, f"{path}.tsv_pitch_cm", "must be > 0")
-    _check(0 <= tech.io_overhead_ratio <= 1, f"{path}.io_overhead_ratio", "must be in [0, 1]")
-    _warn_range(tech.epa_feol, SURVEYED["epa_feol"], f"{path}.epa_feol")
-    _warn_range(tech.epa_mol, SURVEYED["epa_mol"], f"{path}.epa_mol")
-    for i, v in enumerate(tech.epa_beol_per_layer[: tech.max_beol_layers]):
-        _warn_range(v, SURVEYED["epa_beol_layer"], f"{path}.epa_beol_per_layer[{i}]")
-    _warn_range(tech.gpa, SURVEYED["gpa"], f"{path}.gpa")
-    _warn_range(tech.tsv_pitch_cm, SURVEYED["tsv_pitch_cm"], f"{path}.tsv_pitch_cm")
-
-
-def validate_wiring(wiring: WiringParameters, path: str = "wiring"):
-    _check(wiring.rent_k > 0, f"{path}.rent_k", "must be > 0")
-    _check(0 < wiring.rent_p < 1, f"{path}.rent_p", "must be in (0, 1)")
-    _check(wiring.rent_alpha > 0, f"{path}.rent_alpha", "must be > 0")
-    _check(wiring.fanout > 0, f"{path}.fanout", "must be > 0")
-    _check(wiring.wire_pitch_cm > 0, f"{path}.wire_pitch_cm", "must be > 0")
-    _check(0 < wiring.utilization <= 1, f"{path}.utilization", "must be in (0, 1]")
-
-
-def validate_bonding(bonding: BondingProfile, path: str = "bonding"):
-    _check(bonding.epa_d2w >= 0, f"{path}.epa_d2w", "must be >= 0")
-    _check(bonding.epa_w2w >= 0, f"{path}.epa_w2w", "must be >= 0")
-    _check(bonding.cpa_bonding >= 0, f"{path}.cpa_bonding", "must be >= 0")
-    _check(bonding.cpa_rdl >= 0, f"{path}.cpa_rdl", "must be >= 0")
-    for name in ("bond_yield", "rdl_yield", "interposer_yield"):
-        value = getattr(bonding, name)
-        if value is not None:
-            _check(0 < value <= 1, f"{path}.{name}", "must be in (0, 1]")
-    _warn_range(bonding.epa_d2w, SURVEYED["epa_bonding"], f"{path}.epa_d2w")
-    _warn_range(bonding.epa_w2w, SURVEYED["epa_bonding"], f"{path}.epa_w2w")
-
-
-def validate_packaging(packaging: PackagingProfile, path: str = "packaging"):
-    _check(packaging.cpa_packaging >= 0, f"{path}.cpa_packaging", "must be >= 0")
-    _check(packaging.s_package_3d >= 1, f"{path}.s_package_3d", "must be >= 1")
-    _check(packaging.s_package_25d >= 1, f"{path}.s_package_25d", "must be >= 1")
-    _check(packaging.s_substrate_25d >= 1, f"{path}.s_substrate_25d", "must be >= 1")
-
-
-def validate_environment(env: FabEnvironment, path: str = "environment"):
-    for name in ("ci_fab", "ci_use", "ci_bonding"):
-        value = getattr(env, name)
-        _check(value >= 0, f"{path}.{name}", "must be >= 0")
-        _warn_range(value, SURVEYED["carbon_intensity"], f"{path}.{name}")
-    _check(env.wafer_diameter_cm > 0, f"{path}.wafer_diameter_cm", "must be > 0")
 
 
 def validate_gamma(gamma: float, path: str = "gamma") -> float:
@@ -576,21 +526,6 @@ def validate_gamma(gamma: float, path: str = "gamma") -> float:
     value = _num(gamma, path)
     _check(value >= 0, path, "must be >= 0")
     return value
-
-
-def validate_usage(usage: UsageProfile, path: str = "usage"):
-    _check(usage.t_app_hours > 0, f"{path}.t_app_hours", "must be > 0")
-    _check(usage.t_exe_hours >= usage.t_app_hours, f"{path}.t_exe_hours", "must be >= t_app_hours")
-    _check(usage.delay_s > 0, f"{path}.delay_s", "must be > 0")
-    if usage.power_density is None and usage.energy_override_kwh is None:
-        raise MissingField(f"{path}.power_density", "one of power_density / energy_override_kwh is required")
-    if usage.power_density is not None and usage.energy_override_kwh is not None:
-        raise InvalidCombination(path, "give exactly one of power_density / energy_override_kwh")
-    if usage.power_density is not None:
-        _check(usage.power_density >= 0, f"{path}.power_density", "must be >= 0")
-    if usage.energy_override_kwh is not None:
-        _check(usage.energy_override_kwh >= 0, f"{path}.energy_override_kwh", "must be >= 0")
-    _warn_range(usage.t_exe_hours / HOURS_PER_YEAR, SURVEYED["t_exe_years"], f"{path}.t_exe_hours (years)")
 
 
 def check_die_count(integration: Integration, n: int, path: str):
@@ -603,12 +538,13 @@ def check_die_count(integration: Integration, n: int, path: str):
 
 
 def validate_design(design: DesignSpec, path: str = "design"):
-    """Enforce the cross-field and per-die rules of a design.
+    """Enforce the rules of a design that span its fields and dies.
 
     These are the integration/facing/stacking/die-count compatibility
-    rules, the die sizes and the usage profile.  Each die's technology and
-    wiring profile is validated once where it is made (the registry, the
-    loader, ``explorer.apply_parameter``), not again here.
+    rules, the M3D node, and each die's size and BEOL count against its
+    node.  Each profile's and spec's own fields are checked once where it is
+    made (``validate_profile``: the registry, the loader,
+    ``explorer.apply_parameter``, ``explorer.build_design``), not again here.
     """
     n = len(design.dies)
     integ = design.integration
@@ -622,25 +558,29 @@ def validate_design(design: DesignSpec, path: str = "design"):
         raise InvalidCombination(f"{path}.facing", f"f2f stacking supports exactly 2 dies, got {n}")
     if integ is Integration.M3D and len({d.technology.node_name for d in design.dies}) != 1:
         raise InvalidCombination(f"{path}.dies", "m3d tiers share one wafer and must use one node")
-
-    if design.signal_count_f2f < 0:
-        raise OutOfRange(f"{path}.signal_count_f2f", "must be >= 0")
-
     for i, die in enumerate(design.dies):
-        dpath = f"{path}.dies[{i}]"
         if die.gate_count is None and die.explicit_area is None:
-            raise MissingField(f"{dpath}.gate_count", "need gate_count or explicit_area")
-        if die.gate_count is not None:
-            _check(die.gate_count > 0, f"{dpath}.gate_count", "must be > 0")
-        if die.explicit_area is not None:
-            _check(die.explicit_area > 0, f"{dpath}.explicit_area", "must be > 0")
-        if die.explicit_beol is not None:
-            _check(
-                1 <= die.explicit_beol <= die.technology.max_beol_layers,
-                f"{dpath}.explicit_beol",
-                f"must be in [1, {die.technology.max_beol_layers}] for {die.technology.node_name}",
-            )
-    validate_usage(design.usage, f"{path}.usage")
+            raise MissingField(f"{path}.dies[{i}].gate_count", "need gate_count or explicit_area")
+        if die.explicit_beol is not None and not 1 <= die.explicit_beol <= die.technology.max_beol_layers:
+            t = die.technology
+            raise OutOfRange(f"{path}.dies[{i}].explicit_beol", f"must be in [1, {t.max_beol_layers}] for {t.node_name}")
+
+
+def _technology_rules(tech: TechnologyProfile, path: str):
+    _check(len(tech.epa_beol_per_layer) >= tech.max_beol_layers, f"{path}.epa_beol_per_layer",
+           f"needs at least max_beol_layers={tech.max_beol_layers} entries")
+
+
+def _usage_rules(usage: UsageProfile, path: str):
+    if not usage.t_exe_hours >= usage.t_app_hours:
+        raise OutOfRange(f"{path}.t_exe_hours", "must be >= t_app_hours")
+    if usage.power_density is None and usage.energy_override_kwh is None:
+        raise MissingField(f"{path}.power_density", "one of power_density / energy_override_kwh is required")
+    if usage.power_density is not None and usage.energy_override_kwh is not None:
+        raise InvalidCombination(path, "give exactly one of power_density / energy_override_kwh")
+    years, surveyed = usage.t_exe_hours / HOURS_PER_YEAR, SURVEYED["t_exe_years"]
+    if not surveyed[0] <= years <= surveyed[1]:
+        _warn_surveyed(years, surveyed, f"{path}.t_exe_hours (years)")
 
 
 # ---------------------------------------------------------------------------
@@ -668,14 +608,34 @@ _FIELDS = {
                 FabEnvironment, UsageProfile, DieSpec, DesignSpec)
 }
 
-# Usage, dies and designs are checked by validate_design, across fields.
-_VALIDATORS = {
-    TechnologyProfile: validate_technology,
-    WiringParameters: validate_wiring,
-    BondingProfile: validate_bonding,
-    PackagingProfile: validate_packaging,
-    FabEnvironment: validate_environment,
-}
+# class -> (field, low, high, message, surveyed range or None) for each ranged field, in field order
+_RANGES = {cls: tuple((f.name, *f.metadata["bounds"]) for f in dataclasses.fields(cls) if f.metadata) for cls in _FIELDS}
+
+# the rules that span fields, checked after the fields' own ranges
+_CROSS_FIELD_RULES = {TechnologyProfile: _technology_rules, UsageProfile: _usage_rules}
+
+
+def validate_profile(profile: Any, path: str):
+    """Check a profile or spec against the ranges its fields declare (``_ranged``), in
+    field order: a value outside raises OutOfRange on ``<path>.<field>``, and one outside
+    its surveyed range warns.  Then the class's rules that span fields, if it has any."""
+    for name, low, high, message, surveyed in _RANGES[type(profile)]:
+        value = getattr(profile, name)
+        if value is None:
+            continue
+        if type(value) is tuple:  # a list's range and survey hold for each entry
+            if not all(low <= v <= high for v in value):
+                raise OutOfRange(f"{path}.{name}", f"entries {message}")
+            for i, v in enumerate(value if surveyed else ()):
+                if not surveyed[0] <= v <= surveyed[1]:
+                    _warn_surveyed(v, surveyed, f"{path}.{name}[{i}]")
+        elif not low <= value <= high:
+            raise OutOfRange(f"{path}.{name}", message)
+        elif surveyed and not surveyed[0] <= value <= surveyed[1]:
+            _warn_surveyed(value, surveyed, f"{path}.{name}")
+    rules = _CROSS_FIELD_RULES.get(type(profile))
+    if rules is not None:
+        rules(profile, path)
 
 
 def _profile(cls: type, base: Any, patch: Any, path: str, **fixed: Any) -> Any:
@@ -712,9 +672,7 @@ def _profile(cls: type, base: Any, patch: Any, path: str, **fixed: Any) -> Any:
             if required and name not in values:
                 raise MissingField(f"{path}.{name}", "required field missing")
         profile = cls(**values)
-    validate = _VALIDATORS.get(cls)
-    if validate is not None:
-        validate(profile, path)
+    validate_profile(profile, path)
     return profile
 
 
@@ -783,13 +741,13 @@ def _design(document: dict, design_doc: dict, overrides: Mapping, registry: Fixt
         dies.append(_profile(DieSpec, None, sizes, dpath, technology=tech, wiring=wiring))
 
     rules, facing, stacking = integration.rules, design_doc.get("facing"), design_doc.get("stacking")
-    design = DesignSpec(
+    design = _profile(
+        DesignSpec, None, {"signal_count_f2f": design_doc.get("signal_count_f2f", 0)}, "design",
         integration=integration,
         facing=rules.default_facing(len(dies)) if facing is None else _enum(facing, Facing, "design.facing"),
         stacking=rules.default_stacking if stacking is None else _enum(stacking, Stacking, "design.stacking"),
         dies=tuple(dies),
         usage=_profile(UsageProfile, None, _require(document, "usage", ""), "usage"),
-        signal_count_f2f=_int(design_doc.get("signal_count_f2f", 0), "design.signal_count_f2f"),
     )
     validate_design(design)
     return design

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -10,7 +11,20 @@ from pathlib import Path
 
 import pytest
 
-from carbon3d import Integration, evaluate, load_scenario, switching_point
+from carbon3d import (
+    BondingProfile,
+    DesignSpec,
+    DieSpec,
+    FabEnvironment,
+    Integration,
+    PackagingProfile,
+    UsageProfile,
+    WiringParameters,
+    evaluate,
+    load_scenario,
+    switching_point,
+)
+from carbon3d import params
 from carbon3d.cli import build_parser, main
 from carbon3d.errors import CarbonModelWarning
 from carbon3d.params import _BUNDLED_DIR
@@ -366,6 +380,32 @@ class TestOutputTargets:
         assert capsys.readouterr().err == f"error: --out: cannot write {target}: Permission denied\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("through_link", [False, True], ids=["fifo", "link_to_fifo"])
+    @pytest.mark.parametrize("command, option", [("estimate", "--out"), ("sweep", "--plot-out")])
+    def test_a_fifo_target_is_written_in_place(self, tmp_path, capsys, command, option, through_link):
+        path = write_config(tmp_path, basic_document())
+        argv = [*self.COMMANDS[command], "-c", str(path)]
+        if option == "--plot-out":
+            argv += ["--out", str(tmp_path / "out.csv")]
+        assert main([*argv, option, str(tmp_path / "plain.csv")]) == 0
+        expected = (tmp_path / "plain.csv").read_bytes()
+        fifo = target = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        if through_link:
+            target = tmp_path / "link"
+            target.symlink_to(fifo)
+        # the reader is open before the command runs, so opening the FIFO to write cannot block
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main([*argv, option, str(target)]) == 0
+            received = b"".join(iter(lambda: os.read(reader, 1 << 16), b""))
+        finally:
+            os.close(reader)
+        assert received == expected
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert target.is_symlink() == through_link
+        assert capsys.readouterr().err == ""
+
     def test_a_closed_stdout_exits_1_without_a_traceback(self, tmp_path):
         # the reader takes one line and closes the pipe, as `| head -1` does; the
         # ~500 kB report overflows the pipe, so the copy to stdout meets the closed end
@@ -421,6 +461,31 @@ def _split_design(doc, **fields):
     """Turn the document's dies into the early-design form: gate_count_2d split over n_dies."""
     del doc["design"]["dies"]
     doc["design"].update({"gate_count_2d": 1e9, "n_dies": 2, "technology": "7nm", **fields})
+
+
+# the axis path of each profile a sweep sets, which is also the path its errors name
+_AXIS_SECTIONS = {
+    WiringParameters: "design.dies[0].wiring", BondingProfile: "bonding", PackagingProfile: "packaging",
+    FabEnvironment: "environment", UsageProfile: "usage", DieSpec: "dies[0]", DesignSpec: "design",
+}
+
+
+def _outside_range_axes() -> list:
+    """(``<path>=<value>``, message) for a value just outside each end of each declared
+    range that a sweep axis can set; integers, so that integer fields parse too."""
+    cases = []
+    for cls, section in _AXIS_SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            if "range" not in f.metadata:
+                continue
+            rule = f.metadata["range"]
+            message = f"must be in {rule}" if rule[0] in "([" else f"must be {rule}"
+            name, low, high, *_ = next(r for r in params._RANGES[cls] if r[0] == f.name)
+            outside = [math.floor(math.nextafter(low, -math.inf))]
+            if high < math.inf:
+                outside.append(math.ceil(math.nextafter(high, math.inf)))
+            cases += [pytest.param(f"{section}.{name}={v}", message, id=f"{section}.{name}={v}") for v in outside]
+    return cases
 
 
 class TestRejectsBadValues:
@@ -548,6 +613,12 @@ class TestRejectsBadValues:
         code, out = self._run(tmp_path, capsys, basic_document(), "sweep", "--axis", axis)
         assert code == 2 and out.out == ""
         assert out.err == f"error: {where}: must be in (0, 1)\n"
+
+    @pytest.mark.parametrize("axis, message", _outside_range_axes())
+    def test_axis_value_outside_a_declared_range_exits_2(self, tmp_path, capsys, axis, message):
+        code, out = self._run(tmp_path, capsys, basic_document(), "sweep", "--axis", axis)
+        assert code == 2 and out.out == ""
+        assert out.err == f"error: {axis.partition('=')[0]}: {message}\n"
 
     def test_malformed_fixture_exits_2(self, tmp_path, capsys, monkeypatch):
         root = tmp_path / "fixtures"

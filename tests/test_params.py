@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import shutil
 import warnings
@@ -26,7 +27,7 @@ from carbon3d.errors import (
 )
 from carbon3d import params
 from carbon3d.cli import main
-from carbon3d.params import SURVEYED, validate_design, validate_technology, validate_wiring
+from carbon3d.params import SURVEYED, validate_design, validate_profile
 
 from conftest import basic_document, make_design, write_config
 
@@ -195,8 +196,8 @@ class TestRegistry:
         with warnings.catch_warnings():
             warnings.simplefilter("error", CarbonModelWarning)
             for name in registry.node_names():
-                validate_technology(registry.technology(name))
-                validate_wiring(registry.default_wiring(name))
+                validate_profile(registry.technology(name), "technology")
+                validate_profile(registry.default_wiring(name), "wiring")
             registry.bonding()
             registry.packaging()
             registry.environment()
@@ -437,6 +438,46 @@ class TestRoundTrip:
         reloaded = load_scenario(design_to_document(scenario), registry)
         assert reloaded.design == scenario.design
         assert reloaded.technology_overrides["7nm"] == scenario.technology_overrides["7nm"]
+
+
+class TestDeclaredRanges:
+    # fields whose rule spans fields, checked by hand: t_exe_hours >= t_app_hours,
+    # explicit_beol within the die node's max_beol_layers
+    CROSS_FIELD = ("t_exe_hours", "explicit_beol")
+
+    def test_every_numeric_field_declares_a_range(self):
+        for cls, fields in params._FIELDS.items():
+            for f in dataclasses.fields(cls):
+                if f.name in fields:
+                    assert ("range" in f.metadata) != (f.name in self.CROSS_FIELD), f"{cls.__name__}.{f.name}"
+
+    def test_each_declared_survey_names_a_surveyed_range(self):
+        for cls in params._FIELDS:
+            for f in dataclasses.fields(cls):
+                assert f.metadata.get("surveyed") in (None, *SURVEYED), f"{cls.__name__}.{f.name}"
+
+    @pytest.mark.parametrize("rule, bounds", [
+        ("(0, 1)", (5e-324, 1 - 2**-53, "must be in (0, 1)")),
+        ("(0, 1]", (5e-324, 1.0, "must be in (0, 1]")),
+        ("[0, 1]", (0.0, 1.0, "must be in [0, 1]")),
+        ("> 0", (5e-324, math.inf, "must be > 0")),
+        (">= 1", (1.0, math.inf, "must be >= 1")),
+    ])
+    def test_an_open_end_excludes_exactly_its_bound(self, rule, bounds):
+        assert params._ranged(rule).metadata["bounds"] == (*bounds, None)
+
+    def test_a_list_field_is_checked_entry_by_entry(self, registry):
+        tech = registry.technology("7nm")
+        bad = dataclasses.replace(tech, epa_beol_per_layer=tech.epa_beol_per_layer[:-1] + (-0.5,))
+        with pytest.raises(OutOfRange, match=r"^t\.epa_beol_per_layer: entries must be >= 0$"):
+            validate_profile(bad, "t")
+        high = dataclasses.replace(tech, epa_beol_per_layer=tech.epa_beol_per_layer[:-1] + (2.0,))
+        with pytest.warns(CarbonModelWarning, match=r"^t\.epa_beol_per_layer\[13\]=2 is outside"):
+            validate_profile(high, "t")
+
+    def test_a_hand_built_profile_is_checked_on_the_given_path(self, registry):
+        with pytest.raises(OutOfRange, match=r"^env\.wafer_diameter_cm: must be > 0$"):
+            validate_profile(dataclasses.replace(registry.environment(), wafer_diameter_cm=math.nan), "env")
 
 
 class TestScenario:
