@@ -4,8 +4,9 @@ Exit codes: 0 success (possibly with warnings), 1 when standard output is
 closed before the report is written, 2 validation failure with a
 path-qualified message, 3 when --require-crossing is set and no crossing
 exists.  Machine output is kg CO2e; human tables print grams.
-Every command writes its output to a temp file, which is renamed onto
---out (atomically) or copied to stdout only when the command succeeds.
+Every command writes its output to a temp file and, only if it succeeds,
+renames it onto --out (atomically) or copies it to stdout or to an --out
+that is not a regular file (a FIFO or a device), which keeps its type.
 """
 
 from __future__ import annotations

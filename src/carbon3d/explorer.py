@@ -393,7 +393,7 @@ def build_design(
     design = _equal_split(integration, technology, wiring, n_dies, gate_count_2d, usage, stacking)
     validate_design(design)
     validate_profile(design.dies[0], "design.dies[0]")  # the dies are equal
-    validate_profile(usage, "design.usage")
+    validate_profile(usage, "usage")
     return design
 
 

@@ -44,12 +44,12 @@ def _ceil_count(raw: float) -> int:
 
 @dataclass(frozen=True)
 class DieGeometry:
-    """Per-die area breakdown; total_area is exactly the component sum."""
+    """One sized die (areas after any BEOL growth); total_area is exactly the component sum."""
 
     gate_area: float
     tsv_area: float = 0.0
     io_area: float = 0.0
-    beol_layers: int = 0        # 0 while unset; filled by stack_geometry
+    beol_layers: int = 0
     tsv_count: int = 0
 
     @property
@@ -156,8 +156,18 @@ def _base_gate_areas(dies: Sequence[DieSpec]) -> list[float]:
     return [d.explicit_area if d.explicit_area is not None else area_2d(d.gate_count, d.technology) for d in dies]
 
 
+def _sized_die(die: DieSpec, gate: float, tsv_count: int = 0, tsv_area: float = 0.0, io_area: float = 0.0) -> DieGeometry:
+    # set the BEOL count on the overhead-inclusive area; grow the gate region
+    # where the wiring only fits in the node's max_beol_layers
+    total = gate + tsv_area + io_area
+    layers, adjusted = beol_layers(die, total)
+    if adjusted > total:
+        gate = adjusted - tsv_area - io_area
+    return DieGeometry(gate_area=gate, tsv_area=tsv_area, io_area=io_area, beol_layers=layers, tsv_count=tsv_count)
+
+
 def die_areas(spec: DesignSpec) -> list[DieGeometry]:
-    """Per-die area breakdown before BEOL estimation (beol_layers unset).
+    """Per-die areas and BEOL layer counts: steps 1-3 of the module docstring.
 
     Overheads by integration (``SchemeRules.io_strip`` and ``tsvs``):
       micro 3D F2F:  IO strip on both dies; signal TSVs in the bottom die
@@ -175,10 +185,7 @@ def die_areas(spec: DesignSpec) -> list[DieGeometry]:
         if n != 2:
             raise UnsupportedConfiguration(f"m3d supports exactly 2 tiers, got {n}")
         a_2d = left_sum(bases)
-        return [
-            DieGeometry(gate_area=die.explicit_area if die.explicit_area is not None else a_2d / 2.0)
-            for die in spec.dies
-        ]
+        return [_sized_die(die, die.explicit_area if die.explicit_area is not None else a_2d / 2.0) for die in spec.dies]
 
     rules = integ.rules
     geoms: list[DieGeometry] = []
@@ -194,7 +201,7 @@ def die_areas(spec: DesignSpec) -> list[DieGeometry]:
                 ng_j = _die_gate_count(spec.dies[i + 1], bases[i + 1])
                 tsv_count = tsv_count_f2b(_die_gate_count(die, gate), ng_j, die.wiring)
             tsv_area = tsv_count * die.technology.tsv_pitch_cm**2
-        geoms.append(DieGeometry(gate_area=gate, tsv_area=tsv_area, io_area=io_area, tsv_count=tsv_count))
+        geoms.append(_sized_die(die, gate, tsv_count, tsv_area, io_area))
     return geoms
 
 
@@ -214,21 +221,11 @@ def substrate_area(spec: DesignSpec, die_geoms: Sequence[DieGeometry], packaging
 
 
 def stack_geometry(spec: DesignSpec, packaging: PackagingProfile) -> StackGeometry:
-    """Full geometry pipeline: areas, BEOL counts (with area growth), package."""
-    resolved: list[DieGeometry] = []
-    for die, geom in zip(spec.dies, die_areas(spec)):
-        total = geom.total_area
-        layers, adjusted = beol_layers(die, total)
-        gate = geom.gate_area
-        if adjusted > total:
-            # grow the gate region so the wiring fits in max_beol_layers
-            gate = adjusted - geom.tsv_area - geom.io_area
-        resolved.append(DieGeometry(
-            gate_area=gate, tsv_area=geom.tsv_area, io_area=geom.io_area, beol_layers=layers, tsv_count=geom.tsv_count
-        ))
+    """Full geometry pipeline: the sized dies plus package, substrate and 2D-equivalent areas."""
+    dies = die_areas(spec)
     return StackGeometry(
-        dies=tuple(resolved),
-        package_area=package_area(spec, resolved, packaging),
-        substrate_area=substrate_area(spec, resolved, packaging),
-        equivalent_2d_area=left_sum(g.gate_area for g in resolved),
+        dies=tuple(dies),
+        package_area=package_area(spec, dies, packaging),
+        substrate_area=substrate_area(spec, dies, packaging),
+        equivalent_2d_area=left_sum(g.gate_area for g in dies),
     )

@@ -561,9 +561,13 @@ def validate_design(design: DesignSpec, path: str = "design"):
     for i, die in enumerate(design.dies):
         if die.gate_count is None and die.explicit_area is None:
             raise MissingField(f"{path}.dies[{i}].gate_count", "need gate_count or explicit_area")
-        if die.explicit_beol is not None and not 1 <= die.explicit_beol <= die.technology.max_beol_layers:
+        if die.explicit_beol is not None:
             t = die.technology
-            raise OutOfRange(f"{path}.dies[{i}].explicit_beol", f"must be in [1, {t.max_beol_layers}] for {t.node_name}")
+            _check_beol_count(die.explicit_beol, t, t.node_name, f"{path}.dies[{i}].explicit_beol")
+
+
+def _check_beol_count(layers: int, tech: TechnologyProfile, node: str, path: str):
+    _check(1 <= layers <= tech.max_beol_layers, path, f"must be in [1, {tech.max_beol_layers}] for {node}")
 
 
 def _technology_rules(tech: TechnologyProfile, path: str):
@@ -764,8 +768,7 @@ def _process_profiles(design_doc: dict, overrides: Mapping, registry: FixtureReg
     node = str(interposer_doc.get("technology", "28nm"))
     interposer_tech = resolve_technology(node, overrides, registry, "design.interposer.technology")
     interposer_layers = _int(interposer_doc.get("beol_layers", 4), "design.interposer.beol_layers")
-    _check(1 <= interposer_layers <= interposer_tech.max_beol_layers, "design.interposer.beol_layers",
-           f"must be in [1, {interposer_tech.max_beol_layers}] for {node}")
+    _check_beol_count(interposer_layers, interposer_tech, node, "design.interposer.beol_layers")
     return ProcessProfiles(bonding, packaging, interposer_technology=interposer_tech,
                            interposer_beol_layers=interposer_layers)
 

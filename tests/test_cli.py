@@ -532,6 +532,11 @@ class TestRejectsBadValues:
          "design.dies[0].wiring.rent_P: unknown field"),
         (lambda d: d["design"]["dies"][0].update(explicit_beol=5.5),
          "design.dies[0].explicit_beol: expected an integer, got 5.5"),
+        # a BEOL count lies in [1, max_beol_layers] of its node, for a die and for the interposer
+        (lambda d: d["design"]["dies"][0].update(explicit_beol=99),
+         "design.dies[0].explicit_beol: must be in [1, 14] for 7nm"),
+        (lambda d: d["design"].update(interposer={"technology": "28nm", "beol_layers": 11}),
+         "design.interposer.beol_layers: must be in [1, 10] for 28nm"),
         (lambda d: d["design"]["dies"][0].update(technology="../bonding"),
          "design.dies[0].technology: unknown node '../bonding'"),
         (lambda d: d["design"]["dies"][0].update(technology="x" * 300),

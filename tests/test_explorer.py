@@ -503,6 +503,15 @@ class TestBuildDesign:
         assert len(mono.dies) == 1
         assert mono.dies[0].gate_count == 1e9
 
+    def test_bad_usage_is_named_on_usage(self):
+        # the loader and the usage.* sweep axes name usage fields usage.<field>
+        scn = make_scenario()
+        die = scn.design.dies[0]
+        usage = dataclasses.replace(scn.design.usage, t_app_hours=-1)
+        with pytest.raises(OutOfRange) as exc:
+            build_design(Integration.HYBRID_3D, die.technology, die.wiring, 2, 1e9, usage)
+        assert exc.value.path == "usage.t_app_hours"
+
 
 def test_gamma_pareto_zero_reference_tcdp_is_a_typed_error():
     design = make_design(tech=make_tech(gpa=0.0, mpa=0.0))

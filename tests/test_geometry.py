@@ -268,6 +268,21 @@ class TestStackGeometry:
         assert geom.dies[0].total_area > area_2d(4e9, tech)
 
 
+class TestDieAreasAreFinished:
+    @pytest.mark.parametrize("integration, n", [(integ, 2) for integ in Integration]
+                             + [(Integration.MICRO_3D, 3), (Integration.HYBRID_3D, 3)])
+    @pytest.mark.parametrize("max_beol", [14, 4])
+    def test_die_areas_equal_stack_dies(self, integration, n, max_beol):
+        # with a cap of 4 every die's wiring estimate exceeds it, so each die grows
+        tech = make_tech(max_beol_layers=max_beol)
+        design = make_design(integration, n=n, gate_count=4e9, tech=tech)
+        dies = die_areas(design)
+        assert dies == list(stack_geometry(design, make_profiles().packaging).dies)
+        assert all(1 <= g.beol_layers <= max_beol for g in dies)
+        if max_beol == 4:
+            assert all(g.beol_layers == 4 and g.gate_area > area_2d(4e9, tech) / len(dies) for g in dies)
+
+
 class TestExplicitAreaWithGateCount:
     def test_explicit_area_wins_but_gates_drive_wiring(self):
         tech = make_tech()
