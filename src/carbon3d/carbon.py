@@ -195,13 +195,12 @@ class _EmbodiedChain:
     """The embodied chain, geometry -> yields -> embodied carbon, reused stage by stage.
 
     It keeps its last inputs and results.  Geometry and yields are computed
-    again only when the dies or the process profiles are other objects, or
-    the integration, facing, stacking or F2F signal count differ; embodied
-    carbon also when the fab environment is another object.  Every input is
-    a frozen dataclass and held here, so a hit gives exactly the floats a
-    fresh computation would (a reused stage does not raise its warnings again).
-    Inputs outside the model's numeric range, including a non-finite overall
-    embodied carbon, raise UnsupportedConfiguration.
+    again only when the design or the process profiles are other objects;
+    embodied carbon also when the fab environment is another object.  Every
+    input is a frozen dataclass and held here, so a hit gives exactly the
+    floats a fresh computation would (a reused stage does not raise its
+    warnings again).  Inputs outside the model's numeric range, including a
+    non-finite overall embodied carbon, raise UnsupportedConfiguration.
     """
 
     _design: DesignSpec | None = None
@@ -211,17 +210,8 @@ class _EmbodiedChain:
     def __call__(
         self, design: DesignSpec, profiles: ProcessProfiles, env: FabEnvironment
     ) -> tuple[StackGeometry, CarbonBreakdown]:
-        last = self._design
         try:
-            if not (
-                last is not None
-                and design.dies is last.dies
-                and profiles is self._profiles
-                and design.integration is last.integration
-                and design.facing is last.facing
-                and design.stacking is last.stacking
-                and design.signal_count_f2f == last.signal_count_f2f
-            ):
+            if design is not self._design or profiles is not self._profiles:
                 geom = stack_geometry(design, profiles.packaging)
                 yields = yield_context(design, geom, profiles)
                 self._design, self._profiles, self._env = design, profiles, None
@@ -245,11 +235,10 @@ def evaluate(scenario: Scenario, *, _chain: _EmbodiedChain | None = None) -> Car
     ``_chain`` lets the sweep and Pareto drivers reuse the embodied chain
     of the previous scenario they evaluated.
     """
-    design, profiles, env = scenario.design, scenario.profiles, scenario.environment
-    usage = design.usage
-    geom, embodied = (_chain or _EmbodiedChain())(design, profiles, env)
+    usage = scenario.usage
+    geom, embodied = (_chain or _EmbodiedChain())(scenario.design, scenario.profiles, scenario.environment)
     energy = operational_energy_kwh(usage, geom.equivalent_2d_area)
-    c_operational = env.ci_use * energy
+    c_operational = scenario.environment.ci_use * energy
     overall = embodied.c_embodied_overall
     amortized = overall * usage.t_app_hours / usage.t_exe_hours
     c_total = c_operational + scenario.gamma * amortized

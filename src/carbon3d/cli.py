@@ -305,9 +305,7 @@ def cmd_pareto(args) -> int:
         for name in variants:
             integ = _enum(name, Integration, "--integrations")
             check_die_count(integ, explorer._die_count(integ, args.dies), "--dies")
-            design = explorer.build_design(
-                integ, base_die.technology, base_die.wiring, args.dies, total_gates, scenario.design.usage
-            )
+            design = explorer.build_design(integ, base_die.technology, base_die.wiring, args.dies, total_gates)
             designs.append((integ.value, design))
         result = explorer.gamma_pareto(scenario, designs, gammas)
     _report_warnings(rec)

@@ -7,11 +7,12 @@ share the scenario built for that prefix, which is applied once.  Rows are
 yielded one at a time, in fixed axis order (that of ``itertools.product``),
 so results are deterministic and memory does not grow with the row count.
 
-A row reuses the previous row's geometry and yields while its dies and
-process profiles are the same objects (and integration, facing, stacking
-and F2F signal count are equal), and its embodied carbon while the fab
-environment is the same object too; the baseline's merged die is built
-once per distinct dies, and only its embodied carbon is computed.
+A row reuses the previous row's geometry and yields while its design and
+process profiles are the same objects, and its embodied carbon while the
+fab environment is the same object too; the usage is the scenario's, not
+the design's, so a ``usage`` axis leaves the design as it is.  The
+baseline's merged die is built once per distinct dies, and only its
+embodied carbon is computed.
 Operational carbon, the total and the metrics are computed on every row.
 So axes on ``usage``, ``environment`` or ``gamma`` are cheapest as the
 inner (last) axes.  A reused stage gives the floats a fresh one would, but
@@ -58,7 +59,6 @@ from .params import (
     Scenario,
     Stacking,
     TechnologyProfile,
-    UsageProfile,
     WiringParameters,
     _FIELDS,
     _profile,
@@ -106,7 +106,7 @@ _DIE_PATH = re.compile(r"^dies\[(\*|\d+)\]\.(\w+)(?:\.(\w+))?$")
 # axis section -> the attributes leading from a Scenario to the profile it patches
 _SECTIONS = {
     "": ("design",),
-    "usage": ("design", "usage"),
+    "usage": ("usage",),
     "environment": ("environment",),
     "bonding": ("profiles", "bonding"),
     "packaging": ("profiles", "packaging"),
@@ -195,14 +195,7 @@ def mono2d_equivalent(design: DesignSpec) -> DesignSpec:
         merged = DieSpec(first.technology, first.wiring, gate_count=left_sum(d.gate_count for d in dies))
     else:
         merged = DieSpec(first.technology, first.wiring, explicit_area=left_sum(_base_gate_areas(dies)))
-    return DesignSpec(
-        integration=Integration.MONO_2D,
-        facing=Facing.NA,
-        stacking=Stacking.NA,
-        dies=(merged,),
-        usage=design.usage,
-        signal_count_f2f=0,
-    )
+    return DesignSpec(integration=Integration.MONO_2D, facing=Facing.NA, stacking=Stacking.NA, dies=(merged,))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +227,7 @@ def _rows(template: Scenario, axes: tuple[SweepAxis, ...], baseline: bool):
         breakdown = evaluate(scenario, _chain=chain)
         base = None
         if baseline:
-            if design.dies is not merged_from:  # embodied carbon does not read the usage
+            if design.dies is not merged_from:  # the mono-2D equivalent reads only the dies
                 merged_from, base_design = design.dies, mono2d_equivalent(design)
             base = base_chain(base_design, scenario.profiles, scenario.environment)[1].c_embodied_overall
         yield SweepRow(values, scenario, breakdown, base)
@@ -358,7 +351,7 @@ def _die_count(integration: Integration, n_dies: int) -> int:
     return 1 if integration.rules.max_dies == 1 else n_dies
 
 
-def _equal_split(integration, technology, wiring, n_dies, gate_count_2d, usage, stacking) -> DesignSpec:
+def _equal_split(integration, technology, wiring, n_dies, gate_count_2d, stacking) -> DesignSpec:
     # build_design's design, before validation
     rules = integration.rules
     n_dies = _die_count(integration, n_dies)
@@ -371,7 +364,6 @@ def _equal_split(integration, technology, wiring, n_dies, gate_count_2d, usage, 
         facing=rules.default_facing(n_dies),
         stacking=stacking if len(rules.stackings) > 1 else rules.default_stacking,
         dies=dies,
-        usage=usage,
     )
 
 
@@ -381,7 +373,6 @@ def build_design(
     wiring: WiringParameters,
     n_dies: int,
     gate_count_2d: float,
-    usage: UsageProfile,
     stacking: Stacking = Stacking.D2W,
 ) -> DesignSpec:
     """Equal-split parametric design used by the DSE drivers.
@@ -390,10 +381,9 @@ def build_design(
     ``stacking`` applies where the scheme offers a choice.  Mono-2D collapses
     to a single die regardless of n_dies.
     """
-    design = _equal_split(integration, technology, wiring, n_dies, gate_count_2d, usage, stacking)
+    design = _equal_split(integration, technology, wiring, n_dies, gate_count_2d, stacking)
     validate_design(design)
     validate_profile(design.dies[0], "design.dies[0]")  # the dies are equal
-    validate_profile(usage, "usage")
     return design
 
 
@@ -433,13 +423,12 @@ def switching_point(
         raise OutOfRange("range", f"need finite 0 < lo < hi, got [{gate_lo:g}, {gate_hi:g}]")
     tech = resolve_technology(node, base.technology_overrides, base.registry, "node")
     wiring = base.registry.default_wiring(node)
-    usage = base.design.usage
     for integ in (integration, Integration.MONO_2D):
         # only the gate count changes with g, and every g is >= gate_lo > 0: this validates every point
-        build_design(integ, tech, wiring, n_dies, gate_lo, usage, stacking=stacking)
+        build_design(integ, tech, wiring, n_dies, gate_lo, stacking=stacking)
 
     def embodied(integ: Integration, g: float) -> float:
-        design = _equal_split(integ, tech, wiring, n_dies, g, usage, stacking)
+        design = _equal_split(integ, tech, wiring, n_dies, g, stacking)
         return _EmbodiedChain()(design, base.profiles, base.environment)[1].c_embodied_overall
 
     def f(g: float) -> float:
@@ -478,11 +467,14 @@ def gamma_pareto(
     """Normalized tCDP curves over a gamma grid.
 
     Every (design, gamma) point is tCDP(design, gamma) divided by the base
-    scenario's own design's tCDP at gamma = 1.
+    scenario's own design's tCDP at gamma = 1.  The series are keyed on unique design names.
     """
     gammas = tuple(validate_gamma(g, f"gammas[{i}]") for i, g in enumerate(gammas))
     if not gammas:
         raise OutOfRange("gammas", "needs at least one value")
+    names = [name for name, _ in designs]
+    if repeated := sorted({n for n in names if names.count(n) > 1}):
+        raise OutOfRange("designs", f"more than one design is named {', '.join(repeated)}")
     chain = _EmbodiedChain()     # one design's gammas share its embodied chain
     ref_tcdp = evaluate(dataclasses.replace(base, gamma=1.0), _chain=chain).tcdp
     if ref_tcdp == 0:

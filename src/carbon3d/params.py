@@ -247,13 +247,12 @@ class DieSpec:
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """An integration scheme with its facing, stacking, dies (top first) and usage."""
+    """An integration scheme with its facing, stacking and dies (top first)."""
 
     integration: Integration
     facing: Facing
     stacking: Stacking
     dies: tuple[DieSpec, ...]
-    usage: UsageProfile
     signal_count_f2f: int = _ranged(">= 0", default=0)          # X_signal, package-bound signals for F2F
 
 
@@ -269,7 +268,7 @@ class ProcessProfiles:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything one full-pipeline evaluation needs.
+    """Everything one full-pipeline evaluation needs; the usage is the scenario's, as in the document.
 
     ``registry`` holds the fixtures the scenario was loaded from (bundled
     for one built in code), ``technology_overrides`` the document's resolved
@@ -281,6 +280,7 @@ class Scenario:
     design: DesignSpec
     profiles: ProcessProfiles
     environment: FabEnvironment
+    usage: UsageProfile
     gamma: float = 1.0
     technology_overrides: Mapping[str, TechnologyProfile] = dataclasses.field(
         default_factory=lambda: MappingProxyType({}), hash=False)
@@ -693,14 +693,19 @@ def resolve_technology(
     return registry.technology(node, path) if tech is None else tech
 
 
+_EARLY_DESIGN_KEYS = ("gate_count_2d", "n_dies", "technology", "area_ratios")
+
+
 def _expand_dies(design_doc: dict, path: str) -> list[dict]:
     """Normalize the two input styles to a per-die list of raw objects.
 
     Style A: explicit ``dies`` list.  Style B (early design): a total
     ``gate_count_2d`` with ``n_dies`` and one ``technology``, split evenly
-    or by ``area_ratios``.
+    or by ``area_ratios``.  The two styles exclude each other.
     """
     if "dies" in design_doc:
+        if mixed := [key for key in _EARLY_DESIGN_KEYS if key in design_doc]:
+            raise InvalidCombination(f"{path}.{mixed[0]}", "not allowed with dies: the two die styles exclude each other")
         dies = design_doc["dies"]
         if not isinstance(dies, list) or not dies:
             raise MissingField(f"{path}.dies", "expected a non-empty list of die objects")
@@ -725,11 +730,11 @@ def _bad_die(i: int, path: str):
     raise OutOfRange(f"{path}.dies[{i}]", "expected an object")
 
 
-_DESIGN_KEYS = ("integration", "facing", "stacking", "signal_count_f2f", "dies", "gate_count_2d", "n_dies",
-                "technology", "area_ratios", "bonding", "packaging", "interposer")
+_DESIGN_KEYS = ("integration", "facing", "stacking", "signal_count_f2f", "dies", *_EARLY_DESIGN_KEYS,
+                "bonding", "packaging", "interposer")
 
 
-def _design(document: dict, design_doc: dict, overrides: Mapping, registry: FixtureRegistry) -> DesignSpec:
+def _design(design_doc: dict, overrides: Mapping, registry: FixtureRegistry) -> DesignSpec:
     """The validated DesignSpec, with defaults applied (facing/stacking, X_signal=0, fixture wiring)."""
     integration = _enum(_require(design_doc, "integration", "design"), Integration, "design.integration")
     dies: list[DieSpec] = []
@@ -751,7 +756,6 @@ def _design(document: dict, design_doc: dict, overrides: Mapping, registry: Fixt
         facing=rules.default_facing(len(dies)) if facing is None else _enum(facing, Facing, "design.facing"),
         stacking=rules.default_stacking if stacking is None else _enum(stacking, Stacking, "design.stacking"),
         dies=tuple(dies),
-        usage=_profile(UsageProfile, None, _require(document, "usage", ""), "usage"),
     )
     validate_design(design)
     return design
@@ -808,9 +812,10 @@ def load_scenario(
         path = f"technology_overrides.{node}"
         overrides[node] = _profile(TechnologyProfile, registry.technology(node, path), patch, path)
     return Scenario(
-        design=_design(document, design_doc, overrides, registry),
+        design=_design(design_doc, overrides, registry),
         profiles=_process_profiles(design_doc, overrides, registry),
         environment=_profile(FabEnvironment, registry.environment(), document.get("environment"), "environment"),
+        usage=_profile(UsageProfile, None, _require(document, "usage", ""), "usage"),
         gamma=validate_gamma(gamma),
         technology_overrides=MappingProxyType(overrides),
         registry=registry,
@@ -854,7 +859,7 @@ def design_to_document(scenario: Scenario) -> dict:
             "beol_layers": profiles.interposer_beol_layers,
         },
     }
-    usage = {k: v for k, v in _fields_of(design.usage).items() if v is not None}
+    usage = {k: v for k, v in _fields_of(scenario.usage).items() if v is not None}
     return {
         "design": design_doc,
         "technology_overrides": overrides,

@@ -24,11 +24,6 @@ def registry() -> FixtureRegistry:
 
 
 @pytest.fixture(scope="session")
-def usage() -> UsageProfile:
-    return UsageProfile(t_app_hours=8766.0, t_exe_hours=26298.0, power_density=25.0, delay_s=1.0)
-
-
-@pytest.fixture(scope="session")
 def environment(registry) -> FabEnvironment:
     return registry.environment()
 
@@ -76,7 +71,6 @@ def make_design(
     gate_count=1e9,
     tech=None,
     wiring=None,
-    usage=None,
     facing=None,
     stacking=None,
     signal_count_f2f=0,
@@ -85,7 +79,6 @@ def make_design(
 ) -> DesignSpec:
     tech = tech or make_tech()
     wiring = wiring or make_wiring()
-    usage = usage or UsageProfile(t_app_hours=8766.0, t_exe_hours=26298.0, power_density=25.0)
     rules = integration.rules
     if rules.max_dies == 1:
         n = 1
@@ -109,7 +102,6 @@ def make_design(
         facing=facing,
         stacking=stacking,
         dies=tuple(dies),
-        usage=usage,
         signal_count_f2f=signal_count_f2f,
     )
 
@@ -134,11 +126,18 @@ def make_env(**overrides) -> FabEnvironment:
     return FabEnvironment(**fields)
 
 
-def make_scenario(design=None, gamma=1.0, **design_kw) -> Scenario:
+def make_usage(**overrides) -> UsageProfile:
+    fields = dict(t_app_hours=8766.0, t_exe_hours=26298.0, power_density=25.0)
+    fields.update(overrides)
+    return UsageProfile(**fields)
+
+
+def make_scenario(design=None, gamma=1.0, usage=None, **design_kw) -> Scenario:
     return Scenario(
         design=design or make_design(**design_kw),
         profiles=make_profiles(),
         environment=make_env(),
+        usage=usage or make_usage(),
         gamma=gamma,
     )
 

@@ -38,6 +38,7 @@ from conftest import (
     make_env,
     make_profiles,
     make_scenario,
+    make_usage,
     make_tech,
     make_wiring,
     write_config,
@@ -89,7 +90,7 @@ def test_criterion_1_2d_reduction():
         design = make_design(Integration.MONO_2D, explicit_areas=[area],
                              explicit_beol=layers, tech=tech)
         profiles = dataclasses.replace(make_profiles(), packaging=packaging)
-        got = evaluate(Scenario(design, profiles, env, 1.0)).c_embodied_overall
+        got = evaluate(Scenario(design, profiles, env, make_usage(), 1.0)).c_embodied_overall
 
         # direct Eq.-style evaluation: single wafer share + package, no pipeline
         epa = tech.epa_feol + tech.epa_mol + sum(tech.epa_beol_per_layer[:layers])
@@ -173,31 +174,45 @@ def test_criterion_4_monotonicity():
         Integration.MCM, Integration.INFO_CHIP_FIRST, Integration.INFO_CHIP_LAST,
         Integration.SI_INTERPOSER,
     ]
+    # the surveyed box parameters, each with the section it lies in; raising one never lowers the carbon
+    box = {"ci_fab": "env", "ci_bonding": "env", "epa_feol": "tech", "epa_mol": "tech",
+           "epa_beol_per_layer": "tech", "gpa": "tech", "mpa": "tech", "epa_d2w": "bonding",
+           "epa_w2w": "bonding", "cpa_bonding": "bonding", "cpa_rdl": "bonding"}
     kinds = ("die_area", "d0", "beol_layers", "cpa_packaging",
-             "bond_yield", "rdl_yield", "die_yield_via_alpha")
+             "bond_yield", "rdl_yield", "die_yield_via_alpha", *box)
     for trial in range(500):
+        # every kind meets every scheme
         integ = integrations[trial % len(integrations)]
-        kind = kinds[trial % len(kinds)]
+        kind = kinds[trial // len(integrations) % len(kinds)]
         area = rng.uniform(0.2, 2.0)
         layers = rng.randint(2, 8)
         d0 = rng.uniform(0.02, 0.2)
 
-        def scenario(area=area, layers=layers, d0=d0, bond=0.99, rdl=0.9, cpa=0.1):
-            tech = make_tech(defect_density_d0=d0)
+        def scenario(area=area, layers=layers, d0=d0, bond=0.99, rdl=0.9, cpa=0.1, tech=(), env=(), bonding=()):
+            tech = make_tech(defect_density_d0=d0, **dict(tech))
             profiles = make_profiles()
             profiles = dataclasses.replace(
                 profiles,
-                bonding=dataclasses.replace(profiles.bonding, bond_yield=bond, rdl_yield=rdl),
+                bonding=dataclasses.replace(profiles.bonding, bond_yield=bond, rdl_yield=rdl, **dict(bonding)),
                 packaging=dataclasses.replace(profiles.packaging, cpa_packaging=cpa),
             )
             design = make_design(integ, n=2, explicit_areas=[area / 2, area / 2],
                                  explicit_beol=layers, tech=tech)
-            return Scenario(design, profiles, make_env(), 1.0)
+            return Scenario(design, profiles, make_env(**dict(env)), make_usage(), 1.0)
 
         def emb(**kw):
             return evaluate(scenario(**kw)).c_embodied_overall
 
-        if kind == "die_area":
+        if kind in box:
+            nominal = {"env": make_env(), "tech": make_tech(), "bonding": make_profiles().bonding}[box[kind]]
+            value, up = getattr(nominal, kind), rng.uniform(1.05, 3.0)
+            if kind == "epa_beol_per_layer":  # one layer's energy
+                i = rng.randrange(len(value))
+                raised = value[:i] + (value[i] * up,) + value[i + 1:]
+            else:
+                raised = value * up
+            assert emb(**{box[kind]: {kind: raised}}) >= emb(), (kind, integ)
+        elif kind == "die_area":
             assert emb(area=area * rng.uniform(1.05, 2.0)) >= emb()
         elif kind == "d0":
             assert emb(d0=d0 * rng.uniform(1.05, 3.0)) >= emb()
@@ -214,9 +229,9 @@ def test_criterion_4_monotonicity():
             tech_low_yield = make_tech(defect_density_d0=d0, cluster_alpha=30.0)
             design = make_design(integ, n=2, explicit_areas=[area / 2, area / 2],
                                  explicit_beol=layers, tech=tech_low_yield)
-            worse = evaluate(Scenario(design, scenario().profiles, make_env(), 1.0)).c_embodied_overall
+            worse = evaluate(Scenario(design, scenario().profiles, make_env(), make_usage(), 1.0)).c_embodied_overall
             assert worse >= base
-    _report(4, "embodied carbon monotone under 500 one-parameter perturbations")
+    _report(4, "embodied carbon monotone under 500 one-parameter perturbations, every kind on every scheme")
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +291,8 @@ def test_criterion_7_default_fixture_trends(registry):
     nodes = ("14nm", "7nm", "5nm")
 
     def emb(integ, tech, wiring, gates, gamma=1.0):
-        design = build_design(integ, tech, wiring, 2, gates, usage)
-        return evaluate(Scenario(design, profiles, env, gamma))
+        design = build_design(integ, tech, wiring, 2, gates)
+        return evaluate(Scenario(design, profiles, env, usage, gamma))
 
     beats_2d_at_low_gamma = 0
     for node in nodes:

@@ -194,13 +194,13 @@ class TestOperational:
     def test_energy_override(self):
         usage = UsageProfile(t_app_hours=100, t_exe_hours=1000, energy_override_kwh=100.0)
         assert operational_energy_kwh(usage, 3.0) == 100.0
-        scn = make_scenario(design=make_design(usage=usage))
+        scn = make_scenario(usage=usage)
         scn = dataclasses.replace(scn, environment=make_env(ci_use=0.5))
         assert evaluate(scn).c_operational == pytest.approx(50.0, rel=1e-12)
 
     def test_renewable_usage(self):
         usage = UsageProfile(t_app_hours=100, t_exe_hours=1000, power_density=25.0)
-        scn = make_scenario(design=make_design(usage=usage))
+        scn = make_scenario(usage=usage)
         scn = dataclasses.replace(scn, environment=make_env(ci_use=0.0))
         assert evaluate(scn).c_operational == 0.0
 
@@ -208,14 +208,14 @@ class TestOperational:
         # 1 W/cm^2 * 1 cm^2 * 1000 h = 1 kWh
         usage = UsageProfile(t_app_hours=1000, t_exe_hours=10000, power_density=1.0)
         assert operational_energy_kwh(usage, 1.0) == pytest.approx(1.0, rel=1e-12)
-        scn = make_scenario(design=make_design(usage=usage, explicit_areas=[0.5, 0.5], explicit_beol=5))
+        scn = make_scenario(usage=usage, explicit_areas=[0.5, 0.5], explicit_beol=5)
         scn = dataclasses.replace(scn, environment=make_env(ci_use=0.5))
         assert evaluate(scn).c_operational == pytest.approx(0.5, rel=1e-12)
 
 
 class TestAmortizeAndMetrics:
     def _evaluate(self, usage, gamma):
-        return evaluate(make_scenario(design=make_design(usage=usage), gamma=gamma))
+        return evaluate(make_scenario(usage=usage, gamma=gamma))
 
     def test_full_lifetime_attribution(self):
         usage = UsageProfile(t_app_hours=500, t_exe_hours=500, power_density=25.0)

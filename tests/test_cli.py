@@ -559,6 +559,10 @@ class TestRejectsBadValues:
          "design.interposer.bogus: unknown field"),
         (lambda d: d["usage"].update(power_density=1e308),
          "inputs outside the model's numeric range: a result is not finite"),
+        # a die list and the early-design keys exclude each other
+        (lambda d: d["design"].update(n_dies=7, gate_count_2d=-5, technology="nonsense", area_ratios="x"),
+         "design.gate_count_2d: not allowed with dies"),
+        (lambda d: d["design"].update(technology="7nm"), "design.technology: not allowed with dies"),
         # an unknown node is an error on the place its name came from
         (lambda d: _split_design(d, technology="90nm"), "design.technology: unknown node '90nm'"),
         (lambda d: d["design"].update(interposer={"technology": "90nm"}),
@@ -566,6 +570,8 @@ class TestRejectsBadValues:
         (lambda d: ("sweep", "--axis", "technology=99nm"), "technology: unknown node '99nm'"),
         (lambda d: ("sweep", "--axis", "dies[1].technology=7nm,99nm"), "dies[1].technology: unknown node '99nm'"),
         (lambda d: ("switch", "--integration", "hybrid_3d", "--node", "99nm"), "--node: unknown node '99nm'"),
+        # "hybrid" names hybrid_3d too, so both would be one tcdp_norm_hybrid_3d column
+        (lambda d: ("pareto", "--integrations", "hybrid,hybrid_3d"), "designs: more than one design is named hybrid_3d\n"),
     ])
     def test_bad_document_value_exits_2(self, tmp_path, capsys, mutate, message):
         doc = basic_document()

@@ -39,6 +39,7 @@ from carbon3d.errors import (
     OutOfRange,
     UnresolvablePath,
     UnsupportedConfiguration,
+    ValidationError,
 )
 from carbon3d.explorer import ROW_CAP, apply_parameter
 from carbon3d.geometry import area_2d
@@ -150,8 +151,8 @@ class TestSweep:
         scenario = load_scenario(next(p for p in CONFIGS if p.stem == "hybrid_2die_7nm"), registry)
         row, base = evaluate(scenario).c_embodied_overall, _mono2d_embodied(scenario)
         assert row < base
-        usage = dataclasses.replace(scenario.design.usage, power_density=0.0, delay_s=sys.float_info.max / ((row + base) / 2))
-        scenario = dataclasses.replace(scenario, design=dataclasses.replace(scenario.design, usage=usage))
+        usage = dataclasses.replace(scenario.usage, power_density=0.0, delay_s=sys.float_info.max / ((row + base) / 2))
+        scenario = dataclasses.replace(scenario, usage=usage)
         (swept,) = sweep(scenario, [SweepAxis("gamma", [1.0])], baseline=True)
         assert swept.breakdown.c_embodied_overall == row and swept.baseline == base
         with pytest.raises(UnsupportedConfiguration, match="not finite"):
@@ -302,12 +303,14 @@ class TestSweepMatchesRowByRow:
         assert _outcome(swept) == _outcome(lambda: _row_by_row(scenario, axes))
 
 
-# Inner axes that leave the dies alone, so rows can reuse the stages before them.
+# Inner axes that leave the dies alone, so rows can reuse the stages before them
+# (a signal count changes the design, so its rows recompute geometry and yields).
 INNER_AXES = {
     "usage.power_density": (5.0, 25.0, 40.0),
     "environment.ci_fab": (0.1, 0.3, 0.5),
     "gamma": (0.0, 1.0, 2.5),
     "bonding.bond_yield": (0.9, 0.95, 0.99),
+    "signal_count_f2f": (0.0, 100.0, 1000.0),
 }
 # The larger gate count clamps the die-per-wafer count of a baseline or a die.
 GATE_AXIS = SweepAxis("dies[*].gate_count", (1e9, 2e11))
@@ -348,6 +351,7 @@ class TestReuseMatchesFreshEvaluation:
         ("gamma", 4, 4),
         ("environment.ci_fab", 4, 12),
         ("bonding.bond_yield", 12, 12),
+        ("signal_count_f2f", 8, 8),
     ])
     def test_rows_recompute_only_the_stages_they_change(self, registry, monkeypatch, inner, geometry_calls, embodied_calls):
         calls = collections.Counter()
@@ -359,7 +363,7 @@ class TestReuseMatchesFreshEvaluation:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rows = list(sweep(scenario, [GATE_AXIS, SweepAxis(inner, INNER_AXES[inner])], baseline=True))
-        # 6 rows and 6 baselines over 2 distinct die sets
+        # 6 rows and 6 baselines over 2 distinct die sets; a signal count is a new design on every row
         assert len(rows) == 6
         assert calls == {"stack_geometry": geometry_calls, "yield_context": geometry_calls,
                          "embodied_breakdown": embodied_calls, "mono2d_equivalent": 2}
@@ -373,7 +377,7 @@ class TestReuseMatchesFreshEvaluation:
             designs = [
                 ("reference", scenario.design),
                 ("mono_2d", mono2d_equivalent(scenario.design)),
-                ("hybrid_3d", build_design(Integration.HYBRID_3D, die.technology, die.wiring, 2, 2e9, scenario.design.usage)),
+                ("hybrid_3d", build_design(Integration.HYBRID_3D, die.technology, die.wiring, 2, 2e9)),
             ]
             gammas = (0.0, 0.5, 1.0, 4.0)
             result = gamma_pareto(scenario, designs, gammas)
@@ -467,7 +471,7 @@ class TestGammaPareto:
         scn = make_scenario()
         result = gamma_pareto(scn, [("self", scn.design)], [0.0, 1.0])
         b = evaluate(dataclasses.replace(scn, gamma=1.0))
-        expected = (b.c_operational * scn.design.usage.delay_s) / b.tcdp
+        expected = (b.c_operational * scn.usage.delay_s) / b.tcdp
         assert result.series["self"][0] == pytest.approx(expected, rel=1e-12)
 
     def test_grid_pointwise_independence(self):
@@ -482,6 +486,13 @@ class TestGammaPareto:
         with pytest.raises(OutOfRange, match="^gammas: "):
             gamma_pareto(scn, [("self", scn.design)], [])
 
+    def test_a_repeated_name_is_an_error_before_any_evaluation(self, monkeypatch):
+        scn = make_scenario()
+        monkeypatch.setattr(explorer, "evaluate", lambda *a, **k: pytest.fail("evaluated"))
+        designs = [("a", scn.design), ("b", scn.design), ("a", mono2d_equivalent(scn.design)), ("b", scn.design)]
+        with pytest.raises(ValidationError, match="^designs: more than one design is named a, b$"):
+            gamma_pareto(scn, designs, [0.0, 1.0])
+
     def test_monotone_in_gamma(self):
         scn = make_scenario()
         designs = [("self", scn.design), ("m2d", mono2d_equivalent(scn.design))]
@@ -495,22 +506,12 @@ class TestBuildDesign:
         scn = make_scenario()
         tech = scn.design.dies[0].technology
         wiring = scn.design.dies[0].wiring
-        usage = scn.design.usage
-        two = build_design(Integration.MICRO_3D, tech, wiring, 2, 1e9, usage)
-        four = build_design(Integration.MICRO_3D, tech, wiring, 4, 1e9, usage)
+        two = build_design(Integration.MICRO_3D, tech, wiring, 2, 1e9)
+        four = build_design(Integration.MICRO_3D, tech, wiring, 4, 1e9)
         assert two.facing.value == "f2f" and four.facing.value == "f2b"
-        mono = build_design(Integration.MONO_2D, tech, wiring, 4, 1e9, usage)
+        mono = build_design(Integration.MONO_2D, tech, wiring, 4, 1e9)
         assert len(mono.dies) == 1
         assert mono.dies[0].gate_count == 1e9
-
-    def test_bad_usage_is_named_on_usage(self):
-        # the loader and the usage.* sweep axes name usage fields usage.<field>
-        scn = make_scenario()
-        die = scn.design.dies[0]
-        usage = dataclasses.replace(scn.design.usage, t_app_hours=-1)
-        with pytest.raises(OutOfRange) as exc:
-            build_design(Integration.HYBRID_3D, die.technology, die.wiring, 2, 1e9, usage)
-        assert exc.value.path == "usage.t_app_hours"
 
 
 def test_gamma_pareto_zero_reference_tcdp_is_a_typed_error():
@@ -575,7 +576,7 @@ class TestSwitchingPointMatchesTheFullPipeline:
         tech, wiring = base.registry.technology(node), base.registry.default_wiring(node)
 
         def embodied(integ, g):
-            design = build_design(integ, tech, wiring, n_dies, g, base.design.usage, stacking=stacking)
+            design = build_design(integ, tech, wiring, n_dies, g, stacking=stacking)
             return evaluate(dataclasses.replace(base, design=design)).c_embodied_overall
 
         result = find_crossing(lambda g: embodied(integration, g) - embodied(Integration.MONO_2D, g), lo, hi)

@@ -36,7 +36,6 @@ from carbon3d import (
     FixtureRegistry,
     Integration,
     Stacking,
-    UsageProfile,
     build_design,
     embodied_breakdown,
     load_scenario,
@@ -158,8 +157,7 @@ def _design(integ, facing, stacking, n, nodes=None) -> DesignSpec:
         DieSpec(technology=make_tech(node_name=node), wiring=make_wiring(), gate_count=1e9 / n)
         for node in nodes
     )
-    usage = UsageProfile(t_app_hours=8766.0, t_exe_hours=26298.0, power_density=25.0)
-    return DesignSpec(integration=integ, facing=facing, stacking=stacking, dies=dies, usage=usage)
+    return DesignSpec(integration=integ, facing=facing, stacking=stacking, dies=dies)
 
 
 def validation_cases() -> dict[str, DesignSpec]:
@@ -185,7 +183,7 @@ def verdict(design: DesignSpec) -> str:
 def embodied_cases() -> dict[str, dict[str, str] | str]:
     base = load_scenario(ROOT / "configs" / "hybrid_2die_7nm.json")
     registry = FixtureRegistry.bundled()
-    profiles, env, usage = base.profiles, base.environment, base.design.usage
+    profiles, env = base.profiles, base.environment
     cases = {}
     for integ in Integration:
         for n in DIE_COUNTS:
@@ -197,7 +195,7 @@ def embodied_cases() -> dict[str, dict[str, str] | str]:
                         try:
                             with warnings.catch_warnings():
                                 warnings.simplefilter("ignore")
-                                design = build_design(integ, tech, wiring, n, gates, usage, stacking=stacking)
+                                design = build_design(integ, tech, wiring, n, gates, stacking=stacking)
                                 geom = stack_geometry(design, profiles.packaging)
                                 yields = yield_context(design, geom, profiles)
                                 b = embodied_breakdown(design, geom, yields, env, profiles)

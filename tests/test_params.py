@@ -583,7 +583,7 @@ class TestSchemeRules:
                 except ValidationError:
                     continue  # the scheme does not take n dies
                 die = loaded.dies[0]
-                built = build_design(integ, die.technology, die.wiring, n, 1e9, loaded.usage)
+                built = build_design(integ, die.technology, die.wiring, n, 1e9)
                 made = make_design(integ, n=n)
                 assert (loaded.facing, loaded.stacking) == (built.facing, built.stacking), (integ, n)
                 assert (loaded.facing, loaded.stacking) == (made.facing, made.stacking), (integ, n)
