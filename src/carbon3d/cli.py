@@ -77,23 +77,23 @@ def _inputs_digest(scenario: Scenario) -> str:
 
 
 @contextlib.contextmanager
-def _writing(path: str | None, option: str):
-    """An OSError in the block becomes a ValidationError on ``option`` naming ``path``."""
+def _writing(path: str | None):
+    """An OSError in the block becomes a ValidationError on --out naming ``path``."""
     try:
         yield
     except OSError as exc:
-        raise ValidationError(option, f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise ValidationError("--out", f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 @contextlib.contextmanager
-def _output(path: str | None, option: str = "--out"):
+def _output(path: str | None):
     """A temp file for a command's output that is renamed onto ``path`` (atomically), or copied to
     stdout or to a ``path`` that is not a regular file (a FIFO), only if the block succeeds, and
-    otherwise removed.  A target that cannot be written is an error on ``option``; a directory is refused."""
+    otherwise removed.  A target that cannot be written is an error on --out; a directory is refused."""
     target = Path(path) if path else None
-    with _writing(path, option):
+    with _writing(path):
         if target is not None:
-            _check(not target.is_dir(), option, f"cannot write {path}: it is a directory")
+            _check(not target.is_dir(), "--out", f"cannot write {path}: it is a directory")
             target.parent.mkdir(parents=True, exist_ok=True)
         rename = target is not None and (target.is_file() or not target.exists())  # both follow links
         fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=target.name if target else "carbon3d",
@@ -106,10 +106,10 @@ def _output(path: str | None, option: str = "--out"):
                 if target is None:
                     shutil.copyfileobj(f, sys.stdout)
                 else:
-                    with _writing(path, option), open(target, "w", encoding="utf-8", newline="") as dest:
+                    with _writing(path), open(target, "w", encoding="utf-8", newline="") as dest:
                         shutil.copyfileobj(f, dest)
         if rename:
-            with _writing(path, option):
+            with _writing(path):
                 os.replace(tmp, target)
     finally:
         with contextlib.suppress(FileNotFoundError):
@@ -230,28 +230,16 @@ def cmd_sweep(args) -> int:
         scenario = load_scenario(args.config, gamma=args.gamma)
         axes = [_parse_axis(a) for a in args.axis or []]
         rows = explorer.sweep(scenario, axes, baseline=args.baseline)
-        digest = _inputs_digest(scenario)
-        axis_names = [a.parameter_path for a in axes]
-        columns = axis_names + list(BREAKDOWN_UNITS) + ["baseline_c_embodied_overall"] * args.baseline
-        plot_series = ("c_embodied_overall", "c_operational", "c_total")
-        plot_values = operator.attrgetter(*plot_series)
-        plot_columns = [axis_names[0] if axis_names else "index", *plot_series]
+        columns = [a.parameter_path for a in axes] + list(BREAKDOWN_UNITS) + ["baseline_c_embodied_overall"] * args.baseline
         # one template per sweep: axis values through _fmt, every number as .9g; without
         # --baseline it has no baseline cell, and format ignores the extra None
         template = ",".join(["{}"] * len(axes) + ["{:.9g}"] * (len(columns) - len(axes))) + "\n"
-        # each row goes to both outputs as it arrives; neither appears unless every row succeeds
-        with (_output(args.plot_out, "--plot-out") if args.plot_out else contextlib.nullcontext()) as plot, \
-                _output(args.out) as out:
-            out.write(_csv_header(digest, columns))
-            if plot is not None:
-                plot.write(_csv_header(digest, plot_columns))
+        # each row is written as it arrives; the output appears only if every row succeeds
+        with _output(args.out) as out:
+            out.write(_csv_header(_inputs_digest(scenario), columns))
             points, previous = [], None
-            for i, row in enumerate(rows):
-                b = row.breakdown
-                out.write(template.format(*map(_fmt, row.values), *_breakdown_values(b), row.baseline))
-                if plot is not None:
-                    x = row.values[0] if row.values else i
-                    plot.write(",".join([_fmt(x), *map("{:.9g}".format, plot_values(b))]) + "\n")
+            for row in rows:
+                out.write(template.format(*map(_fmt, row.values), *_breakdown_values(row.breakdown), row.baseline))
                 if previous is not None and (point := explorer.crossing(previous, row)):
                     points.append(point)
                 previous = row
@@ -266,7 +254,7 @@ def cmd_switch(args) -> int:
     check_die_count(integration, args.dies, "--dies")
     lo, hi = args.range
     with _recorded_warnings() as rec:
-        scenario = load_scenario(args.config, gamma=args.gamma)
+        scenario = load_scenario(args.config)
         # an unknown node is an error on the option, not on the library's parameter name
         resolve_technology(args.node, scenario.technology_overrides, scenario.registry, "--node")
         point = explorer.switching_point(
@@ -290,7 +278,7 @@ def cmd_switch(args) -> int:
 def cmd_pareto(args) -> int:
     _check(1 <= args.dies <= MAX_DIES, "--dies", f"must be in [1, {MAX_DIES}]")
     with _recorded_warnings() as rec:
-        scenario = load_scenario(args.config, gamma=args.gamma)
+        scenario = load_scenario(args.config)
         gammas = [_number(g, "--gammas") for g in args.gammas.split(",") if g.strip()]
         _check(bool(gammas), "--gammas", "needs at least one value")
         designs = [("reference", scenario.design)]
@@ -313,13 +301,10 @@ def cmd_pareto(args) -> int:
     names = [name for name, _ in designs]
     columns = ["gamma"] + [f"tcdp_norm_{n}" for n in names]
     meta = [f"# reference_tcdp={_fmt(result.reference_tcdp)} (kg*s at gamma=1)"]
-    text = _csv_header(_inputs_digest(scenario), columns, extra_meta=meta) + "".join(
-        ",".join([_fmt(g)] + [_fmt(result.series[n][i]) for n in names]) + "\n" for i, g in enumerate(result.gammas)
-    )
-    with (_output(args.plot_out, "--plot-out") if args.plot_out else contextlib.nullcontext()) as plot, \
-            _output(args.out) as out:
-        for f in (out, plot) if plot else (out,):
-            f.write(text)
+    with _output(args.out) as out:
+        out.write(_csv_header(_inputs_digest(scenario), columns, extra_meta=meta))
+        out.writelines(",".join([_fmt(g)] + [_fmt(result.series[n][i]) for n in names]) + "\n"
+                       for i, g in enumerate(result.gammas))
     return 0
 
 
@@ -360,24 +345,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, gamma=False):  # --gamma only for the commands whose results read it
         p.add_argument("-c", "--config", required=True, help="JSON design document")
-        p.add_argument("--gamma", type=float, default=1.0, help="embodied-vs-operational weight (default 1)")
+        if gamma:
+            p.add_argument("--gamma", type=float, default=1.0, help="embodied-vs-operational weight (default 1)")
         p.add_argument("--out", help="write the report here (atomic); default stdout")
 
     p = sub.add_parser("estimate", help="full carbon breakdown for one design")
-    common(p)
+    common(p, gamma=True)
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("--breakdown", action="store_true", help="include per-die rows")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sweep", help="evaluate a cartesian parameter sweep")
-    common(p)
+    common(p, gamma=True)
     p.add_argument("--axis", action="append", metavar="PATH=V1,V2,...",
                    help="sweep axis; repeatable")
     p.add_argument("--baseline", action="store_true",
                    help="also evaluate the mono-2D equivalent per row")
-    p.add_argument("--plot-out", help="write an (x, series...) plot-data CSV here")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("switch", help="embodied-carbon switching point vs the 2D baseline")
@@ -386,20 +371,21 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[i.value for i in Integration if i is not Integration.MONO_2D])
     p.add_argument("--node", required=True)
     p.add_argument("--dies", type=int, default=2)
-    p.add_argument("--stacking", choices=("d2w", "w2w"), default="d2w")
+    p.add_argument("--stacking", choices=("d2w", "w2w"), default="d2w",
+                   help="used where the scheme offers a choice (default d2w)")
     p.add_argument("--range", type=_range_pair, default=(1e6, 1e11),
                    help="gate-count search range <lo>:<hi> (default 1e6:1e11)")
     p.add_argument("--require-crossing", action="store_true",
                    help="exit 3 when the sign never changes on the range")
     p.set_defaults(func=cmd_switch)
 
-    p = sub.add_parser("pareto", help="normalized tCDP curves over a gamma grid")
+    # no abbreviations, or the --gamma that pareto does not take would be read as --gammas
+    p = sub.add_parser("pareto", help="normalized tCDP curves over a gamma grid", allow_abbrev=False)
     common(p)
     p.add_argument("--gammas", default="0,0.25,0.5,1,2,4")
     p.add_argument("--integrations", help="comma-separated variants to compare against the config design "
                    f"(default: those of {','.join(i.value for i in PARETO_INTEGRATIONS)} that --dies admits)")
     p.add_argument("--dies", type=int, default=2, help="die count for the built variants")
-    p.add_argument("--plot-out", help="also write the table as plot data")
     p.set_defaults(func=cmd_pareto)
 
     p = sub.add_parser("fixtures", help="inspect the bundled fixture registry")

@@ -696,12 +696,13 @@ def resolve_technology(
 _EARLY_DESIGN_KEYS = ("gate_count_2d", "n_dies", "technology", "area_ratios")
 
 
-def _expand_dies(design_doc: dict, path: str) -> list[dict]:
+def _expand_dies(design_doc: dict, integration: Integration, path: str) -> list[dict]:
     """Normalize the two input styles to a per-die list of raw objects.
 
     Style A: explicit ``dies`` list.  Style B (early design): a total
     ``gate_count_2d`` with ``n_dies`` and one ``technology``, split evenly
-    or by ``area_ratios``.  The two styles exclude each other.
+    or by ``area_ratios``; its total and its die count are errors on those keys.
+    The two styles exclude each other.
     """
     if "dies" in design_doc:
         if mixed := [key for key in _EARLY_DESIGN_KEYS if key in design_doc]:
@@ -712,9 +713,11 @@ def _expand_dies(design_doc: dict, path: str) -> list[dict]:
         return [d if isinstance(d, dict) else _bad_die(i, path) for i, d in enumerate(dies)]
 
     total = _num(_require(design_doc, "gate_count_2d", path), f"{path}.gate_count_2d")
+    _check(total > 0, f"{path}.gate_count_2d", "must be > 0")
     n = _int(_require(design_doc, "n_dies", path), f"{path}.n_dies")
     # the split makes one die object each: bound it before allocating
     _check(1 <= n <= MAX_DIES, f"{path}.n_dies", f"must be in [1, {MAX_DIES}]")
+    check_die_count(integration, n, f"{path}.n_dies")
     node = _require(design_doc, "technology", path)
     ratios = design_doc.get("area_ratios")
     weights = [1.0] * n if ratios is None else _floats(ratios, f"{path}.area_ratios")
@@ -738,7 +741,7 @@ def _design(design_doc: dict, overrides: Mapping, registry: FixtureRegistry) -> 
     """The validated DesignSpec, with defaults applied (facing/stacking, X_signal=0, fixture wiring)."""
     integration = _enum(_require(design_doc, "integration", "design"), Integration, "design.integration")
     dies: list[DieSpec] = []
-    for i, raw in enumerate(_expand_dies(design_doc, "design")):
+    for i, raw in enumerate(_expand_dies(design_doc, integration, "design")):
         dpath = f"design.dies[{i}]"
         node = str(_require(raw, "technology", dpath))
         # an early-design split takes its one node from design.technology

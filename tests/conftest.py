@@ -23,21 +23,6 @@ def registry() -> FixtureRegistry:
     return FixtureRegistry.bundled()
 
 
-@pytest.fixture(scope="session")
-def environment(registry) -> FabEnvironment:
-    return registry.environment()
-
-
-@pytest.fixture(scope="session")
-def profiles(registry) -> ProcessProfiles:
-    return ProcessProfiles(
-        bonding=registry.bonding(),
-        packaging=registry.packaging(),
-        interposer_technology=registry.technology("28nm"),
-        interposer_beol_layers=4,
-    )
-
-
 def make_tech(**overrides) -> TechnologyProfile:
     fields = dict(
         node_name="test",

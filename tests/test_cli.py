@@ -154,16 +154,6 @@ class TestSweep:
         )))
         assert row["c_total"] == format(evaluate(scenario).c_total, ".9g")
 
-    def test_plot_data_file(self, tmp_path):
-        path = write_config(tmp_path, basic_document())
-        out = tmp_path / "s.csv"
-        plot = tmp_path / "p.csv"
-        main(["sweep", "-c", str(path), "--axis", "gamma=0,1,2",
-              "--out", str(out), "--plot-out", str(plot)])
-        meta, header, rows = parse_csv(plot.read_text())
-        assert header[0] == "gamma"
-        assert len(rows) == 3
-
     def test_no_partial_files_on_failure(self, tmp_path):
         path = write_config(tmp_path, basic_document())
         out = tmp_path / "never.csv"
@@ -178,7 +168,7 @@ class TestSweep:
         path = write_config(tmp_path, basic_document())
         argv = ["sweep", "-c", str(path), "--baseline", "--axis", "bonding.bond_yield=0.9,0.95,1.5"]
         if to_files:
-            argv += ["--out", str(tmp_path / "s.csv"), "--plot-out", str(tmp_path / "p.csv")]
+            argv += ["--out", str(tmp_path / "s.csv")]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -329,8 +319,8 @@ class TestPareto:
 
 
 class TestOutputTargets:
-    """An --out or --plot-out that cannot be written is an error on that option, exit 2,
-    that names the target and leaves no file behind."""
+    """An --out that cannot be written is an error on --out, exit 2, that names the
+    target and leaves no file behind."""
 
     COMMANDS = {
         "estimate": ["estimate", "--format", "csv"],
@@ -351,17 +341,6 @@ class TestOutputTargets:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "report"]
         assert list(target.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["sweep", "pareto"])
-    def test_a_directory_is_an_error_on_plot_out(self, tmp_path, capsys, command):
-        path = write_config(tmp_path, basic_document())
-        plot = tmp_path / "plot"
-        plot.mkdir()
-        argv = [*self.COMMANDS[command], "-c", str(path), "--out", str(tmp_path / "out.csv"), "--plot-out", str(plot)]
-        assert main(argv) == 2
-        assert capsys.readouterr().err.endswith(f"error: --plot-out: cannot write {plot}: it is a directory\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "plot"]  # no --out file either
-        assert list(plot.iterdir()) == []
-
     def test_an_unwritable_target_names_the_option_not_the_temp_file(self, tmp_path, capsys):
         path = write_config(tmp_path, basic_document())
         (tmp_path / "file").write_text("")
@@ -381,12 +360,10 @@ class TestOutputTargets:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("through_link", [False, True], ids=["fifo", "link_to_fifo"])
-    @pytest.mark.parametrize("command, option", [("estimate", "--out"), ("sweep", "--plot-out")])
+    @pytest.mark.parametrize("command, option", [("estimate", "--out"), ("sweep", "--out")])
     def test_a_fifo_target_is_written_in_place(self, tmp_path, capsys, command, option, through_link):
         path = write_config(tmp_path, basic_document())
         argv = [*self.COMMANDS[command], "-c", str(path)]
-        if option == "--plot-out":
-            argv += ["--out", str(tmp_path / "out.csv")]
         assert main([*argv, option, str(tmp_path / "plain.csv")]) == 0
         expected = (tmp_path / "plain.csv").read_bytes()
         fifo = target = tmp_path / "fifo"
@@ -546,6 +523,11 @@ class TestRejectsBadValues:
         (lambda d: d["design"]["dies"][0].update(gate_count=1e300),
          "inputs outside the model's numeric range"),
         (lambda d: _split_design(d, n_dies=2**64), "design.n_dies: must be in [1, 1000]"),
+        # the early-design form's total and die count are errors on its own keys, not on the split dies
+        (lambda d: _split_design(d, gate_count_2d=-1e9), "design.gate_count_2d: must be > 0"),
+        (lambda d: _split_design(d, gate_count_2d=0), "design.gate_count_2d: must be > 0"),
+        (lambda d: _split_design(d, integration="mono_2d"),
+         "design.n_dies: mono_2d requires exactly 1 dies, got 2"),
         (lambda d: d.update(technology_overrides={"7nm": {"feature_size_cm": -1}}),
          "technology_overrides.7nm.feature_size_cm: must be > 0"),
         # override entries of nodes that no die or interposer uses
@@ -661,6 +643,23 @@ class TestRejectsBadValues:
         code, out = self._run(tmp_path, capsys, basic_document(), *argv)
         assert code == 2 and out.out == ""
         assert out.err.startswith(f"error: {where}: ")
+
+    # --out is each command's one output, and --gamma is read only by estimate and sweep
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--axis", "gamma=0,1", "--plot-out", "plot.csv"),
+        ("pareto", "--gammas", "0,1", "--plot-out", "plot.csv"),
+        ("switch", "--integration", "hybrid_3d", "--node", "7nm", "--gamma", "3"),
+        ("pareto", "--gammas", "0,1", "--gamma", "3"),
+    ])
+    def test_an_option_without_effect_is_unrecognized(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            self._run(tmp_path, capsys, basic_document(), *argv)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("argv", [
         ("switch", "--integration", "m3d", "--node", "7nm", "--dies", "3"),
