@@ -6,8 +6,8 @@ the committed ``configs/*.json``;
 they must match byte for byte.  ``tests/golden/validate_design.json`` holds
 ``validate_design``'s verdict (accepted, or error type and path) for every
 integration x facing x stacking x die-count combination.  ``tests/golden/embodied.json``
-holds the ``repr`` of every ``embodied_breakdown`` component, or the error type
-name, for each scheme x die count x stacking x node x gate count built with
+holds the ``repr`` of every ``embodied_breakdown`` component and every
+``YieldContext`` field, or the error type name, for each scheme x die count x stacking x node x gate count built with
 ``build_design`` on the bundled fixtures.  ``tests/golden/ranges.json`` holds
 the output of ``estimate --format csv`` on ``configs/hybrid_2die_7nm.json``
 with one field set outside its hard range (``hard/<path>``) or outside its
@@ -25,6 +25,7 @@ import json
 import sys
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -207,6 +208,7 @@ def embodied_cases() -> dict[str, dict[str, str] | str]:
                             "c_bonding": repr(b.c_bonding),
                             "c_packaging": repr(b.c_packaging),
                             "c_substrate": repr(b.c_substrate),
+                            **{f.name: repr(getattr(yields, f.name)) for f in fields(yields)},
                         }
     return cases
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -137,6 +138,17 @@ class TestYieldContext:
         alone = die_yield_negbin(geom.substrate_area, itech.defect_density_d0, itech.cluster_alpha)
         bond_product = profiles.bonding.bond_yield ** 2
         assert ctx.substrate_y == pytest.approx(alone * bond_product, rel=1e-12)
+
+    def test_given_interposer_yield_survives_every_attach(self):
+        design = make_design(Integration.SI_INTERPOSER, n=3, gate_count=2e9)
+        profiles = make_profiles()
+        profiles = dataclasses.replace(
+            profiles, bonding=dataclasses.replace(profiles.bonding, interposer_yield=0.93)
+        )
+        ctx = yield_context(design, stack_geometry(design, profiles.packaging), profiles)
+        bond_product = math.prod(ctx.standalone_bond_y)
+        assert ctx.standalone_bond_y == (profiles.bonding.bond_yield,) * 3
+        assert ctx.substrate_y == 0.93 * bond_product
 
     def test_mono2d_passthrough(self):
         design = make_design(Integration.MONO_2D, gate_count=1e9)
