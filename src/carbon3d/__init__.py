@@ -54,6 +54,6 @@ from .params import (
     design_to_document,
     load_scenario,
 )
-from .yieldmodel import YieldContext, compose_25d, compose_3d, die_yield_negbin, yield_context
+from .yieldmodel import YieldContext, die_yield_negbin, yield_context
 
 __version__ = "0.1.0"

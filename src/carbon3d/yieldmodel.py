@@ -1,24 +1,29 @@
-"""Standalone and composed yields for every supported integration scheme.
+"""Standalone and effective yields for every supported integration scheme.
 
-Standalone die yields come from the negative binomial model; effective
-yields fold in the bonding/substrate losses a die is exposed to before
-the assembly can be sold:
+One rule composes them: a part's effective yield is its standalone yield
+times the yield of every step it goes through untested.  Standalone die
+yields come from the negative binomial model, each bond yields
+``bond_yield``, and the substrate yields ``rdl_yield``, the given
+``interposer_yield`` or the negative binomial yield of the interposer area.
+What each part goes through untested:
 
-  D2W 3D        dies are tested first, so every die additionally survives
-                all N-1 bond steps
-  W2W 3D        nothing can be tested before bonding; every term carries
-                the full product of die and bond yields
-  chip-first    dies are embedded before the RDL is built on top
-  chip-last     dies (and the substrate) survive the N die-attach bonds
-  MCM           bonding is part of packaging; die yields pass through
-  M3D           sequential tiers count as a single die of combined area
+  scheme        dies                     bonds              substrate
+  D2W 3D        the N-1 bonds            the N-1 bonds      none
+  W2W 3D        all dies and bonds       all dies and bonds none
+  chip-first    the RDL built over them  none               alone
+  chip-last     the N die attaches       the N attaches     the N attaches
+  interposer    the N die attaches       the N attaches     the N attaches
+  MCM, 2D       nothing                  none               none
+  M3D           nothing                  none               none
+
+M3D tiers share one wafer, so each tier's standalone yield is that of
+their combined area under tier 0's node.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .params import DesignSpec, Integration, ProcessProfiles, Stacking, left_sum
 
@@ -43,83 +48,39 @@ def die_yield_negbin(area: float, d0: float, alpha: float) -> float:
     return math.exp(-alpha * math.log1p(area * d0 / alpha))
 
 
-def compose_3d(spec: DesignSpec, die_y: Sequence[float], bond_y: Sequence[float]) -> YieldContext:
-    """Effective die/bond yields for stacked (micro/hybrid) 3D ICs."""
-    n = len(spec.dies)
-    bond_product = math.prod(bond_y)
-    if spec.stacking is Stacking.W2W:
-        combined = math.prod(die_y) * bond_product
-        eff_die = (combined,) * n
-        eff_bond = (combined,) * (n - 1)
-    else:  # D2W: dies are known-good before bonding
-        eff_die = tuple(y * bond_product for y in die_y)
-        eff_bond = (bond_product,) * (n - 1)
-    return YieldContext(
-        standalone_die_y=tuple(die_y),
-        standalone_bond_y=tuple(bond_y),
-        effective_die_y=eff_die,
-        effective_bond_y=eff_bond,
-    )
-
-
-def compose_25d(
-    spec: DesignSpec,
-    die_y: Sequence[float],
-    bond_y: Sequence[float],
-    substrate_y: float = 1.0,
-) -> YieldContext:
-    """Effective yields for mono-2D and MCM / InFO / silicon-interposer 2.5D ICs.
-
-    Without die-attach bonds (2D, MCM, chip-first) dies carry the substrate
-    yield (1.0: none); with one bond per die all parts survive every attach.
-    """
-    if not bond_y:
-        eff_die = tuple(y * substrate_y for y in die_y)
-        return YieldContext(tuple(die_y), (), eff_die, (), substrate_y=substrate_y)
-    bond_product = math.prod(bond_y)
-    return YieldContext(
-        standalone_die_y=tuple(die_y),
-        standalone_bond_y=tuple(bond_y),
-        effective_die_y=tuple(y * bond_product for y in die_y),
-        effective_bond_y=(bond_product,) * len(bond_y),
-        substrate_y=substrate_y * bond_product,
-    )
-
-
 def yield_context(spec: DesignSpec, geometry, profiles: ProcessProfiles) -> YieldContext:
-    """Standalone yields from die areas, composed per the integration scheme.
-
-    ``geometry`` is the StackGeometry of the design (final, BEOL-adjusted
-    areas).  The silicon-interposer standalone yield defaults to a
-    negative-binomial evaluation on the interposer area under its own
-    node's defect density unless the bonding profile overrides it.
-    """
-    integ = spec.integration
+    """Standalone yields from the final die areas of ``geometry`` (the design's
+    StackGeometry), each composed with the steps its part goes through untested."""
+    rules = spec.integration.rules
     bonding = profiles.bonding
-
-    if integ is Integration.M3D:
-        combined_area = left_sum(g.total_area for g in geometry.dies)
+    if spec.integration is Integration.M3D:
         tech = spec.dies[0].technology
-        y = die_yield_negbin(combined_area, tech.defect_density_d0, tech.cluster_alpha)
-        n = len(spec.dies)
-        return YieldContext((y,) * n, (), (y,) * n, (), substrate_y=1.0)
-
-    die_y = [
-        die_yield_negbin(g.total_area, d.technology.defect_density_d0, d.technology.cluster_alpha)
-        for d, g in zip(spec.dies, geometry.dies)
-    ]
-    rules = integ.rules
-    bond_y = [bonding.bond_yield] * rules.bond_count(len(spec.dies))
-    if rules.bonds == "n-1":
-        return compose_3d(spec, die_y, bond_y)
+        combined_area = left_sum(g.total_area for g in geometry.dies)
+        die_y = (die_yield_negbin(combined_area, tech.defect_density_d0, tech.cluster_alpha),) * len(spec.dies)
+    else:
+        die_y = tuple(
+            die_yield_negbin(g.total_area, d.technology.defect_density_d0, d.technology.cluster_alpha)
+            for d, g in zip(spec.dies, geometry.dies)
+        )
+    bond_y = (bonding.bond_yield,) * rules.bond_count(len(spec.dies))
 
     if rules.substrate == "rdl":
-        sub_y = bonding.rdl_yield
+        substrate_y = bonding.rdl_yield
     elif rules.substrate == "none":
-        sub_y = 1.0
+        substrate_y = 1.0
     elif bonding.interposer_yield is not None:
-        sub_y = bonding.interposer_yield
+        substrate_y = bonding.interposer_yield
     else:
         tech = profiles.interposer_technology
-        sub_y = die_yield_negbin(geometry.substrate_area, tech.defect_density_d0, tech.cluster_alpha)
-    return compose_25d(spec, die_y, bond_y, substrate_y=sub_y)
+        substrate_y = die_yield_negbin(geometry.substrate_area, tech.defect_density_d0, tech.cluster_alpha)
+
+    bond_product = math.prod(bond_y)
+    if spec.stacking is Stacking.W2W:  # nothing is tested before bonding
+        eff_bond = math.prod(die_y) * bond_product
+        eff_die = (eff_bond,) * len(die_y)
+    else:  # without bonds, the dies go through the substrate built over them
+        eff_bond = bond_product
+        eff_die = tuple(y * (bond_product if bond_y else substrate_y) for y in die_y)
+    if rules.bonds == "n":  # the dies are attached to the substrate
+        substrate_y = substrate_y * bond_product
+    return YieldContext(die_y, bond_y, eff_die, (eff_bond,) * len(bond_y), substrate_y)

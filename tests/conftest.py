@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -15,6 +16,9 @@ from carbon3d import (
     TechnologyProfile,
     UsageProfile,
     WiringParameters,
+    YieldContext,
+    stack_geometry,
+    yield_context,
 )
 
 
@@ -103,6 +107,19 @@ def make_profiles(**overrides) -> ProcessProfiles:
                   interposer_beol_layers=4)
     fields.update(overrides)
     return ProcessProfiles(**fields)
+
+
+def stack_yields(integration, d0s, gate_counts=None, stacking=None, **bonding) -> YieldContext:
+    """``yield_context`` of a design whose die i has defect density ``d0s[i]`` (0: yield 1)
+    and ``gate_counts[i]`` gates (default 1e9), under ``make_profiles()`` with ``bonding`` replaced."""
+    design = make_design(integration, n=len(d0s), stacking=stacking)
+    design = dataclasses.replace(design, dies=tuple(
+        dataclasses.replace(die, technology=make_tech(defect_density_d0=d0), gate_count=gates)
+        for die, d0, gates in zip(design.dies, d0s, gate_counts or [1e9] * len(d0s))
+    ))
+    profiles = make_profiles()
+    profiles = dataclasses.replace(profiles, bonding=dataclasses.replace(profiles.bonding, **bonding))
+    return yield_context(design, stack_geometry(design, profiles.packaging), profiles)
 
 
 def make_env(**overrides) -> FabEnvironment:

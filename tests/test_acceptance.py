@@ -23,7 +23,6 @@ from carbon3d import (
     UsageProfile,
     average_wire_length,
     build_design,
-    compose_3d,
     die_yield_negbin,
     dies_per_wafer,
     evaluate,
@@ -41,6 +40,7 @@ from conftest import (
     make_usage,
     make_tech,
     make_wiring,
+    stack_yields,
     write_config,
 )
 
@@ -141,22 +141,23 @@ def test_criterion_3_w2w_vs_d2w():
     for trial in range(1000):
         n = rng.randint(2, 5)
         if trial % 11 == 0:
-            die_y = [1.0] * n
+            d0s = [0.0] * n  # every die yields 1
         elif trial % 7 == 0:
-            die_y = [1.0 if rng.random() < 0.5 else rng.uniform(0.5, 0.999) for _ in range(n)]
-            if all(y == 1.0 for y in die_y):
-                die_y[0] = 0.9
+            d0s = [0.0 if rng.random() < 0.5 else rng.uniform(1e-6, 0.5) for _ in range(n)]
+            if all(d0 == 0.0 for d0 in d0s):
+                d0s[0] = 0.3
         else:
-            die_y = [rng.uniform(0.5, 0.999999) for _ in range(n)]
-        bond_y = [rng.uniform(0.8, 1.0) for _ in range(n - 1)]
+            d0s = [rng.uniform(1e-6, 0.5) for _ in range(n)]
+        gates = [rng.uniform(1e8, 4e9) for _ in range(n)]
+        bond_yield = rng.uniform(0.8, 1.0)
 
-        d2w = compose_3d(make_design(Integration.HYBRID_3D, n=n, stacking=Stacking.D2W), die_y, bond_y)
-        w2w = compose_3d(make_design(Integration.HYBRID_3D, n=n, stacking=Stacking.W2W), die_y, bond_y)
+        d2w = stack_yields(Integration.HYBRID_3D, d0s, gates, Stacking.D2W, bond_yield=bond_yield)
+        w2w = stack_yields(Integration.HYBRID_3D, d0s, gates, Stacking.W2W, bond_yield=bond_yield)
 
         for yw, yd in zip(w2w.effective_die_y, d2w.effective_die_y):
             assert yw <= yd
             assert 0.0 < yw <= 1.0 and 0.0 < yd <= 1.0
-        if all(y == 1.0 for y in die_y):
+        if all(y == 1.0 for y in d2w.standalone_die_y):
             assert w2w.effective_die_y == d2w.effective_die_y
         else:
             assert w2w.effective_die_y != d2w.effective_die_y

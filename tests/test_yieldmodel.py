@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 from carbon3d import (
     Integration,
     Stacking,
-    compose_25d,
-    compose_3d,
     die_yield_negbin,
     stack_geometry,
     yield_context,
 )
 
-from conftest import make_design, make_profiles
+from conftest import make_design, make_profiles, stack_yields
 
 
 class TestNegbin:
@@ -58,62 +56,63 @@ class TestNegbin:
 
 class TestCompose3d:
     def test_d2w_reference(self):
-        design = make_design(Integration.HYBRID_3D, n=2, stacking=Stacking.D2W)
-        ctx = compose_3d(design, [0.9, 0.9], [0.95])
-        assert list(ctx.effective_die_y) == pytest.approx([0.855, 0.855], rel=1e-12)
-        assert list(ctx.effective_bond_y) == pytest.approx([0.95], rel=1e-12)
+        ctx = stack_yields(Integration.HYBRID_3D, [0.12, 0.3], stacking=Stacking.D2W, bond_yield=0.95)
+        y0, y1 = ctx.standalone_die_y
+        assert 0.5 < y1 < y0 < 1.0
+        assert ctx.effective_die_y == (y0 * 0.95, y1 * 0.95)
+        assert ctx.effective_bond_y == (0.95,)
 
     def test_w2w_reference(self):
-        design = make_design(Integration.HYBRID_3D, n=2, stacking=Stacking.W2W)
-        ctx = compose_3d(design, [0.9, 0.9], [0.95])
-        expected = 0.9 * 0.9 * 0.95
-        assert list(ctx.effective_die_y) == pytest.approx([expected] * 2, rel=1e-12)
-        assert list(ctx.effective_bond_y) == pytest.approx([expected], rel=1e-12)
+        ctx = stack_yields(Integration.HYBRID_3D, [0.12, 0.3], stacking=Stacking.W2W, bond_yield=0.95)
+        y0, y1 = ctx.standalone_die_y
+        assert ctx.effective_die_y == (y0 * y1 * 0.95,) * 2
+        assert ctx.effective_bond_y == (y0 * y1 * 0.95,)
 
     def test_perfect_yield_fixed_point(self):
         for stacking in (Stacking.D2W, Stacking.W2W):
-            design = make_design(Integration.HYBRID_3D, n=2, stacking=stacking)
-            ctx = compose_3d(design, [1.0, 1.0], [1.0])
+            ctx = stack_yields(Integration.HYBRID_3D, [0.0, 0.0], stacking=stacking, bond_yield=1.0)
             assert all(y == 1.0 for y in ctx.effective_die_y + ctx.effective_bond_y)
 
     def test_w2w_never_beats_d2w(self):
         rng = random.Random(11)
         for _ in range(300):
             n = rng.randint(2, 5)
-            d2w_design = make_design(Integration.HYBRID_3D, n=n, stacking=Stacking.D2W)
-            w2w_design = make_design(Integration.HYBRID_3D, n=n, stacking=Stacking.W2W)
-            die_y = [rng.uniform(0.5, 1.0) for _ in range(n)]
-            bond_y = [rng.uniform(0.8, 1.0) for _ in range(n - 1)]
-            d2w = compose_3d(d2w_design, die_y, bond_y)
-            w2w = compose_3d(w2w_design, die_y, bond_y)
+            d0s = [rng.uniform(0.0, 0.5) for _ in range(n)]
+            gates = [rng.uniform(1e8, 4e9) for _ in range(n)]
+            bond_yield = rng.uniform(0.8, 1.0)
+            d2w = stack_yields(Integration.HYBRID_3D, d0s, gates, Stacking.D2W, bond_yield=bond_yield)
+            w2w = stack_yields(Integration.HYBRID_3D, d0s, gates, Stacking.W2W, bond_yield=bond_yield)
+            assert w2w.standalone_die_y == d2w.standalone_die_y
             for yw, yd in zip(w2w.effective_die_y, d2w.effective_die_y):
                 assert yw <= yd * (1 + 1e-15)
 
     def test_effective_never_exceeds_standalone(self):
-        design = make_design(Integration.HYBRID_3D, n=3, facing=None)
-        ctx = compose_3d(design, [0.9, 0.8, 0.7], [0.95, 0.99])
+        ctx = stack_yields(Integration.HYBRID_3D, [0.1, 0.2, 0.3], [1e9, 2e9, 3e9], bond_yield=0.97)
+        assert ctx.standalone_bond_y == (0.97, 0.97)
         for eff, alone in zip(ctx.effective_die_y, ctx.standalone_die_y):
             assert eff <= alone
 
 
 class TestCompose25d:
     def test_chip_first_reference(self):
-        design = make_design(Integration.INFO_CHIP_FIRST, n=2)
-        ctx = compose_25d(design, [0.9, 0.9], [], substrate_y=0.98)
-        assert list(ctx.effective_die_y) == pytest.approx([0.882, 0.882], rel=1e-12)
-        assert ctx.substrate_y == pytest.approx(0.98, rel=1e-12)
+        ctx = stack_yields(Integration.INFO_CHIP_FIRST, [0.12, 0.12], rdl_yield=0.98)
+        y = ctx.standalone_die_y[0]
+        assert ctx.standalone_bond_y == ctx.effective_bond_y == ()
+        assert ctx.effective_die_y == (y * 0.98, y * 0.98)
+        assert ctx.substrate_y == 0.98
 
     def test_chip_last_reference(self):
-        design = make_design(Integration.INFO_CHIP_LAST, n=2)
-        ctx = compose_25d(design, [0.9, 0.9], [0.99, 0.99], substrate_y=0.95)
-        assert list(ctx.effective_die_y) == pytest.approx([0.9 * 0.9801] * 2, rel=1e-12)
+        ctx = stack_yields(Integration.INFO_CHIP_LAST, [0.12, 0.12], bond_yield=0.99, rdl_yield=0.95)
+        y = ctx.standalone_die_y[0]
+        assert ctx.standalone_bond_y == (0.99, 0.99)
+        assert list(ctx.effective_die_y) == pytest.approx([y * 0.9801] * 2, rel=1e-12)
         assert ctx.substrate_y == pytest.approx(0.95 * 0.9801, rel=1e-12)
         assert list(ctx.effective_bond_y) == pytest.approx([0.9801] * 2, rel=1e-12)
 
     def test_mcm_identity(self):
-        design = make_design(Integration.MCM, n=2)
-        ctx = compose_25d(design, [0.9, 0.8], [])
-        assert list(ctx.effective_die_y) == [0.9, 0.8]
+        ctx = stack_yields(Integration.MCM, [0.12, 0.3])
+        assert ctx.effective_die_y == ctx.standalone_die_y
+        assert ctx.standalone_die_y[0] > ctx.standalone_die_y[1]
         assert ctx.substrate_y == 1.0
 
 
@@ -128,6 +127,17 @@ class TestYieldContext:
         expected = die_yield_negbin(combined, tech.defect_density_d0, tech.cluster_alpha)
         assert list(ctx.effective_die_y) == [expected, expected]
         assert ctx.standalone_bond_y == ()
+
+    def test_each_die_yield_from_its_own_area(self):
+        design = make_design(Integration.MCM, n=3, explicit_areas=[0.5, 1.0, 2.0])
+        profiles = make_profiles()
+        geom = stack_geometry(design, profiles.packaging)
+        ctx = yield_context(design, geom, profiles)
+        tech = design.dies[0].technology
+        assert ctx.standalone_die_y == tuple(
+            die_yield_negbin(g.total_area, tech.defect_density_d0, tech.cluster_alpha) for g in geom.dies
+        )
+        assert ctx.standalone_die_y == tuple(sorted(ctx.standalone_die_y, reverse=True))
 
     def test_interposer_yield_derived_from_area(self):
         design = make_design(Integration.SI_INTERPOSER, n=2, gate_count=2e9)
