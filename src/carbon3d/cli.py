@@ -27,7 +27,6 @@ from pathlib import Path
 from . import explorer
 from .carbon import CarbonBreakdown, evaluate
 from .errors import CarbonModelError, NoCrossing, OutOfRange, ValidationError
-from .geometry import gates_from_area
 from .params import (
     MAX_DIES,
     FixtureRegistry,
@@ -38,7 +37,6 @@ from .params import (
     _enum,
     check_die_count,
     design_to_document,
-    left_sum,
     load_scenario,
     resolve_technology,
 )
@@ -283,10 +281,7 @@ def cmd_pareto(args) -> int:
         _check(bool(gammas), "--gammas", "needs at least one value")
         designs = [("reference", scenario.design)]
         base_die = scenario.design.dies[0]
-        total_gates = left_sum(
-            d.gate_count if d.gate_count is not None else gates_from_area(d.explicit_area, d.technology)
-            for d in scenario.design.dies
-        )
+        total_gates = explorer._total_gates(scenario.design.dies)
         variants = args.integrations.split(",") if args.integrations else []
         if args.integrations is None:  # the default variants that admit --dies
             variants = [i for i in PARETO_INTEGRATIONS if i.rules.admits(explorer._die_count(i, args.dies))]

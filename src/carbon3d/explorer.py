@@ -50,7 +50,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .carbon import CarbonBreakdown, _EmbodiedChain, evaluate
 from .errors import CapExceeded, CarbonModelWarning, OutOfRange, UnresolvablePath, UnsupportedConfiguration
-from .geometry import _base_gate_areas, area_2d
+from .geometry import area_2d, gates_from_area
 from .params import (
     DesignSpec,
     DieSpec,
@@ -180,8 +180,13 @@ def apply_parameter(scenario: Scenario, path: str, value) -> Scenario:
     return dataclasses.replace(scenario, design=dataclasses.replace(scenario.design, dies=tuple(dies)))
 
 
+def _total_gates(dies: Sequence[DieSpec]) -> float:
+    # a die given by its area counts the gates that area holds on its own node
+    return left_sum(d.gate_count if d.gate_count is not None else gates_from_area(d.explicit_area, d.technology) for d in dies)
+
+
 def mono2d_equivalent(design: DesignSpec) -> DesignSpec:
-    """The single-die 2D design with the same total gate count / area."""
+    """The single-die 2D design with the same total gate count, on die 1's node."""
     dies = design.dies
     nodes = {d.technology.node_name for d in dies}
     if len(nodes) > 1:
@@ -190,11 +195,7 @@ def mono2d_equivalent(design: DesignSpec) -> DesignSpec:
             CarbonModelWarning,
             stacklevel=2,
         )
-    first = dies[0]
-    if all(d.gate_count is not None for d in dies):
-        merged = DieSpec(first.technology, first.wiring, gate_count=left_sum(d.gate_count for d in dies))
-    else:
-        merged = DieSpec(first.technology, first.wiring, explicit_area=left_sum(_base_gate_areas(dies)))
+    merged = DieSpec(dies[0].technology, dies[0].wiring, gate_count=_total_gates(dies))
     return DesignSpec(integration=Integration.MONO_2D, facing=Facing.NA, stacking=Stacking.NA, dies=(merged,))
 
 

@@ -158,6 +158,19 @@ class TestSweep:
         with pytest.raises(UnsupportedConfiguration, match="not finite"):
             _mono2d_embodied(scenario)
 
+    def test_a_die_given_by_its_area_merges_into_the_baseline_by_its_gates(self, registry):
+        path = next(p for p in CONFIGS if p.stem == "mcm_hetero_4die")
+        by_gates = load_scenario(path, registry)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        die = doc["design"]["dies"][3]  # the 14nm die
+        die["explicit_area"] = area_2d(die.pop("gate_count"), registry.technology("14nm"))
+        by_area = load_scenario(doc, registry)
+        with pytest.warns(CarbonModelWarning, match="heterogeneous-node"):
+            (row_gates,) = sweep(by_gates, [], baseline=True)
+            (row_area,) = sweep(by_area, [], baseline=True)
+        assert row_area.breakdown.c_embodied_overall == pytest.approx(row_gates.breakdown.c_embodied_overall, rel=1e-12)
+        assert row_area.baseline == pytest.approx(row_gates.baseline, rel=1e-12)
+
     def test_crossing_needs_one_numeric_axis_with_baseline(self):
         scn = make_scenario(design=make_design(Integration.HYBRID_3D, n=2, gate_count=1e6))
         axis = SweepAxis("dies[*].gate_count", [1e5, 1e9])
