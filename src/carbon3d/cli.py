@@ -334,11 +334,15 @@ def _range_pair(text: str) -> tuple[float, float]:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing does not change it."""
+    # no abbreviated options: removing or renaming an option must not rebind its prefix to
+    # another one, as pareto's removed --gamma would have been read as --gammas
     parser = argparse.ArgumentParser(
         prog="carbon3d",
         description="Life-cycle carbon estimation and design-space exploration for 2D/2.5D/3D ICs.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def common(p, gamma=False):  # --gamma only for the commands whose results read it
         p.add_argument("-c", "--config", required=True, help="JSON design document")
@@ -346,13 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--gamma", type=float, default=1.0, help="embodied-vs-operational weight (default 1)")
         p.add_argument("--out", help="write the report here (atomic); default stdout")
 
-    p = sub.add_parser("estimate", help="full carbon breakdown for one design")
+    p = add_parser("estimate", help="full carbon breakdown for one design")
     common(p, gamma=True)
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("--breakdown", action="store_true", help="include per-die rows")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("sweep", help="evaluate a cartesian parameter sweep")
+    p = add_parser("sweep", help="evaluate a cartesian parameter sweep")
     common(p, gamma=True)
     p.add_argument("--axis", action="append", metavar="PATH=V1,V2,...",
                    help="sweep axis; repeatable")
@@ -360,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also evaluate the mono-2D equivalent per row")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("switch", help="embodied-carbon switching point vs the 2D baseline")
+    p = add_parser("switch", help="embodied-carbon switching point vs the 2D baseline")
     common(p)
     p.add_argument("--integration", required=True,
                    choices=[i.value for i in Integration if i is not Integration.MONO_2D])
@@ -374,8 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 3 when the sign never changes on the range")
     p.set_defaults(func=cmd_switch)
 
-    # no abbreviations, or the --gamma that pareto does not take would be read as --gammas
-    p = sub.add_parser("pareto", help="normalized tCDP curves over a gamma grid", allow_abbrev=False)
+    p = add_parser("pareto", help="normalized tCDP curves over a gamma grid")
     common(p)
     p.add_argument("--gammas", default="0,0.25,0.5,1,2,4")
     p.add_argument("--integrations", help="comma-separated variants to compare against the config design "
@@ -383,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dies", type=int, default=2, help="die count for the built variants")
     p.set_defaults(func=cmd_pareto)
 
-    p = sub.add_parser("fixtures", help="inspect the bundled fixture registry")
+    p = add_parser("fixtures", help="inspect the bundled fixture registry")
     p.add_argument("fixtures_action", choices=("list",))
     p.set_defaults(func=cmd_fixtures)
     return parser

@@ -661,6 +661,18 @@ class TestRejectsBadValues:
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    # an abbreviation would silently rebind to another option when one is removed or renamed
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--form", "csv"),
+        ("sweep", "--base"),
+        ("switch", "--integ", "hybrid_3d", "--node", "7nm"),
+    ])
+    def test_an_abbreviated_option_is_unrecognized(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            self._run(tmp_path, capsys, basic_document(), *argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("argv", [
         ("switch", "--integration", "m3d", "--node", "7nm", "--dies", "3"),
         ("pareto", "--integrations", "m3d", "--dies", "3"),  # an explicit variant is not dropped
