@@ -50,7 +50,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .carbon import CarbonBreakdown, _EmbodiedChain, evaluate
 from .errors import CapExceeded, CarbonModelWarning, OutOfRange, UnresolvablePath, UnsupportedConfiguration
-from .geometry import area_2d, gates_from_area
+from .geometry import _die_gate_count, area_2d
 from .params import (
     DesignSpec,
     DieSpec,
@@ -182,7 +182,7 @@ def apply_parameter(scenario: Scenario, path: str, value) -> Scenario:
 
 def _total_gates(dies: Sequence[DieSpec]) -> float:
     # a die given by its area counts the gates that area holds on its own node
-    return left_sum(d.gate_count if d.gate_count is not None else gates_from_area(d.explicit_area, d.technology) for d in dies)
+    return left_sum(_die_gate_count(d, d.explicit_area) for d in dies)
 
 
 def mono2d_equivalent(design: DesignSpec) -> DesignSpec:

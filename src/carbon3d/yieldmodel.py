@@ -5,16 +5,16 @@ times the yield of every step it goes through untested.  Standalone die
 yields come from the negative binomial model, each bond yields
 ``bond_yield``, and the substrate yields ``rdl_yield``, the given
 ``interposer_yield`` or the negative binomial yield of the interposer area.
-What each part goes through untested:
+What each part goes through untested ("-": the scheme has no such part):
 
-  scheme        dies                     bonds              substrate
-  D2W 3D        the N-1 bonds            the N-1 bonds      none
-  W2W 3D        all dies and bonds       all dies and bonds none
-  chip-first    the RDL built over them  none               alone
-  chip-last     the N die attaches       the N attaches     the N attaches
-  interposer    the N die attaches       the N attaches     the N attaches
-  MCM, 2D       nothing                  none               none
-  M3D           nothing                  none               none
+  scheme       dies                        bonds                       substrate
+  D2W 3D       the N-1 bonds               the other bonds             -
+  W2W 3D       the other dies, every bond  every die, the other bonds  -
+  chip-first   the RDL built over them     -                           nothing
+  chip-last    the N die attaches          the other attaches          the N die attaches
+  interposer   the N die attaches          the other attaches          the N die attaches
+  MCM, 2D      nothing                     -                           -
+  M3D          nothing                     -                           -
 
 M3D tiers share one wafer, so each tier's standalone yield is that of
 their combined area under tier 0's node.
