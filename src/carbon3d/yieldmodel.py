@@ -58,10 +58,10 @@ def yield_context(spec: DesignSpec, geometry, profiles: ProcessProfiles) -> Yiel
         combined_area = left_sum(g.total_area for g in geometry.dies)
         die_y = (die_yield_negbin(combined_area, tech.defect_density_d0, tech.cluster_alpha),) * len(spec.dies)
     else:
-        die_y = tuple(
+        die_y = tuple([
             die_yield_negbin(g.total_area, d.technology.defect_density_d0, d.technology.cluster_alpha)
             for d, g in zip(spec.dies, geometry.dies)
-        )
+        ])
     bond_y = (bonding.bond_yield,) * rules.bond_count(len(spec.dies))
 
     if rules.substrate == "rdl":
@@ -78,9 +78,10 @@ def yield_context(spec: DesignSpec, geometry, profiles: ProcessProfiles) -> Yiel
     if spec.stacking is Stacking.W2W:  # nothing is tested before bonding
         eff_bond = math.prod(die_y) * bond_product
         eff_die = (eff_bond,) * len(die_y)
-    else:  # without bonds, the dies go through the substrate built over them
+    else:
         eff_bond = bond_product
-        eff_die = tuple(y * (bond_product if bond_y else substrate_y) for y in die_y)
+        exposure = bond_product if bond_y else substrate_y  # without bonds: the substrate built over the dies
+        eff_die = tuple([y * exposure for y in die_y])
     if rules.bonds == "n":  # the dies are attached to the substrate
         substrate_y = substrate_y * bond_product
     return YieldContext(die_y, bond_y, eff_die, (eff_bond,) * len(bond_y), substrate_y)
