@@ -280,15 +280,14 @@ def cmd_pareto(args) -> int:
         gammas = [_number(g, "--gammas") for g in args.gammas.split(",") if g.strip()]
         _check(bool(gammas), "--gammas", "needs at least one value")
         designs = [("reference", scenario.design)]
-        base_die = scenario.design.dies[0]
-        total_gates = explorer._total_gates(scenario.design.dies)
+        technology, wiring, total_gates = explorer._basis(scenario.design)
         variants = args.integrations.split(",") if args.integrations else []
         if args.integrations is None:  # the default variants that admit --dies
             variants = [i for i in PARETO_INTEGRATIONS if i.rules.admits(explorer._die_count(i, args.dies))]
         for name in variants:
             integ = _enum(name, Integration, "--integrations")
             check_die_count(integ, explorer._die_count(integ, args.dies), "--dies")
-            design = explorer.build_design(integ, base_die.technology, base_die.wiring, args.dies, total_gates)
+            design = explorer.build_design(integ, technology, wiring, args.dies, total_gates)
             designs.append((integ.value, design))
         result = explorer.gamma_pareto(scenario, designs, gammas)
     _report_warnings(rec)

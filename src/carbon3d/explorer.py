@@ -54,7 +54,6 @@ from .geometry import _die_gate_count, area_2d
 from .params import (
     DesignSpec,
     DieSpec,
-    Facing,
     Integration,
     Scenario,
     Stacking,
@@ -180,23 +179,19 @@ def apply_parameter(scenario: Scenario, path: str, value) -> Scenario:
     return dataclasses.replace(scenario, design=dataclasses.replace(scenario.design, dies=tuple(dies)))
 
 
-def _total_gates(dies: Sequence[DieSpec]) -> float:
+def _basis(design: DesignSpec) -> tuple[TechnologyProfile, WiringParameters, float]:
+    """The node, wiring and total gate count of every design derived from ``design``."""
+    dies = design.dies
+    if len({d.technology.node_name for d in dies}) > 1:
+        warnings.warn("heterogeneous-node design; the 2D baseline uses die 1's node", CarbonModelWarning, stacklevel=3)
     # a die given by its area counts the gates that area holds on its own node
-    return left_sum(_die_gate_count(d, d.explicit_area) for d in dies)
+    return dies[0].technology, dies[0].wiring, left_sum(_die_gate_count(d, d.explicit_area) for d in dies)
 
 
 def mono2d_equivalent(design: DesignSpec) -> DesignSpec:
     """The single-die 2D design with the same total gate count, on die 1's node."""
-    dies = design.dies
-    nodes = {d.technology.node_name for d in dies}
-    if len(nodes) > 1:
-        warnings.warn(
-            "heterogeneous-node design; the 2D baseline uses die 1's node",
-            CarbonModelWarning,
-            stacklevel=2,
-        )
-    merged = DieSpec(dies[0].technology, dies[0].wiring, gate_count=_total_gates(dies))
-    return DesignSpec(integration=Integration.MONO_2D, facing=Facing.NA, stacking=Stacking.NA, dies=(merged,))
+    technology, wiring, gates = _basis(design)
+    return _equal_split(Integration.MONO_2D, technology, wiring, 1, gates, Stacking.NA)
 
 
 # ---------------------------------------------------------------------------

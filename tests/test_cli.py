@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -24,12 +25,24 @@ from carbon3d import (
     load_scenario,
     switching_point,
 )
-from carbon3d import params
+from carbon3d import explorer, params
 from carbon3d.cli import build_parser, main
 from carbon3d.errors import CarbonModelWarning
 from carbon3d.params import _BUNDLED_DIR
 
 from conftest import basic_document, write_config
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _config_path(tmp_path, name: str) -> Path:
+    """A committed config, or with a ``-reversed`` suffix a copy that lists its dies in reverse order."""
+    stem, _, reversed_ = name.partition("-")
+    if not reversed_:
+        return CONFIG_DIR / f"{stem}.json"
+    doc = json.loads((CONFIG_DIR / f"{stem}.json").read_text(encoding="utf-8"))
+    doc["design"]["dies"].reverse()
+    return write_config(tmp_path, doc)
 
 
 def parse_csv(text):
@@ -316,6 +329,27 @@ class TestPareto:
         main(["pareto", "-c", str(path), "--gammas", "0,1", "--integrations", "mono_2d,m3d"])
         _, header, rows = parse_csv(capsys.readouterr().out)
         assert "tcdp_norm_mono_2d" in header and "tcdp_norm_m3d" in header
+
+    def test_a_heterogeneous_design_warns_as_the_sweep_does(self, capsys):
+        config = str(CONFIG_DIR / "mcm_hetero_4die.json")
+        assert main(["pareto", "-c", config, "--integrations", "mono_2d", "--gammas", "1"]) == 0
+        pareto_err = capsys.readouterr().err
+        assert main(["sweep", "-c", config, "--baseline", "--axis", "gamma=1"]) == 0
+        sweep_err = capsys.readouterr().err
+        assert "warning: heterogeneous-node design" in pareto_err
+        assert pareto_err == sweep_err
+
+    @pytest.mark.parametrize("config", [*sorted(p.stem for p in CONFIG_DIR.glob("*.json")), "mcm_hetero_4die-reversed"])
+    def test_mono_2d_variant_is_the_sweep_baseline(self, tmp_path, capsys, monkeypatch, config):
+        path = _config_path(tmp_path, config)
+        designs = {}
+        original = explorer.gamma_pareto
+        monkeypatch.setattr(explorer, "gamma_pareto", lambda base, ds, gammas: designs.update(ds) or original(base, ds, gammas))
+        assert main(["pareto", "-c", str(path), "--integrations", "mono_2d", "--gammas", "1"]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CarbonModelWarning)
+            assert designs["mono_2d"] == explorer.mono2d_equivalent(load_scenario(path).design)
 
 
 class TestOutputTargets:
