@@ -180,16 +180,24 @@ def apply_parameter(scenario: Scenario, path: str, value) -> Scenario:
 
 
 def _basis(design: DesignSpec) -> tuple[TechnologyProfile, WiringParameters, float]:
-    """The node, wiring and total gate count of every design derived from ``design``."""
-    dies = design.dies
-    if len({d.technology.node_name for d in dies}) > 1:
-        warnings.warn("heterogeneous-node design; the 2D baseline uses die 1's node", CarbonModelWarning, stacklevel=3)
-    # a die given by its area counts the gates that area holds on its own node
-    return dies[0].technology, dies[0].wiring, left_sum(_die_gate_count(d, d.explicit_area) for d in dies)
+    # the node, wiring and total gate count of every design derived from ``design``; none reads the die order
+    die = design.dies[0]
+    if any(d.technology is not die.technology or d.wiring is not die.wiring for d in design.dies):
+        # the most advanced node (smallest feature size, then name), then the smallest wiring by its values
+        die = min(design.dies, key=lambda d: (d.technology.feature_size_cm, d.technology.node_name, d.wiring))
+        if any(d.technology.node_name != die.technology.node_name for d in design.dies):
+            warnings.warn(f"heterogeneous-node design; the 2D baseline and other comparison designs use its most "
+                          f"advanced node, {die.technology.node_name}", CarbonModelWarning, stacklevel=3)
+    # a die given by its area counts the gates that area holds on its own node; summed in ascending order
+    return die.technology, die.wiring, left_sum(sorted(_die_gate_count(d, d.explicit_area) for d in design.dies))
 
 
 def mono2d_equivalent(design: DesignSpec) -> DesignSpec:
-    """The single-die 2D design with the same total gate count, on die 1's node."""
+    """The single-die 2D design with the same total gate count, the basis of every comparison design.
+
+    Its node is the dies' most advanced (smallest ``feature_size_cm``, then name), so gates from
+    another node count at its density, with the smallest wiring by field values among that node's
+    dies; no choice reads the die order.  A heterogeneous-node design warns, naming the node."""
     technology, wiring, gates = _basis(design)
     return _equal_split(Integration.MONO_2D, technology, wiring, 1, gates, Stacking.NA)
 

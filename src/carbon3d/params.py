@@ -188,7 +188,7 @@ class FabEnvironment:
         return math.pi * (self.wafer_diameter_cm / 2.0) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)   # ordered by field values: the 2D baseline picks a wiring by value, not position
 class WiringParameters:
     """Rent's-rule and routing parameters used for TSV and BEOL estimation."""
 

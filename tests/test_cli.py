@@ -352,6 +352,29 @@ class TestPareto:
             assert designs["mono_2d"] == explorer.mono2d_equivalent(load_scenario(path).design)
 
 
+class TestComparisonDesignsReadNoDieOrder:
+    def test_the_reversed_heterogeneous_baseline(self, tmp_path, capsys):
+        path = _config_path(tmp_path, "mcm_hetero_4die-reversed")
+        assert main(["sweep", "-c", str(path), "--baseline", "--axis", "gamma=1"]) == 0
+        out = capsys.readouterr()
+        _, _, (row,) = parse_csv(out.out)
+        assert row["baseline_c_embodied_overall"] == "11.751296"
+        assert out.err == ("warning: heterogeneous-node design; the 2D baseline and other comparison designs "
+                           "use its most advanced node, 7nm\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--baseline", "--axis", "gamma=1"],
+        ["pareto", "--integrations", "mono_2d,hybrid_3d", "--gammas", "1"],
+    ])
+    def test_reversed_dies_give_the_same_output(self, tmp_path, capsys, argv):
+        outputs = []
+        for config in ("mcm_hetero_4die", "mcm_hetero_4die-reversed"):
+            assert main([argv[0], "-c", str(_config_path(tmp_path, config)), *argv[1:]]) == 0
+            out = capsys.readouterr()  # the digest line names the document, so only data lines are compared
+            outputs.append(([line for line in out.out.splitlines() if not line.startswith("#")], out.err))
+        assert outputs[0] == outputs[1]
+
+
 class TestOutputTargets:
     """An --out that cannot be written is an error on --out, exit 2, that names the
     target and leaves no file behind."""

@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carbon3d import (
+    DesignSpec,
+    DieSpec,
     FixtureRegistry,
     Integration,
     Stacking,
@@ -318,6 +320,41 @@ class TestSweepMatchesRowByRow:
 
 # Inner axes that leave the dies alone, so rows can reuse the stages before them
 # (a signal count changes the design, so its rows recompute geometry and yields).
+SIDE_BY_SIDE = (Integration.MCM, Integration.INFO_CHIP_FIRST, Integration.INFO_CHIP_LAST, Integration.SI_INTERPOSER)
+
+
+class TestBaselineReadsNoDieOrder:
+    """Side-by-side dies have no physical order: a 2.5D or MCM design listed in any order has
+    the same embodied carbon (to rounding) and the same 2D baseline, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        integ=st.sampled_from(SIDE_BY_SIDE),
+        dies=st.lists(
+            st.tuples(st.sampled_from(("28nm", "14nm", "7nm", "5nm")), st.floats(1e7, 1e9), st.booleans()),
+            min_size=2, max_size=4,
+        ),
+    )
+    def test_every_permutation_gives_one_baseline(self, registry, integ, dies):
+        specs = [
+            DieSpec(registry.technology(node), dataclasses.replace(registry.default_wiring(node), rent_p=0.7)
+                    if patched else registry.default_wiring(node), gate_count=gates)
+            for node, gates, patched in dies
+        ]
+        rules = integ.rules
+        carbon, baselines, merged = [], set(), set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CarbonModelWarning)
+            for order in itertools.permutations(specs):
+                design = DesignSpec(integ, rules.default_facing(len(order)), rules.default_stacking, order)
+                (row,) = sweep(make_scenario(design=design), [], baseline=True)
+                carbon.append(row.breakdown.c_embodied_overall)
+                baselines.add(row.baseline)
+                merged.add(mono2d_equivalent(design))
+        assert len(baselines) == 1 and len(merged) == 1
+        assert carbon == pytest.approx([carbon[0]] * len(carbon), rel=1e-12)
+
+
 INNER_AXES = {
     "usage.power_density": (5.0, 25.0, 40.0),
     "environment.ci_fab": (0.1, 0.3, 0.5),
