@@ -587,5 +587,10 @@ class TestSchemeRules:
                 made = make_design(integ, n=n)
                 assert (loaded.facing, loaded.stacking) == (built.facing, built.stacking), (integ, n)
                 assert (loaded.facing, loaded.stacking) == (made.facing, made.stacking), (integ, n)
+                # the early-design form splits a total as build_design does, also one that n does not divide
+                for total in (1e9, 1e9 + 1, 2e10 / 3):
+                    early = {"integration": integ.value, "gate_count_2d": total, "n_dies": n, "technology": "7nm"}
+                    split = load_scenario({**doc, "design": early}, registry).design
+                    assert split == build_design(integ, die.technology, die.wiring, n, total), (integ, n, total)
                 checked += 1
         assert checked == 20
