@@ -395,9 +395,6 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NoCrossing as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
