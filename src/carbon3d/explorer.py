@@ -12,7 +12,9 @@ process profiles are the same objects, and its embodied carbon while the
 fab environment is the same object too; the usage is the scenario's, not
 the design's, so a ``usage`` axis leaves the design as it is.  The
 baseline's merged die is built once per distinct dies, and only its
-embodied carbon is computed.
+embodied carbon is computed.  Its node, wiring and gate total are those of
+every comparison design (the CLI's ``pareto`` variants too), from one rule
+that reads no die order; see ``mono2d_equivalent``.
 Operational carbon, the total and the metrics are computed on every row.
 So axes on ``usage``, ``environment`` or ``gamma`` are cheapest as the
 inner (last) axes.  A reused stage gives the floats a fresh one would, but
