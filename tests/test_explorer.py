@@ -318,8 +318,6 @@ class TestSweepMatchesRowByRow:
         assert _outcome(swept) == _outcome(lambda: _row_by_row(scenario, axes))
 
 
-# Inner axes that leave the dies alone, so rows can reuse the stages before them
-# (a signal count changes the design, so its rows recompute geometry and yields).
 SIDE_BY_SIDE = (Integration.MCM, Integration.INFO_CHIP_FIRST, Integration.INFO_CHIP_LAST, Integration.SI_INTERPOSER)
 
 
@@ -355,6 +353,8 @@ class TestBaselineReadsNoDieOrder:
         assert carbon == pytest.approx([carbon[0]] * len(carbon), rel=1e-12)
 
 
+# Inner axes that leave the dies alone, so rows can reuse the stages before them
+# (a signal count changes the design, so its rows recompute geometry and yields).
 INNER_AXES = {
     "usage.power_density": (5.0, 25.0, 40.0),
     "environment.ci_fab": (0.1, 0.3, 0.5),
