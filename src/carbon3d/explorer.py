@@ -195,11 +195,12 @@ def _basis(design: DesignSpec) -> tuple[TechnologyProfile, WiringParameters, flo
 
 
 def mono2d_equivalent(design: DesignSpec) -> DesignSpec:
-    """The single-die 2D design with the same total gate count, the basis of every comparison design.
+    """The single-die 2D design with the same total gate count, summed in ascending order.
 
-    Its node is the dies' most advanced (smallest ``feature_size_cm``, then name), so gates from
-    another node count at its density, with the smallest wiring by field values among that node's
-    dies; no choice reads the die order.  A heterogeneous-node design warns, naming the node."""
+    Every comparison design, the CLI's ``pareto`` variants too, takes its node, wiring and total.
+    The node is the dies' most advanced (smallest ``feature_size_cm``, then name), so gates from
+    another node count at its density; the wiring is the smallest by field values among that
+    node's dies.  No choice reads the die order.  A heterogeneous-node design warns, naming the node."""
     technology, wiring, gates = _basis(design)
     return _equal_split(Integration.MONO_2D, technology, wiring, 1, gates, Stacking.NA)
 
@@ -358,18 +359,15 @@ def _die_count(integration: Integration, n_dies: int) -> int:
 
 
 def _equal_split(integration, technology, wiring, n_dies, gate_count_2d, stacking) -> DesignSpec:
-    # build_design's design, before validation
+    # build_design's design, before validation; its equal dies are one frozen object
     rules = integration.rules
     n_dies = _die_count(integration, n_dies)
-    dies = tuple(
-        DieSpec(technology=technology, wiring=wiring, gate_count=gate_count_2d / n_dies)
-        for _ in range(n_dies)
-    )
+    die = DieSpec(technology=technology, wiring=wiring, gate_count=gate_count_2d / n_dies)
     return DesignSpec(
         integration=integration,
         facing=rules.default_facing(n_dies),
         stacking=stacking if len(rules.stackings) > 1 else rules.default_stacking,
-        dies=dies,
+        dies=(die,) * n_dies,
     )
 
 
