@@ -281,11 +281,11 @@ def cmd_pareto(args) -> int:
         _check(bool(gammas), "--gammas", "needs at least one value")
         designs = [("reference", scenario.design)]
         technology, wiring, total_gates = explorer._basis(scenario.design)
-        variants = args.integrations.split(",") if args.integrations else []
         if args.integrations is None:  # the default variants that admit --dies
             variants = [i for i in PARETO_INTEGRATIONS if i.rules.admits(explorer._die_count(i, args.dies))]
-        for name in variants:
-            integ = _enum(name, Integration, "--integrations")
+        else:
+            variants = [_enum(n.strip(), Integration, "--integrations") for n in args.integrations.split(",")]
+        for integ in variants:
             check_die_count(integ, explorer._die_count(integ, args.dies), "--dies")
             design = explorer.build_design(integ, technology, wiring, args.dies, total_gates)
             designs.append((integ.value, design))
@@ -323,11 +323,11 @@ def _number(text: str, path: str) -> float:
 
 
 def _range_pair(text: str) -> tuple[float, float]:
-    sep = ":" if ":" in text else ","
-    parts = text.split(sep)
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected <lo>{sep}<hi>, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        lo, hi = map(float, text.split(":"))
+    except ValueError:  # a part that is not a number, or not exactly two parts
+        raise argparse.ArgumentTypeError(f"expected <lo>:<hi>, got {text!r}") from None
+    return lo, hi
 
 
 @functools.cache

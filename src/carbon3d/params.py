@@ -484,21 +484,8 @@ def _optional(parse: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
 
 
 def _enum(value: Any, enum_cls, path: str):
-    if isinstance(value, enum_cls):
-        return value
-    text = str(value).strip().lower().replace("-", "_").replace(" ", "_")
-    aliases = {
-        "mono2d": "mono_2d", "2d": "mono_2d",
-        "micro3d": "micro_3d", "micro": "micro_3d", "microbump": "micro_3d",
-        "hybrid3d": "hybrid_3d", "hybrid": "hybrid_3d",
-        "infochipfirst": "info_chip_first", "info_first": "info_chip_first",
-        "infochiplast": "info_chip_last", "info_last": "info_chip_last",
-        "siinterposer": "si_interposer", "interposer": "si_interposer",
-        "n_a": "na", "none": "na",
-    }
-    text = aliases.get(text, text)
     try:
-        return enum_cls(text)
+        return enum_cls(value)
     except ValueError:
         allowed = ", ".join(m.value for m in enum_cls)
         raise OutOfRange(path, f"{value!r} is not one of: {allowed}") from None

@@ -330,6 +330,14 @@ class TestPareto:
         _, header, rows = parse_csv(capsys.readouterr().out)
         assert "tcdp_norm_mono_2d" in header and "tcdp_norm_m3d" in header
 
+    def test_spaces_around_a_variant_name_are_ignored(self, capsys):
+        config = str(CONFIG_DIR / "hybrid_2die_7nm.json")
+        outputs = []
+        for names in ("mono_2d,m3d", "mono_2d, m3d "):
+            assert main(["pareto", "-c", config, "--integrations", names, "--gammas", "1"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_a_heterogeneous_design_warns_as_the_sweep_does(self, capsys):
         config = str(CONFIG_DIR / "mcm_hetero_4die.json")
         assert main(["pareto", "-c", config, "--integrations", "mono_2d", "--gammas", "1"]) == 0
@@ -609,8 +617,16 @@ class TestRejectsBadValues:
         (lambda d: ("sweep", "--axis", "technology=99nm"), "technology: unknown node '99nm'"),
         (lambda d: ("sweep", "--axis", "dies[1].technology=7nm,99nm"), "dies[1].technology: unknown node '99nm'"),
         (lambda d: ("switch", "--integration", "hybrid_3d", "--node", "99nm"), "--node: unknown node '99nm'"),
-        # "hybrid" names hybrid_3d too, so both would be one tcdp_norm_hybrid_3d column
-        (lambda d: ("pareto", "--integrations", "hybrid,hybrid_3d"), "designs: more than one design is named hybrid_3d\n"),
+        # a scheme, facing or stacking is spelled exactly as its enum value, in a document and in pareto
+        (lambda d: d["design"].update(integration="hybrid"), "design.integration: 'hybrid' is not one of: mono_2d, "),
+        (lambda d: d["design"].update(integration="Hybrid_3D"), "design.integration: 'Hybrid_3D' is not one of: "),
+        (lambda d: d["design"].update(integration="hybrid-3d"), "design.integration: 'hybrid-3d' is not one of: "),
+        (lambda d: d["design"].update(integration=" hybrid_3d "), "design.integration: ' hybrid_3d ' is not one of: "),
+        (lambda d: d["design"].update(facing="F2F"), "design.facing: 'F2F' is not one of: f2f, f2b, na\n"),
+        (lambda d: d["design"].update(stacking="none"), "design.stacking: 'none' is not one of: d2w, w2w, na\n"),
+        (lambda d: ("pareto", "--integrations", "hybrid"), "--integrations: 'hybrid' is not one of: mono_2d, "),
+        # both would be one tcdp_norm_hybrid_3d column
+        (lambda d: ("pareto", "--integrations", "hybrid_3d,hybrid_3d"), "designs: more than one design is named hybrid_3d\n"),
     ])
     def test_bad_document_value_exits_2(self, tmp_path, capsys, mutate, message):
         doc = basic_document()
@@ -695,11 +711,23 @@ class TestRejectsBadValues:
         (("switch", "--integration", "hybrid_3d", "--node", "7nm", "--dies", "5000"), "--dies"),
         (("pareto", "--dies", "0"), "--dies"),
         (("pareto", "--dies", "1001"), "--dies"),
+        (("pareto", "--integrations", ""), "--integrations"),
     ])
     def test_bad_option_value_exits_2(self, tmp_path, capsys, argv, where):
         code, out = self._run(tmp_path, capsys, basic_document(), *argv)
         assert code == 2 and out.out == ""
         assert out.err.startswith(f"error: {where}: ")
+
+    @pytest.mark.parametrize("bounds", ["1e6:abc", "1e6", "1e6:1e7:1e8", "1e6,1e9"])
+    def test_malformed_range_exits_2(self, tmp_path, capsys, bounds):
+        with pytest.raises(SystemExit) as exc:
+            self._run(tmp_path, capsys, basic_document(), "switch", "--integration", "hybrid_3d", "--node", "7nm",
+                      "--range", bounds)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"argument --range: expected <lo>:<hi>, got {bounds!r}\n" in out.err
+        assert "_range_pair" not in out.err
 
     # --out is each command's one output, and --gamma is read only by estimate and sweep
     @pytest.mark.parametrize("argv", [

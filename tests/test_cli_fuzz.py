@@ -89,7 +89,7 @@ def switch_argv(draw) -> list[str]:
     if draw(st.booleans()):
         # past 1e11 gates the larger dies leave the wafer, and the die count per wafer is clipped to 1
         bounds = st.sampled_from(["1e6", "1e7", "1e9", "1e11", "1e13"])
-        sep = draw(_mostly(st.sampled_from([":", ","]), st.just(";")))
+        sep = draw(_mostly(st.just(":"), st.sampled_from([",", ";"])))
         pair = _mostly(st.lists(bounds, min_size=2, max_size=2), st.lists(bounds | TOKENS, min_size=1, max_size=3))
         argv += ["--range", sep.join(draw(pair))]
     if draw(st.booleans()):
