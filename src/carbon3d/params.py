@@ -524,7 +524,7 @@ def check_die_count(integration: Integration, n: int, path: str):
         raise InvalidCombination(path, f"{integration.value} requires {count} dies, got {n}")
 
 
-def validate_design(design: DesignSpec, path: str = "design"):
+def validate_design(design: DesignSpec):
     """Enforce the rules of a design that span its fields and dies.
 
     These are the integration/facing/stacking/die-count compatibility
@@ -536,21 +536,21 @@ def validate_design(design: DesignSpec, path: str = "design"):
     n = len(design.dies)
     integ = design.integration
     rules = integ.rules
-    check_die_count(integ, n, f"{path}.dies")
+    check_die_count(integ, n, "design.dies")
     if design.facing not in rules.facings:
-        raise InvalidCombination(f"{path}.facing", f"{integ.value} does not allow facing {design.facing.value}")
+        raise InvalidCombination("design.facing", f"{integ.value} does not allow facing {design.facing.value}")
     if design.stacking not in rules.stackings:
-        raise InvalidCombination(f"{path}.stacking", f"{integ.value} does not allow stacking {design.stacking.value}")
+        raise InvalidCombination("design.stacking", f"{integ.value} does not allow stacking {design.stacking.value}")
     if design.facing is Facing.F2F and n != 2:
-        raise InvalidCombination(f"{path}.facing", f"f2f stacking supports exactly 2 dies, got {n}")
+        raise InvalidCombination("design.facing", f"f2f stacking supports exactly 2 dies, got {n}")
     if integ is Integration.M3D and len({d.technology.node_name for d in design.dies}) != 1:
-        raise InvalidCombination(f"{path}.dies", "m3d tiers share one wafer and must use one node")
+        raise InvalidCombination("design.dies", "m3d tiers share one wafer and must use one node")
     for i, die in enumerate(design.dies):
         if die.gate_count is None and die.explicit_area is None:
-            raise MissingField(f"{path}.dies[{i}].gate_count", "need gate_count or explicit_area")
+            raise MissingField(f"design.dies[{i}].gate_count", "need gate_count or explicit_area")
         if die.explicit_beol is not None:
             t = die.technology
-            _check_beol_count(die.explicit_beol, t, t.node_name, f"{path}.dies[{i}].explicit_beol")
+            _check_beol_count(die.explicit_beol, t, t.node_name, f"design.dies[{i}].explicit_beol")
 
 
 def _check_beol_count(layers: int, tech: TechnologyProfile, node: str, path: str):
