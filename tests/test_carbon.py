@@ -1,8 +1,12 @@
 import dataclasses
+import functools
 import math
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carbon3d import (
     Integration,
@@ -12,6 +16,7 @@ from carbon3d import (
     dies_per_wafer,
     embodied_breakdown,
     evaluate,
+    load_scenario,
     operational_energy_kwh,
     stack_geometry,
     wafer_carbon,
@@ -304,6 +309,48 @@ class TestMonotonicity:
                 worse_bond = dataclasses.replace(scn.profiles.bonding, **{kind: 0.5})
                 worse = dataclasses.replace(scn, profiles=dataclasses.replace(scn.profiles, bonding=worse_bond))
                 assert emb(worse) >= emb(scn)
+
+
+# each price parameter with the profile that holds it
+PRICES = {"ci_fab": "environment", "ci_bonding": "environment", "epa_feol": "technology",
+          "epa_mol": "technology", "gpa": "technology", "mpa": "technology", "epa_d2w": "bonding",
+          "cpa_packaging": "packaging"}
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+def _priced(scenario, name, value):
+    """``scenario`` with the price ``name`` set to ``value``; a technology field on every die and on the interposer."""
+    replace, profiles = dataclasses.replace, scenario.profiles
+    section = PRICES[name]
+    if section == "environment":
+        return replace(scenario, environment=replace(scenario.environment, **{name: value}))
+    if section == "technology":
+        dies = tuple(replace(d, technology=replace(d.technology, **{name: value})) for d in scenario.design.dies)
+        interposer = replace(profiles.interposer_technology, **{name: value})
+        return replace(scenario, design=replace(scenario.design, dies=dies),
+                       profiles=replace(profiles, interposer_technology=interposer))
+    return replace(scenario, profiles=replace(profiles, **{section: replace(getattr(profiles, section), **{name: value})}))
+
+
+class TestAffineInPrices:
+    """Embodied carbon is affine in each price: its value at the midpoint of two
+    prices is the mean of its values at the two, whatever the formula is."""
+
+    @staticmethod
+    @functools.cache
+    def _scenario(path):
+        return load_scenario(path)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(path=st.sampled_from(CONFIGS), name=st.sampled_from(sorted(PRICES)),
+           a=st.floats(0.01, 2.0), b=st.floats(0.01, 2.0))
+    def test_midpoint_is_the_mean(self, path, name, a, b):
+        scenario = self._scenario(path)
+
+        def emb(value):
+            return evaluate(_priced(scenario, name, value)).c_embodied_overall
+
+        assert math.isclose(emb((a + b) / 2), (emb(a) + emb(b)) / 2, rel_tol=1e-12)
 
 
 class TestIntegrationComposition:

@@ -6,6 +6,7 @@ library no longer accepts fails here.  The field table of "Config documents"
 must list every ranged field with the hard and surveyed range it declares.
 Each command line of the "CLI" section runs and exits 0, and the section
 names every option of every command and no option that does not exist.
+The scheme table lists each ``Integration`` value, in enum order.
 """
 
 import argparse
@@ -22,6 +23,7 @@ from carbon3d import (
     DesignSpec,
     DieSpec,
     FabEnvironment,
+    Integration,
     PackagingProfile,
     TechnologyProfile,
     UsageProfile,
@@ -127,3 +129,8 @@ def test_cli_section_names_every_option(command):
 def test_cli_section_names_no_option_that_does_not_exist():
     options = {o for parser in _subparsers().values() for a in parser._actions for o in a.option_strings}
     assert set(re.findall(r"(?<![\w-])--\w[\w-]*", _section("CLI"))) - options == set()
+
+
+def test_scheme_table_lists_each_integration_in_enum_order():
+    intro = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## ", 1)[0]
+    assert re.findall(r"^\| `(\w+)` +\|", intro, flags=re.M) == [i.value for i in Integration]
