@@ -316,6 +316,7 @@ PRICES = {"ci_fab": "environment", "ci_bonding": "environment", "epa_feol": "tec
           "epa_mol": "technology", "gpa": "technology", "mpa": "technology", "epa_d2w": "bonding",
           "cpa_packaging": "packaging"}
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+_loaded = functools.cache(load_scenario)
 
 
 def _priced(scenario, name, value):
@@ -329,23 +330,19 @@ def _priced(scenario, name, value):
         interposer = replace(profiles.interposer_technology, **{name: value})
         return replace(scenario, design=replace(scenario.design, dies=dies),
                        profiles=replace(profiles, interposer_technology=interposer))
-    return replace(scenario, profiles=replace(profiles, **{section: replace(getattr(profiles, section), **{name: value})}))
+    priced = replace(getattr(profiles, section), **{name: value})
+    return replace(scenario, profiles=replace(profiles, **{section: priced}))
 
 
 class TestAffineInPrices:
     """Embodied carbon is affine in each price: its value at the midpoint of two
     prices is the mean of its values at the two, whatever the formula is."""
 
-    @staticmethod
-    @functools.cache
-    def _scenario(path):
-        return load_scenario(path)
-
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(path=st.sampled_from(CONFIGS), name=st.sampled_from(sorted(PRICES)),
            a=st.floats(0.01, 2.0), b=st.floats(0.01, 2.0))
     def test_midpoint_is_the_mean(self, path, name, a, b):
-        scenario = self._scenario(path)
+        scenario = _loaded(path)
 
         def emb(value):
             return evaluate(_priced(scenario, name, value)).c_embodied_overall
