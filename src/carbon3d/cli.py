@@ -236,11 +236,12 @@ def cmd_sweep(args) -> int:
         with _output(args.out) as out:
             out.write(_csv_header(_inputs_digest(scenario), columns))
             points, previous = [], None
+            crossable = args.baseline and len(axes) == 1  # else explorer.crossing returns None
             for row in rows:
                 out.write(template.format(*map(_fmt, row.values), *_breakdown_values(row.breakdown), row.baseline))
                 if previous is not None and (point := explorer.crossing(previous, row)):
                     points.append(point)
-                previous = row
+                previous = row if crossable else None
             out.writelines(f"# switching_point value={_fmt(value)} integration={integ}\n" for value, integ in points)
             _report_warnings(rec)
     return 0
@@ -251,6 +252,7 @@ def cmd_switch(args) -> int:
     integration = Integration(args.integration)
     check_die_count(integration, args.dies, "--dies")
     lo, hi = args.range
+    _check(0 < lo < hi < float("inf"), "--range", f"need finite 0 < lo < hi, got [{lo:g}, {hi:g}]")
     with _recorded_warnings() as rec:
         scenario = load_scenario(args.config)
         # an unknown node is an error on the option, not on the library's parameter name

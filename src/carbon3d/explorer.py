@@ -17,8 +17,12 @@ every comparison design (the CLI's ``pareto`` variants too), from one rule
 that reads no die order; see ``mono2d_equivalent``.
 Operational carbon, the total and the metrics are computed on every row.
 So axes on ``usage``, ``environment`` or ``gamma`` are cheapest as the
-inner (last) axes.  A reused stage gives the floats a fresh one would, but
-does not raise its warnings again.  ``gamma_pareto`` reuses a design's
+inner (last) axes.  An axis after the first whose ``Scenario`` field
+(``design``, ``usage``, ``environment``, ``gamma``, or ``profiles`` for
+``bonding``/``packaging``) no earlier axis patches applies each value once
+per sweep, and each later prefix takes the field patched at that position.
+A reused stage or patch gives the floats a fresh one would, but does not
+raise its warnings again.  ``gamma_pareto`` reuses a design's
 embodied chain across its gammas in the same way.
 
 Supported parameter paths (the ``design.`` prefix is optional):
@@ -209,17 +213,41 @@ def mono2d_equivalent(design: DesignSpec) -> DesignSpec:
 # Sweep
 # ---------------------------------------------------------------------------
 
-def _scenarios(prefix: Scenario, axes: tuple[SweepAxis, ...], values: tuple = ()):
+def _field(path: str) -> str | None:
+    """The ``Scenario`` field an axis on ``path`` patches; None for an unknown section, which is refused."""
+    p = _normalized(path)
+    if p == "gamma":
+        return p
+    if _DIE_PATH.match(p):
+        return "design"
+    return _SECTIONS.get(p.rpartition(".")[0], (None,))[0]
+
+
+def _scenarios(template: Scenario, axes: tuple[SweepAxis, ...]):
     """Yield each row's values and scenario in ``itertools.product`` order; each value of
     the first axis is applied once, to the prefix scenario that every combination of the
-    later axes shares."""
-    if not axes:
-        yield values, prefix
-        return
-    head, rest = axes[0], axes[1:]
-    for value in head.values:
-        scenario = apply_parameter(prefix, head.parameter_path, value)
-        yield from _scenarios(scenario, rest, values + (value,))
+    later axes shares.  A later axis whose field no earlier axis patches keeps, per
+    position, the field it patched and its source; a prefix whose field is that source
+    takes the patched one."""
+    fields = [_field(a.parameter_path) for a in axes]
+    kept = [{} if i and f and f not in fields[:i] else None for i, f in enumerate(fields)]
+
+    def walk(prefix: Scenario, depth: int, values: tuple):
+        if depth == len(axes):
+            yield values, prefix
+            return
+        axis, field, memo = axes[depth], fields[depth], kept[depth]
+        for position, value in enumerate(axis.values):  # by position: 0.0 == -0.0
+            hit = memo.get(position) if memo is not None else None
+            if hit is not None and hit[0] is getattr(prefix, field):
+                scenario = dataclasses.replace(prefix, **{field: hit[1]})
+            else:
+                scenario = apply_parameter(prefix, axis.parameter_path, value)
+                if memo is not None:
+                    memo[position] = getattr(prefix, field), getattr(scenario, field)
+            yield from walk(scenario, depth + 1, values + (value,))
+
+    return walk(template, 0, ())
 
 
 def _rows(template: Scenario, axes: tuple[SweepAxis, ...], baseline: bool):

@@ -703,8 +703,8 @@ class TestRejectsBadValues:
         assert len(parse_csv(out.out)[2]) == 2
 
     @pytest.mark.parametrize("argv, where", [
-        (("switch", "--integration", "hybrid_3d", "--node", "7nm", "--range", "0:1e9"), "range"),
-        (("switch", "--integration", "hybrid_3d", "--node", "7nm", "--range", "1e6:inf"), "range"),
+        (("switch", "--integration", "hybrid_3d", "--node", "7nm", "--range", "0:1e9"), "--range"),
+        (("switch", "--integration", "hybrid_3d", "--node", "7nm", "--range", "1e6:inf"), "--range"),
         (("pareto", "--gammas", "x"), "--gammas"),
         (("pareto", "--integrations", "mono_2d,foo"), "--integrations"),
         (("switch", "--integration", "hybrid_3d", "--node", "7nm", "--dies", "-1"), "--dies"),
@@ -712,6 +712,7 @@ class TestRejectsBadValues:
         (("pareto", "--dies", "0"), "--dies"),
         (("pareto", "--dies", "1001"), "--dies"),
         (("pareto", "--integrations", ""), "--integrations"),
+        (("switch", "--integration", "hybrid_3d", "--node", "7nm", "--range", "1e9:1e6"), "--range"),
     ])
     def test_bad_option_value_exits_2(self, tmp_path, capsys, argv, where):
         code, out = self._run(tmp_path, capsys, basic_document(), *argv)

@@ -455,6 +455,95 @@ class TestReuseMatchesFreshEvaluation:
         assert capsys.readouterr().err == "".join(f"warning: {text}\n" for text in expected)
 
 
+# Axes of each Scenario field, with repeated values and signed zeros, so that
+# a patch kept by value rather than by position shows in a row's sign of zero.
+REUSED_AXIS_VALUES = {
+    "usage.power_density": st.sampled_from([0.0, -0.0, 5.0, 40.0]),
+    "usage.t_app_hours": st.floats(100.0, 30_000.0),
+    "environment.ci_fab": st.sampled_from([0.1, 0.3, 0.9]),
+    "environment.ci_use": st.sampled_from([0.0, -0.0, 0.4]),
+    "bonding.bond_yield": st.floats(0.8, 1.0),
+    "bonding.epa_w2w": st.floats(0.9, 2.75),
+    "packaging.cpa_packaging": st.sampled_from([0.0, -0.0, 0.2]),
+    "packaging.s_package_3d": st.floats(1.0, 2.0),
+    "gamma": st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+    "signal_count_f2f": st.integers(0, 100_000),
+    "dies[*].gate_count": st.floats(1e7, 3e9),
+    "technology": st.sampled_from(["14nm", "7nm", "5nm"]),
+}
+
+
+def _sweep_peak(axes) -> int:
+    """The traced peak memory of a baseline sweep of the default scenario, as in
+    ``TestSweep.test_memory_does_not_grow_with_row_count``: the tuple free lists
+    are filled first, and the caller turns the collector off."""
+    scenario = make_scenario()
+    held = [tuple(range(i, i + n)) for n in range(1, 21) for i in range(2000)]
+    del held
+    tracemalloc.start()
+    try:
+        for _ in sweep(scenario, axes, baseline=True):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestInnerAxisReuse:
+    """A later axis whose Scenario field no earlier axis patches is applied once per value
+    and its patch reused on every outer value; each row must be the fold of apply_parameter
+    over the template, down to the sign of zero."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(config=st.integers(0, len(CONFIGS) - 1),
+           paths=st.lists(st.sampled_from(sorted(REUSED_AXIS_VALUES)), min_size=2, max_size=3, unique=True),
+           data=st.data())
+    def test_rows_equal_a_fold_of_apply_parameter(self, registry, config, paths, data):
+        scenario = load_scenario(CONFIGS[config], registry)
+        axes = [SweepAxis(p, data.draw(st.lists(REUSED_AXIS_VALUES[p], min_size=1, max_size=3))) for p in paths]
+
+        def swept():
+            return [repr((row.values, row.scenario, row.breakdown, row.baseline))
+                    for row in sweep(scenario, axes, baseline=True)]
+
+        def folded():
+            rows, baselines = _row_by_row(scenario, axes)
+            return [repr((combo, scn, breakdown, base)) for (combo, scn, breakdown), base in zip(rows, baselines)]
+
+        assert _outcome(swept) == _outcome(folded)
+
+    def test_a_signed_zero_is_its_own_value(self, capsys):
+        argv = ["sweep", "-c", str(next(p for p in CONFIGS if p.stem == "hybrid_2die_7nm")),
+                "--axis", "dies[*].gate_count=1e8,2e8", "--axis", "usage.power_density=0,-0"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        column = lines[3].split(",").index("c_operational")
+        assert [line.split(",")[column] for line in lines[4:]] == ["0", "-0", "0", "-0"]
+
+    def test_memory_does_not_grow_with_row_count(self):
+        def peak(n):
+            return _sweep_peak([SweepAxis("dies[*].gate_count", [1e8 + i for i in range(n // 4)]),
+                                SweepAxis("usage.power_density", [5.0, 10.0, 25.0, 40.0])])
+
+        peak(2400)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            small, large = peak(400), peak(1600)
+        finally:
+            if enabled:
+                gc.enable()
+        assert large < 1.5 * small
+
+    def test_a_reused_value_outside_its_survey_warns_once(self, capsys):
+        argv = ["sweep", "-c", str(next(p for p in CONFIGS if p.stem == "hybrid_2die_7nm")),
+                "--axis", "dies[*].gate_count=1e8,2e8,3e8", "--axis", "environment.ci_fab=0.1,0.9"]
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        assert len(out.out.splitlines()) == 4 + 6
+        assert out.err == "warning: environment.ci_fab=0.9 is outside the surveyed range [0.03, 0.7]\n"
+
+
 class TestFindCrossing:
     def test_linear_synthetic_oracle(self):
         # C_2D = a*g, C_3D = b*g + c with a > b: crossing at c/(a-b)
