@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import itertools
+import json
 import math
 import random
 from pathlib import Path
@@ -13,6 +15,7 @@ from carbon3d import (
     Stacking,
     UsageProfile,
     bonding_wafer_carbon,
+    build_design,
     dies_per_wafer,
     embodied_breakdown,
     evaluate,
@@ -28,6 +31,7 @@ from carbon3d.errors import (
     LayerCountExceedsProfile,
     NonPositiveArea,
 )
+from carbon3d.explorer import _die_count
 from carbon3d.yieldmodel import YieldContext
 
 from conftest import make_design, make_env, make_profiles, make_scenario, make_tech
@@ -310,13 +314,54 @@ class TestMonotonicity:
                 worse = dataclasses.replace(scn, profiles=dataclasses.replace(scn.profiles, bonding=worse_bond))
                 assert emb(worse) >= emb(scn)
 
+    def test_embodied_monotone_in_d0_and_bond_yield_over_built_designs(self, registry):
+        # non-decreasing in the dies' defect density, non-increasing in the bond yield
+        d0s, bond_yields = (0.02, 0.1, 0.2, 0.5), (0.8, 0.9, 0.99, 1.0)
+        violations, steps = [], 0
+        for integ, node, n, gates, stacking in itertools.product(
+                Integration, ("28nm", "14nm", "7nm", "5nm", "3nm"), (2, 4), (1e8, 1e9, 5e9), (Stacking.D2W, Stacking.W2W)):
+            if not integ.rules.admits(_die_count(integ, n)):
+                continue
+            tech, wiring = registry.technology(node), registry.default_wiring(node)
 
-# each price parameter with the profile that holds it
+            def emb(d0, bond_yield):
+                design = build_design(integ, dataclasses.replace(tech, defect_density_d0=d0), wiring, n, gates, stacking)
+                scn = make_scenario(design=design)
+                bonding = dataclasses.replace(scn.profiles.bonding, bond_yield=bond_yield)
+                scn = dataclasses.replace(scn, profiles=dataclasses.replace(scn.profiles, bonding=bonding))
+                return evaluate(scn).c_embodied_overall
+
+            case = (integ.value, node, n, gates, stacking.value)
+            by_d0 = [emb(d0, 0.95) for d0 in d0s]
+            by_bond_yield = [emb(0.1, y) for y in bond_yields]
+            violations += [("d0", *case) for lo, hi in itertools.pairwise(by_d0) if lo > hi]
+            violations += [("bond_yield", *case) for hi, lo in itertools.pairwise(by_bond_yield) if lo > hi]
+            steps += len(d0s) + len(bond_yields) - 2
+        assert steps == 2700 and violations == []
+
+
+# each price parameter with the profile that holds it; epa_beol_per_layer is its entry 0
 PRICES = {"ci_fab": "environment", "ci_bonding": "environment", "epa_feol": "technology",
-          "epa_mol": "technology", "gpa": "technology", "mpa": "technology", "epa_d2w": "bonding",
+          "epa_mol": "technology", "gpa": "technology", "mpa": "technology", "epa_beol_per_layer": "technology",
+          "epa_d2w": "bonding", "epa_w2w": "bonding", "cpa_bonding": "bonding", "cpa_rdl": "bonding",
           "cpa_packaging": "packaging"}
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
-_loaded = functools.cache(load_scenario)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# the configs, and variants that charge the W2W and InFO prices: name -> (config, design key, value)
+PRICED_SCENARIOS = {
+    **{path.stem: (path.stem, None, None) for path in sorted(CONFIG_DIR.glob("*.json"))},
+    "hybrid_2die_7nm_w2w": ("hybrid_2die_7nm", "stacking", "w2w"),
+    "interposer_2chiplet_info_chip_last": ("interposer_2chiplet", "integration", "info_chip_last"),
+    "interposer_2chiplet_info_chip_first": ("interposer_2chiplet", "integration", "info_chip_first"),
+}
+
+
+@functools.cache
+def _loaded(name):
+    config, key, value = PRICED_SCENARIOS[name]
+    doc = json.loads((CONFIG_DIR / f"{config}.json").read_text(encoding="utf-8"))
+    if key is not None:
+        doc["design"][key] = value
+    return load_scenario(doc)
 
 
 def _priced(scenario, name, value):
@@ -326,28 +371,48 @@ def _priced(scenario, name, value):
     if section == "environment":
         return replace(scenario, environment=replace(scenario.environment, **{name: value}))
     if section == "technology":
-        dies = tuple(replace(d, technology=replace(d.technology, **{name: value})) for d in scenario.design.dies)
-        interposer = replace(profiles.interposer_technology, **{name: value})
+        def priced(tech):
+            if name == "epa_beol_per_layer":
+                return replace(tech, epa_beol_per_layer=(value, *tech.epa_beol_per_layer[1:]))
+            return replace(tech, **{name: value})
+
+        dies = tuple(replace(d, technology=priced(d.technology)) for d in scenario.design.dies)
         return replace(scenario, design=replace(scenario.design, dies=dies),
-                       profiles=replace(profiles, interposer_technology=interposer))
+                       profiles=replace(profiles, interposer_technology=priced(profiles.interposer_technology)))
     priced = replace(getattr(profiles, section), **{name: value})
     return replace(scenario, profiles=replace(profiles, **{section: priced}))
+
+
+def _embodied(name, price, value):
+    return evaluate(_priced(_loaded(name), price, value)).c_embodied_overall
 
 
 class TestAffineInPrices:
     """Embodied carbon is affine in each price: its value at the midpoint of two
     prices is the mean of its values at the two, whatever the formula is."""
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(path=st.sampled_from(CONFIGS), name=st.sampled_from(sorted(PRICES)),
-           a=st.floats(0.01, 2.0), b=st.floats(0.01, 2.0))
-    def test_midpoint_is_the_mean(self, path, name, a, b):
-        scenario = _loaded(path)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(a=st.floats(0.01, 2.0), b=st.floats(0.01, 2.0))
+    def test_midpoint_is_the_mean(self, a, b):
+        def affine(name, price):
+            mean = (_embodied(name, price, a) + _embodied(name, price, b)) / 2
+            return math.isclose(_embodied(name, price, (a + b) / 2), mean, rel_tol=1e-12)
 
-        def emb(value):
-            return evaluate(_priced(scenario, name, value)).c_embodied_overall
+        assert [(n, p) for n in PRICED_SCENARIOS for p in PRICES if not affine(n, p)] == []
 
-        assert math.isclose(emb((a + b) / 2), (emb(a) + emb(b)) / 2, rel_tol=1e-12)
+    # the scenarios that charge each price; on every other one it has no effect
+    CHARGED = {
+        "ci_bonding": {"hybrid_2die_7nm", "hybrid_2die_7nm_w2w", "interposer_2chiplet"},
+        "epa_d2w": {"hybrid_2die_7nm", "interposer_2chiplet"},
+        "epa_w2w": {"hybrid_2die_7nm_w2w"},
+        "cpa_bonding": {"interposer_2chiplet_info_chip_last"},
+        "cpa_rdl": {"interposer_2chiplet_info_chip_last", "interposer_2chiplet_info_chip_first"},
+    }
+
+    @pytest.mark.parametrize("price", sorted(PRICES))
+    def test_each_price_moves_exactly_the_scenarios_that_charge_it(self, price):
+        moved = {name for name in PRICED_SCENARIOS if _embodied(name, price, 0.5) != _embodied(name, price, 1.5)}
+        assert moved == self.CHARGED.get(price, set(PRICED_SCENARIOS))
 
 
 class TestIntegrationComposition:
