@@ -17,10 +17,11 @@ every comparison design (the CLI's ``pareto`` variants too), from one rule
 that reads no die order; see ``mono2d_equivalent``.
 Operational carbon, the total and the metrics are computed on every row.
 So axes on ``usage``, ``environment`` or ``gamma`` are cheapest as the
-inner (last) axes.  An axis after the first whose ``Scenario`` field
-(``design``, ``usage``, ``environment``, ``gamma``, or ``profiles`` for
-``bonding``/``packaging``) no earlier axis patches applies each value once
-per sweep, and each later prefix takes the field patched at that position.
+inner (last) axes.  Each path patches exactly one ``Scenario`` field, and
+``_route`` names it: ``design``, ``usage``, ``environment``, ``gamma``, or
+``profiles`` for ``bonding``/``packaging``.  An axis after the first whose
+field no earlier axis patches applies each value once per sweep, and each
+later prefix takes the field patched at that position.
 A reused stage or patch gives the floats a fresh one would, but does not
 raise its warnings again.  ``gamma_pareto`` reuses a design's
 embodied chain across its gammas in the same way.
@@ -108,28 +109,12 @@ class SweepRow:
 
 _DIE_PATH = re.compile(r"^dies\[(\*|\d+)\]\.(\w+)(?:\.(\w+))?$")
 
-# axis section -> the attributes leading from a Scenario to the profile it patches
-_SECTIONS = {
-    "": ("design",),
-    "usage": ("usage",),
-    "environment": ("environment",),
-    "bonding": ("profiles", "bonding"),
-    "packaging": ("profiles", "packaging"),
-}
-
 
 def _patched(profile, key: str, value, path: str, axis: str):
     """The profile with one field set by the loader's profile builder."""
     if key not in _FIELDS[type(profile)]:
         raise UnresolvablePath(f"cannot resolve parameter path {axis!r}")
     return _profile(type(profile), profile, {key: value}, path)
-
-
-def _replace_at(obj, attrs: tuple[str, ...], update: Callable):
-    """A copy of obj whose object at the attribute chain ``attrs`` is ``update(object)``."""
-    if not attrs:
-        return update(obj)
-    return dataclasses.replace(obj, **{attrs[0]: _replace_at(getattr(obj, attrs[0]), attrs[1:], update)})
 
 
 def _normalized(path: str) -> str:
@@ -144,28 +129,8 @@ def _names_node(path: str) -> bool:
     return m is not None and m[2] == "technology" and m[3] is None
 
 
-def apply_parameter(scenario: Scenario, path: str, value) -> Scenario:
-    """Return a copy of the scenario with one parameter path set to value.
-
-    The patched profile is parsed and validated by the loader's builder,
-    on the axis path (a wiring patch on ``design.dies[i].wiring`` of each
-    die it touches); the design's cross-field rules are left to
-    ``validate_design``.  A node resolves through ``scenario.registry``.
-    """
-    p = _normalized(path)
-    if p == "gamma":
-        return dataclasses.replace(scenario, gamma=validate_gamma(value, p))
-
-    m = _DIE_PATH.match(p)
-    if m is None:
-        section, _, key = p.rpartition(".")
-        if section not in _SECTIONS:
-            raise UnresolvablePath(f"cannot resolve parameter path {path!r}")
-        return _replace_at(
-            scenario, _SECTIONS[section], lambda prof: _patched(prof, key, value, section or "design", path)
-        )
-
-    index, field_name, sub = m.groups()
+def _dies_patched(scenario: Scenario, index: str, field_name: str, sub: str | None, value, path: str) -> DesignSpec:
+    """The scenario's design with ``dies[index].field_name[.sub]`` set to value."""
     dies = list(scenario.design.dies)
     for i in range(len(dies)) if index == "*" else [int(index)]:
         if not 0 <= i < len(dies):
@@ -182,7 +147,37 @@ def apply_parameter(scenario: Scenario, path: str, value) -> Scenario:
             dies[i] = _patched(die, field_name, value, f"dies[{index}]", path)
         else:
             raise UnresolvablePath(f"cannot resolve parameter path {path!r}")
-    return dataclasses.replace(scenario, design=dataclasses.replace(scenario.design, dies=tuple(dies)))
+    return dataclasses.replace(scenario.design, dies=tuple(dies))
+
+
+def _route(path: str) -> tuple[str, Callable[[Scenario, object], object]]:
+    """The one ``Scenario`` field a parameter path patches, and ``patch(scenario, value)``,
+    which builds that field's new object; an unknown section is refused here."""
+    p = _normalized(path)
+    if p == "gamma":
+        return p, lambda scenario, value: validate_gamma(value, p)
+    if m := _DIE_PATH.match(p):
+        return "design", lambda scenario, value: _dies_patched(scenario, *m.groups(), value, path)
+    section, _, key = p.rpartition(".")
+    if section in ("bonding", "packaging"):
+        return "profiles", lambda scenario, value: dataclasses.replace(
+            scenario.profiles, **{section: _patched(getattr(scenario.profiles, section), key, value, section, path)})
+    if section in ("", "usage", "environment"):
+        field = section or "design"
+        return field, lambda scenario, value: _patched(getattr(scenario, field), key, value, field, path)
+    raise UnresolvablePath(f"cannot resolve parameter path {path!r}")
+
+
+def apply_parameter(scenario: Scenario, path: str, value) -> Scenario:
+    """Return a copy of the scenario with one parameter path set to value.
+
+    The patched profile is parsed and validated by the loader's builder,
+    on the axis path (a wiring patch on ``design.dies[i].wiring`` of each
+    die it touches); the design's cross-field rules are left to
+    ``validate_design``.  A node resolves through ``scenario.registry``.
+    """
+    field, patch = _route(path)
+    return dataclasses.replace(scenario, **{field: patch(scenario, value)})
 
 
 def _basis(design: DesignSpec) -> tuple[TechnologyProfile, WiringParameters, float]:
@@ -213,24 +208,14 @@ def mono2d_equivalent(design: DesignSpec) -> DesignSpec:
 # Sweep
 # ---------------------------------------------------------------------------
 
-def _field(path: str) -> str | None:
-    """The ``Scenario`` field an axis on ``path`` patches; None for an unknown section, which is refused."""
-    p = _normalized(path)
-    if p == "gamma":
-        return p
-    if _DIE_PATH.match(p):
-        return "design"
-    return _SECTIONS.get(p.rpartition(".")[0], (None,))[0]
-
-
 def _scenarios(template: Scenario, axes: tuple[SweepAxis, ...]):
-    """Yield each row's values and scenario in ``itertools.product`` order; each value of
-    the first axis is applied once, to the prefix scenario that every combination of the
-    later axes shares.  A later axis whose field no earlier axis patches keeps, per
+    """Yield each row's values and scenario in ``itertools.product`` order, every axis
+    routed first; each value of the first axis is applied once, to the prefix scenario
+    that every combination of the later axes shares.  A later axis whose field no earlier axis patches keeps, per
     position, the field it patched and its source; a prefix whose field is that source
     takes the patched one."""
-    fields = [_field(a.parameter_path) for a in axes]
-    kept = [{} if i and f and f not in fields[:i] else None for i, f in enumerate(fields)]
+    fields = [_route(a.parameter_path)[0] for a in axes]
+    kept = [{} if i and f not in fields[:i] else None for i, f in enumerate(fields)]
 
     def walk(prefix: Scenario, depth: int, values: tuple):
         if depth == len(axes):

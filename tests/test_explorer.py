@@ -89,6 +89,46 @@ class TestApplyParameter:
             apply_parameter(make_scenario(), "nonsense", 1)
 
 
+# Each parameter path with a value and the one Scenario field it patches, as
+# the module docstring states it (not as explorer._route computes it).
+ROUTED_FIELDS = [
+    ("gamma", 0.25, "gamma"),
+    ("technology", "5nm", "design"),
+    ("dies[*].gate_count", 7e8, "design"),
+    ("design.dies[1].gate_count", 7e8, "design"),
+    ("dies[*].wiring.rent_p", 0.6, "design"),
+    ("signal_count_f2f", 1000, "design"),
+    ("usage.t_app_hours", 5000.0, "usage"),
+    ("design.usage.t_app_hours", 5000.0, "usage"),
+    ("environment.ci_fab", 0.05, "environment"),
+    ("bonding.bond_yield", 0.9, "profiles"),
+    ("packaging.cpa_packaging", 0.1, "profiles"),
+]
+
+
+class TestRoute:
+    @pytest.mark.parametrize("path, value, field", ROUTED_FIELDS)
+    def test_a_path_patches_exactly_its_field(self, path, value, field):
+        template = make_scenario()
+        scn = apply_parameter(template, path, value)
+        assert getattr(scn, field) is not getattr(template, field)
+        others = [f.name for f in dataclasses.fields(template) if f.name != field]
+        assert "technology_overrides" in others and "registry" in others
+        assert [name for name in others if getattr(scn, name) is not getattr(template, name)] == []
+
+    def test_an_unknown_section_is_refused_before_any_value_is_applied(self, capsys):
+        argv = ["sweep", "-c", str(CONFIGS[0]), "--axis", "gamma=-1", "--axis", "usage2.x=1"]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: cannot resolve parameter path 'usage2.x'\n"
+
+    def test_an_unknown_field_of_a_known_section_is_refused_when_applied(self, capsys):
+        argv = ["sweep", "-c", str(CONFIGS[0]), "--axis", "gamma=-1", "--axis", "usage.foo=1"]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: gamma: ")
+
+
 class TestSweep:
     def test_cartesian_cardinality(self):
         rows = list(sweep(make_scenario(), [
@@ -469,6 +509,8 @@ REUSED_AXIS_VALUES = {
     "gamma": st.sampled_from([0.0, -0.0, 1.0, 2.5]),
     "signal_count_f2f": st.integers(0, 100_000),
     "dies[*].gate_count": st.floats(1e7, 3e9),
+    "dies[0].gate_count": st.floats(1e7, 3e9),
+    "dies[*].wiring.rent_p": st.floats(0.55, 0.75),
     "technology": st.sampled_from(["14nm", "7nm", "5nm"]),
 }
 
