@@ -87,6 +87,8 @@ class SweepAxis:
     values: tuple
 
     def __init__(self, parameter_path: str, values: Sequence):
+        if isinstance(values, str):  # not a sequence of its characters
+            raise UnresolvablePath(f"axis {parameter_path!r}: values must be a sequence of values, not the string {values!r}")
         object.__setattr__(self, "parameter_path", parameter_path)
         object.__setattr__(self, "values", tuple(values))
         if not self.values:

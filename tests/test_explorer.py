@@ -139,6 +139,14 @@ class TestSweep:
         assert rows[0].values == (1e8, 0.0)
         assert rows[-1].values == (4e8, 2.0)
 
+    @pytest.mark.parametrize("path, values", [("technology", "7nm"), ("gamma", "12")])
+    def test_a_string_of_values_is_refused_naming_the_axis(self, path, values):
+        # a string is a sequence of its characters; it used to sweep "7", "n" and "m"
+        with pytest.raises(UnresolvablePath, match=f"^axis '{path}': "):
+            SweepAxis(path, values)
+        with pytest.raises(UnresolvablePath, match=f"^axis '{path}': "):
+            sweep(make_scenario(), [(path, values)])
+
     def test_empty_axes_single_row(self):
         rows = list(sweep(make_scenario(), []))
         assert len(rows) == 1
