@@ -96,6 +96,8 @@ def dies_per_wafer(wafer_diameter: float, die_area: float) -> int:
         )
     raw = wafer_area / die_area - math.pi * wafer_diameter / math.sqrt(2.0 * die_area)
     count = math.floor(raw)
+    while count * die_area > wafer_area:  # below about 1e-30 cm^2 the edge term is lost in raw's rounding
+        count = math.floor(math.nextafter(count, 0))
     if count < 1:
         warnings.warn(
             f"die-per-wafer formula gave {raw:.2f} for a {die_area:g} cm^2 die; clamping to 1",

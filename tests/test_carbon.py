@@ -4,10 +4,11 @@ import itertools
 import json
 import math
 import random
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from carbon3d import (
@@ -413,6 +414,68 @@ class TestAffineInPrices:
     def test_each_price_moves_exactly_the_scenarios_that_charge_it(self, price):
         moved = {name for name in PRICED_SCENARIOS if _embodied(name, price, 0.5) != _embodied(name, price, 1.5)}
         assert moved == self.CHARGED.get(price, set(PRICED_SCENARIOS))
+
+
+WAFER_DIAMETERS = (20.0, 30.0, 45.0)
+
+
+class TestPhysicsInvariants:
+    """Invariants that restate no formula of the model: a wafer holds no more die area
+    than it has, a yield is a probability, and a 2.5D design has no die order."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(diameter=st.sampled_from(WAFER_DIAMETERS), data=st.data())
+    def test_dies_per_wafer_cover_at_most_the_wafer(self, diameter, data):
+        wafer_area = math.pi * (diameter / 2) ** 2
+        area = data.draw(st.floats(0.0, wafer_area, exclude_min=True, exclude_max=True))
+        if math.isinf(wafer_area / area):
+            # no float count exists; the pipeline reports this ArithmeticError as out of its numeric range
+            with pytest.raises(OverflowError):
+                dies_per_wafer(diameter, area)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CarbonModelWarning)  # the clamp's; asserted below
+            count = dies_per_wafer(diameter, area)
+        assert count >= 1 and count * area <= wafer_area
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(area=st.floats(86.62, math.pi * 15.0**2, exclude_max=True))
+    def test_a_die_of_86_62_cm2_or_more_clamps_to_one_and_warns(self, area):
+        # on a 300 mm wafer the formula falls below 1 at 86.618 cm^2
+        with pytest.warns(CarbonModelWarning, match="clamping to 1"):
+            assert dies_per_wafer(30.0, area) == 1
+
+    def test_a_die_just_below_the_clamp_fits_once_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dies_per_wafer(30.0, 86.6) == 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(integration=st.sampled_from(list(Integration)),
+           node=st.sampled_from(["28nm", "14nm", "7nm", "5nm", "3nm"]),
+           n_dies=st.integers(1, 8),
+           gates=st.floats(6.0, 11.0).map(lambda e: 10.0**e),
+           stacking=st.sampled_from([Stacking.D2W, Stacking.W2W]))
+    def test_every_yield_is_a_probability(self, registry, integration, node, n_dies, gates, stacking):
+        assume(integration.rules.admits(_die_count(integration, n_dies)))
+        design = build_design(integration, registry.technology(node), registry.default_wiring(node), n_dies, gates,
+                              stacking)
+        profiles = make_profiles()
+        yields = yield_context(design, stack_geometry(design, profiles.packaging), profiles)
+        values = [*yields.standalone_die_y, *yields.standalone_bond_y, *yields.effective_die_y,
+                  *yields.effective_bond_y, yields.substrate_y]
+        assert [y for y in values if not 0 < y <= 1] == []
+
+    @pytest.mark.parametrize("integration", ["mcm", "info_chip_first", "info_chip_last", "si_interposer"])
+    def test_a_2_5d_design_has_no_die_order(self, integration):
+        doc = json.loads((CONFIG_DIR / "mcm_hetero_4die.json").read_text(encoding="utf-8"))
+        doc["design"]["integration"] = integration
+        values = []
+        for order in itertools.permutations(doc["design"]["dies"]):
+            doc["design"]["dies"] = list(order)
+            values.append(evaluate(load_scenario(doc)).c_embodied_overall)
+        assert len(values) == 24
+        assert max(values) - min(values) <= 1e-12 * min(values)
 
 
 class TestIntegrationComposition:
