@@ -88,7 +88,7 @@ class SweepAxis:
 
     def __init__(self, parameter_path: str, values: Sequence):
         if isinstance(values, str):  # not a sequence of its characters
-            raise UnresolvablePath(f"axis {parameter_path!r}: values must be a sequence of values, not the string {values!r}")
+            raise UnresolvablePath(f"axis {parameter_path!r}: values must be a sequence, not the string {values!r}")
         object.__setattr__(self, "parameter_path", parameter_path)
         object.__setattr__(self, "values", tuple(values))
         if not self.values:
@@ -213,9 +213,9 @@ def mono2d_equivalent(design: DesignSpec) -> DesignSpec:
 def _scenarios(template: Scenario, axes: tuple[SweepAxis, ...]):
     """Yield each row's values and scenario in ``itertools.product`` order, every axis
     routed first; each value of the first axis is applied once, to the prefix scenario
-    that every combination of the later axes shares.  A later axis whose field no earlier axis patches keeps, per
-    position, the field it patched and its source; a prefix whose field is that source
-    takes the patched one."""
+    that every combination of the later axes shares.  A later axis whose field no
+    earlier axis patches keeps, per position, the field it patched and its source; a
+    prefix whose field is that source takes the patched one."""
     fields = [_route(a.parameter_path)[0] for a in axes]
     kept = [{} if i and f not in fields[:i] else None for i, f in enumerate(fields)]
 
