@@ -248,11 +248,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_switch(args) -> int:
-    _check(1 <= args.dies <= MAX_DIES, "--dies", f"must be in [1, {MAX_DIES}]")
     integration = Integration(args.integration)
     check_die_count(integration, args.dies, "--dies")
     lo, hi = args.range
-    _check(0 < lo < hi < float("inf"), "--range", f"need finite 0 < lo < hi, got [{lo:g}, {hi:g}]")
+    explorer._check_range(lo, hi, "--range")
     with _recorded_warnings() as rec:
         scenario = load_scenario(args.config)
         # an unknown node is an error on the option, not on the library's parameter name

@@ -67,7 +67,9 @@ from .params import (
     TechnologyProfile,
     WiringParameters,
     _FIELDS,
+    _int,
     _profile,
+    check_die_count,
     left_sum,
     resolve_technology,
     validate_design,
@@ -76,6 +78,7 @@ from .params import (
 )
 
 PRESCAN_POINTS = 17
+REL_TOL = 1e-3      # find_crossing's bisection stops when its bracket is this share of its midpoint
 ROW_CAP = 1_000_000
 
 
@@ -314,20 +317,21 @@ class CrossingResult:
     evaluations: int = 0
 
 
-def find_crossing(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-3,
-) -> CrossingResult:
+def _check_range(lo: float, hi: float, path: str = "range"):
+    # a gate-count search range is finite with 0 < lo < hi; another is an error on ``path``
+    if not 0 < lo < hi < math.inf:
+        raise OutOfRange(path, f"need finite 0 < lo < hi, got [{lo:g}, {hi:g}]")
+
+
+def find_crossing(f: Callable[[float], float], lo: float, hi: float) -> CrossingResult:
     """Bracket-scan then bisect the smallest sign change of f on [lo, hi].
 
-    The pre-scan uses a log-spaced grid of PRESCAN_POINTS points (the
-    abscissa is a gate count).
-    Multiple sign changes trigger a warning; the smallest is refined.
+    The pre-scan uses a log-spaced grid of PRESCAN_POINTS points (the abscissa is a
+    gate count), and bisection stops at a bracket of REL_TOL of its midpoint.  Multiple
+    sign changes trigger a warning; the smallest is refined.  A range that is not
+    finite with 0 < lo < hi raises OutOfRange on ``range``.
     """
-    if not (0 < lo < hi):
-        raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
+    _check_range(lo, hi)
     ratio = (hi / lo) ** (1.0 / (PRESCAN_POINTS - 1))
     grid = [lo * ratio**i for i in range(PRESCAN_POINTS - 1)] + [hi]
     values = [f(x) for x in grid]
@@ -355,7 +359,7 @@ def find_crossing(
     fa = values[brackets[0]]
     for _ in range(200):
         mid = 0.5 * (a + b)
-        if (b - a) <= rel_tol * mid:
+        if (b - a) <= REL_TOL * mid:
             return CrossingResult(status="crossing", value=mid, evaluations=evals)
         fm = f(mid)
         evals += 1
@@ -398,9 +402,12 @@ def build_design(
 
     Facing is the scheme's default (2-die stacked 3D F2F, deeper stacks F2B);
     ``stacking`` applies where the scheme offers a choice.  Mono-2D collapses
-    to a single die regardless of n_dies.
+    to a single die regardless of n_dies.  A count that is not an integer the scheme
+    admits in [1, MAX_DIES] is an error on ``n_dies``, raised before any die is made.
     """
-    design = _equal_split(integration, technology, wiring, n_dies, gate_count_2d, stacking)
+    n = _die_count(integration, _int(n_dies, "n_dies"))
+    check_die_count(integration, n, "n_dies")
+    design = _equal_split(integration, technology, wiring, n, gate_count_2d, stacking)
     validate_design(design)
     validate_profile(design.dies[0], "design.dies[0]")  # the dies are equal
     return design
@@ -429,25 +436,23 @@ def switching_point(
 ) -> SwitchingPoint:
     """2D-vs-integration embodied-carbon switching point over gate count.
 
-    Bisects f(g) = C_embodied(integration, g) - C_embodied(2D, g) to
-    ``find_crossing``'s default relative tolerance; reports 0 when the
-    integration is already cheaper across the whole range and inf when it
-    never is.  Each leg's design is validated once, at ``gate_lo``, and each
-    point runs the embodied chain only: operational carbon, which f does
-    not read, is not computed.  The node resolves as the base document's
-    dies do: its ``technology_overrides`` entry if there is one, else
-    ``base.registry``'s.
+    Bisects f(g) = C_embodied(integration, g) - C_embodied(2D, g) to a relative
+    tolerance of ``REL_TOL``; reports 0 when the integration is already cheaper across
+    the whole range and inf when it never is.  The range (an error on ``range``), the
+    node and the scheme's design at ``gate_lo`` (a bad ``n_dies`` is an error on it)
+    are checked before anything is evaluated.  Each point runs the embodied chain only:
+    operational carbon, which f does not read, is not computed.  The node resolves as
+    the base document's dies do: its ``technology_overrides`` entry if any, else ``base.registry``'s.
     """
-    if not 0 < gate_lo < gate_hi < math.inf:
-        raise OutOfRange("range", f"need finite 0 < lo < hi, got [{gate_lo:g}, {gate_hi:g}]")
+    _check_range(gate_lo, gate_hi)
     tech = resolve_technology(node, base.technology_overrides, base.registry, "node")
     wiring = base.registry.default_wiring(node)
-    for integ in (integration, Integration.MONO_2D):
-        # only the gate count changes with g, and every g is >= gate_lo > 0: this validates every point
-        build_design(integ, tech, wiring, n_dies, gate_lo, stacking=stacking)
+    # only the gate count changes with g, and every g is >= gate_lo > 0: this validates every point.
+    # The mono-2D leg, one die of g gates with facing and stacking na, passes every check then too.
+    n = len(build_design(integration, tech, wiring, n_dies, gate_lo, stacking=stacking).dies)
 
     def embodied(integ: Integration, g: float) -> float:
-        design = _equal_split(integ, tech, wiring, n_dies, g, stacking)
+        design = _equal_split(integ, tech, wiring, n, g, stacking)
         return _EmbodiedChain()(design, base.profiles, base.environment)[1].c_embodied_overall
 
     def f(g: float) -> float:

@@ -432,8 +432,6 @@ class FixtureRegistry:
 # ---------------------------------------------------------------------------
 
 def _require(doc: dict, key: str, path: str) -> Any:
-    if not isinstance(doc, dict):
-        raise MissingField(path, "expected an object")
     if key not in doc or doc[key] is None:
         raise MissingField(f"{path}.{key}" if path else key, "required field missing")
     return doc[key]
@@ -516,7 +514,10 @@ def validate_gamma(gamma: float, path: str = "gamma") -> float:
 
 
 def check_die_count(integration: Integration, n: int, path: str):
-    """The scheme's die-count rule from SCHEME_RULES; a count it forbids is an error on ``path``."""
+    """A die count in [1, MAX_DIES] that the scheme's SCHEME_RULES row admits; any other
+    is an error on ``path``.  Callers that split a design check it before the split."""
+    if not 1 <= n <= MAX_DIES:  # a split makes one die object each
+        raise OutOfRange(path, f"must be in [1, {MAX_DIES}]")
     rules = integration.rules
     if not rules.admits(n):
         lo, hi = rules.min_dies, rules.max_dies
@@ -702,8 +703,6 @@ def _expand_dies(design_doc: dict, integration: Integration, path: str) -> list[
     total = _num(_require(design_doc, "gate_count_2d", path), f"{path}.gate_count_2d")
     _check(total > 0, f"{path}.gate_count_2d", "must be > 0")
     n = _int(_require(design_doc, "n_dies", path), f"{path}.n_dies")
-    # the split makes one die object each: bound it before allocating
-    _check(1 <= n <= MAX_DIES, f"{path}.n_dies", f"must be in [1, {MAX_DIES}]")
     check_die_count(integration, n, f"{path}.n_dies")
     node = _require(design_doc, "technology", path)
     ratios = design_doc.get("area_ratios")

@@ -263,7 +263,7 @@ def test_criterion_5_gamma_affinity():
 def test_criterion_6_switching_points():
     a, b, c = 3.0e-9, 1.0e-9, 4.2
     g_star = c / (a - b)
-    crossing = find_crossing(lambda g: (b * g + c) - a * g, 1e6, 1e12, rel_tol=1e-3)
+    crossing = find_crossing(lambda g: (b * g + c) - a * g, 1e6, 1e12)
     assert crossing.status == "crossing"
     assert abs(crossing.value - g_star) / g_star < 1e-3
 

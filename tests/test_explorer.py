@@ -38,6 +38,7 @@ from carbon3d.errors import (
     CapExceeded,
     CarbonModelError,
     CarbonModelWarning,
+    InvalidCombination,
     OutOfRange,
     UnresolvablePath,
     UnsupportedConfiguration,
@@ -599,7 +600,7 @@ class TestFindCrossing:
         # C_2D = a*g, C_3D = b*g + c with a > b: crossing at c/(a-b)
         a, b, c = 3.0e-9, 1.0e-9, 4.2
         g_star = c / (a - b)
-        result = find_crossing(lambda g: (b * g + c) - a * g, 1e6, 1e12, rel_tol=1e-3)
+        result = find_crossing(lambda g: (b * g + c) - a * g, 1e6, 1e12)
         assert result.status == "crossing"
         assert result.value == pytest.approx(g_star, rel=1e-3)
 
@@ -616,7 +617,7 @@ class TestFindCrossing:
     def test_bisection_soundness(self):
         a, b, c = 3.0e-9, 1.0e-9, 4.2
         f = lambda g: (b * g + c) - a * g
-        result = find_crossing(f, 1e6, 1e12, rel_tol=1e-3)
+        result = find_crossing(f, 1e6, 1e12)
         tol = 1e-3 * result.value
         assert f(result.value - tol) * f(result.value + tol) < 0
 
@@ -626,9 +627,14 @@ class TestFindCrossing:
             return math.sin(math.log10(g) * math.pi)
 
         with pytest.warns(CarbonModelWarning):
-            result = find_crossing(f, 10**0.5, 10**3.5, rel_tol=1e-6)
+            result = find_crossing(f, 10**0.5, 10**3.5)
         assert result.status == "crossing"
         assert result.value == pytest.approx(10.0, rel=1e-3)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, math.inf), (0.0, 10.0), (10.0, 10.0), (20.0, 10.0), (math.nan, 10.0)])
+    def test_a_bad_range_is_an_error_on_range(self, lo, hi):
+        with pytest.raises(OutOfRange, match=r"^range: need finite 0 < lo < hi, got \["):
+            find_crossing(lambda g: pytest.fail("evaluated"), lo, hi)
 
 
 class TestSwitchingPoint:
@@ -648,6 +654,18 @@ class TestSwitchingPoint:
             assert point.area_cm2 == pytest.approx(expected, rel=1e-12)
         else:
             assert point.area_cm2 in (0.0, math.inf)
+
+    @pytest.mark.parametrize("n_dies", [0, 2.5, 10**12])
+    def test_a_bad_die_count_is_an_error_on_n_dies_before_any_die_is_made(self, monkeypatch, n_dies):
+        monkeypatch.setattr(explorer, "_equal_split", lambda *a: pytest.fail("split"))
+        with pytest.raises(OutOfRange, match="^n_dies: "):
+            switching_point(make_scenario(), Integration.MCM, "7nm", n_dies, 1e6, 1e9)
+
+    def test_only_the_schemes_leg_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(explorer, "build_design", lambda *a, **k: built.append(a[0]) or build_design(*a, **k))
+        switching_point(make_scenario(), Integration.M3D, "7nm", 2, 1e6, 1e11)
+        assert built == [Integration.M3D]
 
 
 class TestGammaPareto:
@@ -701,6 +719,19 @@ class TestBuildDesign:
         mono = build_design(Integration.MONO_2D, tech, wiring, 4, 1e9)
         assert len(mono.dies) == 1
         assert mono.dies[0].gate_count == 1e9
+
+    @pytest.mark.parametrize("n_dies, error, message", [
+        (0, OutOfRange, "must be in [1, 1000]"),
+        (2.5, OutOfRange, "expected an integer, got 2.5"),
+        (10**12, OutOfRange, "must be in [1, 1000]"),
+        (1, InvalidCombination, "mcm requires >= 2 dies, got 1"),
+    ])
+    def test_a_bad_die_count_is_refused_before_any_die_is_made(self, monkeypatch, n_dies, error, message):
+        die = make_scenario().design.dies[0]
+        monkeypatch.setattr(explorer, "_equal_split", lambda *a: pytest.fail("split"))
+        with pytest.raises(error) as caught:
+            build_design(Integration.MCM, die.technology, die.wiring, n_dies, 1e9)
+        assert type(caught.value) is error and str(caught.value) == f"n_dies: {message}"
 
 
 def test_gamma_pareto_zero_reference_tcdp_is_a_typed_error():

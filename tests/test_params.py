@@ -515,6 +515,13 @@ class TestScenario:
         with pytest.raises(InvalidCombination):
             validate_design(bad)
 
+    def test_validate_design_bounds_the_die_count(self):
+        die = make_design(Integration.MCM).dies[0]
+        design = make_design(Integration.MCM)
+        validate_design(dataclasses.replace(design, dies=(die,) * params.MAX_DIES))
+        with pytest.raises(OutOfRange, match=r"^design\.dies: must be in \[1, 1000\]$"):
+            validate_design(dataclasses.replace(design, dies=(die,) * (params.MAX_DIES + 1)))
+
 
 class TestValidationTotality:
     """Every malformed document must yield a typed error, never a partial spec."""
