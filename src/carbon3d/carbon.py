@@ -81,11 +81,15 @@ class CarbonBreakdown:
         return self.c_die + self.c_bonding + self.c_packaging + self.c_substrate
 
 
+_OUT_OF_RANGE = "inputs outside the model's numeric range: "
+
+
 def dies_per_wafer(wafer_diameter: float, die_area: float) -> int:
     """Gross die-per-wafer: pi*(d/2)^2/A - pi*d/sqrt(2A), floored.
 
     Clamps to 1 (with a warning) when the edge-loss term dominates a die
-    that still fits on the wafer.
+    that still fits on the wafer.  A die so small that the count overflows
+    a float raises UnsupportedConfiguration.
     """
     if die_area <= 0:
         raise NonPositiveArea(f"die area must be > 0, got {die_area}")
@@ -95,6 +99,9 @@ def dies_per_wafer(wafer_diameter: float, die_area: float) -> int:
             f"die of {die_area:g} cm^2 cannot be cut from a {wafer_area:g} cm^2 wafer"
         )
     raw = wafer_area / die_area - math.pi * wafer_diameter / math.sqrt(2.0 * die_area)
+    if math.isinf(raw):  # wafer_area / die_area overflowed
+        raise UnsupportedConfiguration(f"{_OUT_OF_RANGE}a {die_area:g} cm^2 die gives more dies per wafer "
+                                       "than a float holds")
     count = math.floor(raw)
     while count * die_area > wafer_area:  # below about 1e-30 cm^2 the edge term is lost in raw's rounding
         count = math.floor(math.nextafter(count, 0))
@@ -188,9 +195,6 @@ def operational_energy_kwh(usage: UsageProfile, active_area: float) -> float:
     if usage.energy_override_kwh is not None:
         return usage.energy_override_kwh
     return usage.power_density * active_area * usage.t_app_hours / 1000.0
-
-
-_OUT_OF_RANGE = "inputs outside the model's numeric range: "
 
 
 class _EmbodiedChain:

@@ -39,6 +39,7 @@ from .params import (
     design_to_document,
     load_scenario,
     resolve_technology,
+    validate_gamma,
 )
 
 SCHEMA_VERSION = "1"
@@ -188,7 +189,7 @@ def _report_warnings(texts) -> list[str]:
 
 def cmd_estimate(args) -> int:
     with _recorded_warnings() as rec:
-        scenario = load_scenario(args.config, gamma=args.gamma)
+        scenario = load_scenario(args.config, gamma=validate_gamma(args.gamma, "--gamma"))
         breakdown = evaluate(scenario)
     warning_list = _report_warnings(rec)
 
@@ -225,7 +226,7 @@ def _parse_axis(text: str) -> explorer.SweepAxis:
 
 def cmd_sweep(args) -> int:
     with _recorded_warnings() as rec:
-        scenario = load_scenario(args.config, gamma=args.gamma)
+        scenario = load_scenario(args.config, gamma=validate_gamma(args.gamma, "--gamma"))
         axes = [_parse_axis(a) for a in args.axis or []]
         rows = explorer.sweep(scenario, axes, baseline=args.baseline)
         columns = [a.parameter_path for a in axes] + list(BREAKDOWN_UNITS) + ["baseline_c_embodied_overall"] * args.baseline
@@ -278,7 +279,8 @@ def cmd_pareto(args) -> int:
     _check(1 <= args.dies <= MAX_DIES, "--dies", f"must be in [1, {MAX_DIES}]")
     with _recorded_warnings() as rec:
         scenario = load_scenario(args.config)
-        gammas = [_number(g, "--gammas") for g in args.gammas.split(",") if g.strip()]
+        texts = [g for g in args.gammas.split(",") if g.strip()]
+        gammas = [validate_gamma(_number(g, "--gammas"), f"--gammas[{i}]") for i, g in enumerate(texts)]
         _check(bool(gammas), "--gammas", "needs at least one value")
         designs = [("reference", scenario.design)]
         technology, wiring, total_gates = explorer._basis(scenario.design)

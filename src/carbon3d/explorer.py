@@ -5,7 +5,9 @@ parameter path plus an ordered value list.  Every row is a full-pipeline
 evaluation of its own scenario; rows that share a prefix of axis values
 share the scenario built for that prefix, which is applied once.  Rows are
 yielded one at a time, in fixed axis order (that of ``itertools.product``),
-so results are deterministic and memory does not grow with the row count.
+so results are deterministic and memory does not grow with the row count,
+except that an inner axis which earlier axes repeat keeps one patch per
+value (about 0.5 KB each; see below).
 
 A row reuses the previous row's geometry and yields while its design and
 process profiles are the same objects, and its embodied carbon while the
@@ -217,10 +219,12 @@ def _scenarios(template: Scenario, axes: tuple[SweepAxis, ...]):
     """Yield each row's values and scenario in ``itertools.product`` order, every axis
     routed first; each value of the first axis is applied once, to the prefix scenario
     that every combination of the later axes shares.  A later axis whose field no
-    earlier axis patches keeps, per position, the field it patched and its source; a
-    prefix whose field is that source takes the patched one."""
+    earlier axis patches, and which the earlier axes repeat, keeps, per position, the
+    field it patched and its source; a prefix whose field is that source takes the
+    patched one.  An axis that runs once keeps nothing: it could reuse nothing."""
     fields = [_route(a.parameter_path)[0] for a in axes]
-    kept = [{} if i and f not in fields[:i] else None for i, f in enumerate(fields)]
+    kept = [{} if f not in fields[:i] and math.prod(len(a.values) for a in axes[:i]) > 1 else None
+            for i, f in enumerate(fields)]
 
     def walk(prefix: Scenario, depth: int, values: tuple):
         if depth == len(axes):

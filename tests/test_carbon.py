@@ -21,6 +21,7 @@ from carbon3d import (
     embodied_breakdown,
     evaluate,
     load_scenario,
+    mono2d_equivalent,
     operational_energy_kwh,
     stack_geometry,
     wafer_carbon,
@@ -31,6 +32,7 @@ from carbon3d.errors import (
     DieLargerThanWafer,
     LayerCountExceedsProfile,
     NonPositiveArea,
+    UnsupportedConfiguration,
 )
 from carbon3d.explorer import _die_count
 from carbon3d.yieldmodel import YieldContext
@@ -429,8 +431,8 @@ class TestPhysicsInvariants:
         wafer_area = math.pi * (diameter / 2) ** 2
         area = data.draw(st.floats(0.0, wafer_area, exclude_min=True, exclude_max=True))
         if math.isinf(wafer_area / area):
-            # no float count exists; the pipeline reports this ArithmeticError as out of its numeric range
-            with pytest.raises(OverflowError):
+            # no float count exists: out of the model's numeric range, as the pipeline reports it
+            with pytest.raises(UnsupportedConfiguration, match="^inputs outside the model's numeric range: "):
                 dies_per_wafer(diameter, area)
             return
         with warnings.catch_warnings():
@@ -476,6 +478,95 @@ class TestPhysicsInvariants:
             values.append(evaluate(load_scenario(doc)).c_embodied_overall)
         assert len(values) == 24
         assert max(values) - min(values) <= 1e-12 * min(values)
+
+
+NODES = ("28nm", "14nm", "7nm", "5nm", "3nm")
+# gate counts whose dies, package and interposer fit a 300 mm wafer on every node
+GATE_COUNTS = st.floats(6.0, 10.5).map(lambda e: 10.0**e)
+
+
+def _with_bonding(scenario, **fields):
+    profiles = scenario.profiles
+    return dataclasses.replace(scenario, profiles=dataclasses.replace(
+        profiles, bonding=dataclasses.replace(profiles.bonding, **fields)))
+
+
+def _every_price_times(scenario, k):
+    """``scenario`` with every carbon price times ``k``: the fab and bonding carbon intensities,
+    each die's and the interposer's gas and material carbon, and the per-area prices."""
+    replace, profiles = dataclasses.replace, scenario.profiles
+
+    def priced(tech):
+        return replace(tech, gpa=k * tech.gpa, mpa=k * tech.mpa)
+
+    env = scenario.environment
+    bonding, packaging = profiles.bonding, profiles.packaging
+    return replace(
+        scenario,
+        environment=replace(env, ci_fab=k * env.ci_fab, ci_bonding=k * env.ci_bonding),
+        design=replace(scenario.design, dies=tuple(replace(d, technology=priced(d.technology))
+                                                   for d in scenario.design.dies)),
+        profiles=replace(profiles, interposer_technology=priced(profiles.interposer_technology),
+                         bonding=replace(bonding, cpa_bonding=k * bonding.cpa_bonding, cpa_rdl=k * bonding.cpa_rdl),
+                         packaging=replace(packaging, cpa_packaging=k * packaging.cpa_packaging)),
+    )
+
+
+@pytest.mark.filterwarnings("ignore::carbon3d.errors.CarbonModelWarning")  # a clamp or a survey range
+class TestSchemeLimits:
+    """Where two schemes' physics coincides, so must their carbon: each case sets what
+    tells them apart to its neutral value, on ``hybrid_2die_7nm``'s fixtures."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(node=st.sampled_from(NODES), n_dies=st.sampled_from([2, 3, 4, 6]), gates=GATE_COUNTS)
+    def test_with_free_perfect_bonds_and_substrates_every_scheme_pays_mcms_die_carbon(self, node, n_dies, gates):
+        base = _loaded("hybrid_2die_7nm")
+        scenario = _with_bonding(base, bond_yield=1.0, rdl_yield=1.0, interposer_yield=1.0,
+                                 epa_d2w=0.0, epa_w2w=0.0, cpa_bonding=0.0, cpa_rdl=0.0)
+        tech = dataclasses.replace(base.registry.technology(node), io_overhead_ratio=0.0)
+        wiring = base.registry.default_wiring(node)
+
+        def breakdown(integration):  # D2W; at 2 dies F2F, with signal_count_f2f 0
+            design = build_design(integration, tech, wiring, n_dies, gates)
+            return evaluate(dataclasses.replace(scenario, design=design))
+
+        schemes = [Integration.INFO_CHIP_FIRST, Integration.INFO_CHIP_LAST, Integration.SI_INTERPOSER]
+        if n_dies == 2:  # a deeper 3D stack is F2B, whose Rent TSVs take area
+            schemes += [Integration.HYBRID_3D, Integration.MICRO_3D]
+        c_die = breakdown(Integration.MCM).c_die
+        apart = [(s.value, b.c_die, b.c_bonding) for s in schemes if (b := breakdown(s)).c_die != c_die or b.c_bonding]
+        assert apart == []
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(integration=st.sampled_from([Integration.HYBRID_3D, Integration.MICRO_3D]), node=st.sampled_from(NODES),
+           n_dies=st.integers(2, 4), gates=GATE_COUNTS)
+    def test_with_perfect_dies_and_one_bonding_energy_w2w_costs_what_d2w_does(self, integration, node, n_dies, gates):
+        base = _loaded("hybrid_2die_7nm")
+        scenario = _with_bonding(base, bond_yield=0.97, epa_w2w=base.profiles.bonding.epa_d2w)
+        tech = dataclasses.replace(base.registry.technology(node), defect_density_d0=0.0)
+        wiring = base.registry.default_wiring(node)
+
+        def embodied(stacking):
+            design = build_design(integration, tech, wiring, n_dies, gates, stacking)
+            return evaluate(dataclasses.replace(scenario, design=design)).c_embodied_overall
+
+        assert embodied(Stacking.W2W) == embodied(Stacking.D2W)
+
+    @pytest.mark.parametrize("name", sorted(PRICED_SCENARIOS))
+    def test_every_price_times_3_is_embodied_carbon_times_3(self, name):
+        scenario = _loaded(name)
+        expected = 3 * evaluate(scenario).c_embodied_overall
+        assert abs(evaluate(_every_price_times(scenario, 3)).c_embodied_overall - expected) <= math.ulp(expected)
+
+    def test_the_mono2d_equivalent_of_the_2d_config_is_its_design(self):
+        design = _loaded("mono2d_7nm").design
+        assert mono2d_equivalent(design) == design
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(node=st.sampled_from(NODES), gates=GATE_COUNTS)
+    def test_the_mono2d_equivalent_of_a_2d_design_is_that_design(self, registry, node, gates):
+        design = build_design(Integration.MONO_2D, registry.technology(node), registry.default_wiring(node), 1, gates)
+        assert mono2d_equivalent(design) == design
 
 
 class TestIntegrationComposition:

@@ -779,10 +779,10 @@ class TestRejectsBadValues:
         assert out.out == "" and out.err.startswith(f"error: {path}: {why}")
 
     @pytest.mark.parametrize("argv, where, why", [
-        (("estimate", "--gamma", "inf", "--format", "csv"), "gamma", "finite"),
-        (("estimate", "--gamma", "-1", "--format", "csv"), "gamma", ">= 0"),
-        (("pareto", "--gammas", "nan,1"), "gammas[0]", "finite"),
-        (("pareto", "--gammas", "0,-0.5"), "gammas[1]", ">= 0"),
+        (("estimate", "--gamma", "inf", "--format", "csv"), "--gamma", "finite"),
+        (("estimate", "--gamma", "-1", "--format", "csv"), "--gamma", ">= 0"),
+        (("pareto", "--gammas", "nan,1"), "--gammas[0]", "finite"),
+        (("pareto", "--gammas", "0,-0.5"), "--gammas[1]", ">= 0"),
         (("sweep", "--axis", "gamma=-1"), "gamma", ">= 0"),
     ])
     def test_bad_gamma_exits_2(self, tmp_path, capsys, argv, where, why):

@@ -129,6 +129,18 @@ class TestRoute:
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: gamma: ")
 
+    def test_a_field_under_a_die_field_that_is_no_profile_is_refused(self, capsys):
+        argv = ["sweep", "-c", str(CONFIGS[0]), "--axis", "dies[0].gate_count.x=1"]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: cannot resolve parameter path 'dies[0].gate_count.x'\n"
+        with pytest.raises(UnresolvablePath, match=r"^cannot resolve parameter path 'dies\[0\]\.gate_count\.x'$"):
+            apply_parameter(make_scenario(), "dies[0].gate_count.x", 1.0)
+
+    def test_an_axis_with_no_values_is_refused(self):
+        with pytest.raises(UnresolvablePath, match="^axis 'gamma' has no values$"):
+            SweepAxis("gamma", [])
+
 
 class TestSweep:
     def test_cartesian_cardinality(self):
@@ -576,15 +588,21 @@ class TestInnerAxisReuse:
             return _sweep_peak([SweepAxis("dies[*].gate_count", [1e8 + i for i in range(n // 4)]),
                                 SweepAxis("usage.power_density", [5.0, 10.0, 25.0, 40.0])])
 
+        def once(n):  # an inner axis that the outer one does not repeat keeps no patch
+            return _sweep_peak([SweepAxis("gamma", [1.0]),
+                                SweepAxis("dies[*].gate_count", [1e8 + i for i in range(n)])])
+
         peak(2400)
         enabled = gc.isenabled()
         gc.disable()
         try:
             small, large = peak(400), peak(1600)
+            once_small, once_large = once(400), once(1600)
         finally:
             if enabled:
                 gc.enable()
         assert large < 1.5 * small
+        assert once_large < 1.5 * once_small
 
     def test_a_reused_value_outside_its_survey_warns_once(self, capsys):
         argv = ["sweep", "-c", str(next(p for p in CONFIGS if p.stem == "hybrid_2die_7nm")),

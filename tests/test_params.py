@@ -101,6 +101,28 @@ class TestLoadDesign:
         assert design.dies[0].gate_count == pytest.approx(7.5e8)
         assert design.dies[1].gate_count == pytest.approx(2.5e8)
 
+    @pytest.mark.parametrize("ratios, message", [
+        ([1, 2, 3], "expected 2 entries, got 3"),
+        ([1], "expected 2 entries, got 1"),
+        ([1, 0], "ratios must be > 0"),
+        ([-1, 2], "ratios must be > 0"),
+    ])
+    def test_bad_area_ratios_are_an_error_on_area_ratios(self, ratios, message):
+        doc = basic_document()
+        doc["design"].pop("dies")
+        doc["design"].update({"gate_count_2d": 1e9, "n_dies": 2, "technology": "7nm", "area_ratios": ratios})
+        with pytest.raises(OutOfRange) as exc:
+            load_scenario(doc)
+        assert exc.value.path == "design.area_ratios" and str(exc.value) == f"design.area_ratios: {message}"
+
+    @pytest.mark.parametrize("root", [[], [{"design": {}}], "design", 3, None])
+    def test_a_config_file_whose_root_is_not_an_object(self, tmp_path, root):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(root))
+        with pytest.raises(MissingField) as exc:
+            load_scenario(path)
+        assert exc.value.path == "<root>" and str(exc.value) == "<root>: config document must be a JSON object"
+
     def test_unknown_integration_names_value(self):
         doc = basic_document(integration="origami")
         with pytest.raises(OutOfRange) as exc:
