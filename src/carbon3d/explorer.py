@@ -46,6 +46,13 @@ Supported parameter paths (the ``design.`` prefix is optional):
 Two axes may not set one parameter (``technology`` is ``dies[*].technology``);
 overlapping paths, such as ``dies[*].gate_count`` then ``dies[0].gate_count``,
 apply in order.  ``switching_point`` resolves its node as a technology axis does.
+
+The drivers check each input before they build anything: ``build_design``
+and ``switching_point`` refuse a die count that is not an integer the
+scheme admits in [1, MAX_DIES] with OutOfRange on ``n_dies``, and
+``find_crossing`` (which has no tolerance option; it bisects to REL_TOL)
+and ``switching_point`` refuse a search range that is not finite with
+0 < lo < hi with OutOfRange on ``range``.
 """
 
 from __future__ import annotations
