@@ -11,7 +11,6 @@ from .carbon import (
 )
 from .explorer import (
     CrossingResult,
-    ParetoResult,
     SweepAxis,
     SweepRow,
     SwitchingPoint,

@@ -39,6 +39,7 @@ from .errors import (
     LayerCountExceedsProfile,
     NonPositiveArea,
     UnsupportedConfiguration,
+    _OUT_OF_RANGE,
 )
 from .geometry import StackGeometry, stack_geometry
 from .params import (
@@ -79,9 +80,6 @@ class CarbonBreakdown:
     @property
     def c_embodied_overall(self) -> float:
         return self.c_die + self.c_bonding + self.c_packaging + self.c_substrate
-
-
-_OUT_OF_RANGE = "inputs outside the model's numeric range: "
 
 
 def dies_per_wafer(wafer_diameter: float, die_area: float) -> int:

@@ -282,26 +282,20 @@ def cmd_pareto(args) -> int:
         texts = [g for g in args.gammas.split(",") if g.strip()]
         gammas = [validate_gamma(_number(g, "--gammas"), f"--gammas[{i}]") for i, g in enumerate(texts)]
         _check(bool(gammas), "--gammas", "needs at least one value")
-        designs = [("reference", scenario.design)]
-        technology, wiring, total_gates = explorer._basis(scenario.design)
         if args.integrations is None:  # the default variants that admit --dies
             variants = [i for i in PARETO_INTEGRATIONS if i.rules.admits(explorer._die_count(i, args.dies))]
         else:
             variants = [_enum(n.strip(), Integration, "--integrations") for n in args.integrations.split(",")]
-        for integ in variants:
+        for integ in explorer._distinct(variants, "--integrations"):
             check_die_count(integ, explorer._die_count(integ, args.dies), "--dies")
-            design = explorer.build_design(integ, technology, wiring, args.dies, total_gates)
-            designs.append((integ.value, design))
-        result = explorer.gamma_pareto(scenario, designs, gammas)
+        reference_tcdp, series = explorer.gamma_pareto(scenario, variants, args.dies, gammas)
     _report_warnings(rec)
 
-    names = [name for name, _ in designs]
-    columns = ["gamma"] + [f"tcdp_norm_{n}" for n in names]
-    meta = [f"# reference_tcdp={_fmt(result.reference_tcdp)} (kg*s at gamma=1)"]
+    columns = ["gamma"] + [f"tcdp_norm_{name}" for name in series]
+    meta = [f"# reference_tcdp={_fmt(reference_tcdp)} (kg*s at gamma=1)"]
     with _output(args.out) as out:
         out.write(_csv_header(_inputs_digest(scenario), columns, extra_meta=meta))
-        out.writelines(",".join([_fmt(g)] + [_fmt(result.series[n][i]) for n in names]) + "\n"
-                       for i, g in enumerate(result.gammas))
+        out.writelines(",".join(map(_fmt, row)) + "\n" for row in zip(gammas, *series.values()))
     return 0
 
 

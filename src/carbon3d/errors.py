@@ -7,6 +7,9 @@ problem in their config file.
 
 from __future__ import annotations
 
+# the prefix of every error on finite inputs whose results leave the float range
+_OUT_OF_RANGE = "inputs outside the model's numeric range: "
+
 
 class CarbonModelError(Exception):
     """Base class for all errors raised by this package."""

@@ -15,7 +15,7 @@ fab environment is the same object too; the usage is the scenario's, not
 the design's, so a ``usage`` axis leaves the design as it is.  The
 baseline's merged die is built once per distinct dies, and only its
 embodied carbon is computed.  Its node, wiring and gate total are those of
-every comparison design (the CLI's ``pareto`` variants too), from one rule
+every comparison design (``gamma_pareto``'s variants too), from one rule
 that reads no die order; see ``mono2d_equivalent``.
 Operational carbon, the total and the metrics are computed on every row.
 So axes on ``usage``, ``environment`` or ``gamma`` are cheapest as the
@@ -25,8 +25,8 @@ inner (last) axes.  Each path patches exactly one ``Scenario`` field, and
 field no earlier axis patches applies each value once per sweep, and each
 later prefix takes the field patched at that position.
 A reused stage or patch gives the floats a fresh one would, but does not
-raise its warnings again.  ``gamma_pareto`` reuses a design's
-embodied chain across its gammas in the same way.
+raise its warnings again.  ``gamma_pareto`` builds each scheme's variant on that
+rule and reuses a design's embodied chain across its gammas in the same way.
 
 Supported parameter paths (the ``design.`` prefix is optional):
 
@@ -47,9 +47,9 @@ Two axes may not set one parameter (``technology`` is ``dies[*].technology``);
 overlapping paths, such as ``dies[*].gate_count`` then ``dies[0].gate_count``,
 apply in order.  ``switching_point`` resolves its node as a technology axis does.
 
-The drivers check each input before they build anything: ``build_design``
-and ``switching_point`` refuse a die count that is not an integer the
-scheme admits in [1, MAX_DIES] with OutOfRange on ``n_dies``, and
+The drivers check each input before they build anything: ``build_design``,
+``switching_point`` and ``gamma_pareto`` refuse a die count that is not an integer
+the scheme admits in [1, MAX_DIES] with OutOfRange on ``n_dies``, and
 ``find_crossing`` (which has no tolerance option; it bisects to REL_TOL)
 and ``switching_point`` refuse a search range that is not finite with
 0 < lo < hi with OutOfRange on ``range``.
@@ -62,7 +62,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .carbon import CarbonBreakdown, _EmbodiedChain, evaluate
 from .errors import CapExceeded, CarbonModelWarning, OutOfRange, UnresolvablePath, UnsupportedConfiguration
@@ -76,6 +76,8 @@ from .params import (
     TechnologyProfile,
     WiringParameters,
     _FIELDS,
+    _check,
+    _enum,
     _int,
     _profile,
     check_die_count,
@@ -210,7 +212,7 @@ def _basis(design: DesignSpec) -> tuple[TechnologyProfile, WiringParameters, flo
 def mono2d_equivalent(design: DesignSpec) -> DesignSpec:
     """The single-die 2D design with the same total gate count, summed in ascending order.
 
-    Every comparison design, the CLI's ``pareto`` variants too, takes its node, wiring and total.
+    Every comparison design, ``gamma_pareto``'s variants too, takes its node, wiring and total.
     The node is the dies' most advanced (smallest ``feature_size_cm``, then name), so gates from
     another node count at its density; the wiring is the smallest by field values among that
     node's dies.  No choice reads the die order.  A heterogeneous-node design warns, naming the node."""
@@ -474,7 +476,7 @@ def switching_point(
     return SwitchingPoint(
         integration=integration.value,
         node=node,
-        n_dies=n_dies,
+        n_dies=n,
         status=result.status,
         gate_count=result.value,
         area_cm2=area,
@@ -485,42 +487,34 @@ def switching_point(
 # Gamma sweep (Pareto/tCDP curves)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParetoResult:
-    """Normalized tCDP curves of each design over a gamma grid."""
-
-    gammas: tuple[float, ...]
-    series: Mapping[str, tuple[float, ...]]     # design name -> normalized tCDP
-    reference_tcdp: float                       # the base design's tCDP at gamma = 1
+def _distinct(schemes: list[Integration], path: str) -> list[Integration]:
+    # the schemes if each is named once (two would be one series), else an error on ``path``
+    repeated = sorted({s.value for s in schemes if schemes.count(s) > 1})
+    _check(not repeated, path, f"names {', '.join(repeated)} more than once")
+    return schemes
 
 
 def gamma_pareto(
     base: Scenario,
-    designs: Sequence[tuple[str, DesignSpec]],
+    integrations: Sequence[Integration | str],
+    n_dies: int,
     gammas: Sequence[float],
-) -> ParetoResult:
-    """Normalized tCDP curves over a gamma grid.
+) -> tuple[float, dict[str, tuple[float, ...]]]:
+    """The reference tCDP (the base design's at gamma = 1) and each design's tCDP over the gammas, divided by it.
 
-    Every (design, gamma) point is tCDP(design, gamma) divided by the base
-    scenario's own design's tCDP at gamma = 1.  The series are keyed on unique design names.
-    """
+    The series are keyed ``"reference"`` (the base design), then each scheme's value in the given order.  A
+    variant is ``build_design`` at ``n_dies`` (D2W where the scheme offers a choice) on the node, wiring and
+    gate total of ``mono2d_equivalent``.  Every input is checked (a repeated scheme is an error on
+    ``integrations``) and every variant built before anything is evaluated."""
     gammas = tuple(validate_gamma(g, f"gammas[{i}]") for i, g in enumerate(gammas))
-    if not gammas:
-        raise OutOfRange("gammas", "needs at least one value")
-    names = [name for name, _ in designs]
-    if repeated := sorted({n for n in names if names.count(n) > 1}):
-        raise OutOfRange("designs", f"more than one design is named {', '.join(repeated)}")
+    _check(bool(gammas), "gammas", "needs at least one value")
+    schemes = _distinct([_enum(v, Integration, f"integrations[{k}]") for k, v in enumerate(integrations)],
+                        "integrations")
+    tech, wiring, gates = _basis(base.design)
+    designs = dict(reference=base.design, **{s.value: build_design(s, tech, wiring, n_dies, gates) for s in schemes})
     chain = _EmbodiedChain()     # one design's gammas share its embodied chain
     ref_tcdp = evaluate(dataclasses.replace(base, gamma=1.0), _chain=chain).tcdp
     if ref_tcdp == 0:
         raise UnsupportedConfiguration("the reference design's tCDP at gamma=1 is 0; cannot normalize")
-    series: dict[str, tuple[float, ...]] = {}
-    for name, design in designs:
-        series[name] = tuple(
-            evaluate(dataclasses.replace(base, design=design, gamma=g), _chain=chain).tcdp / ref_tcdp for g in gammas
-        )
-    return ParetoResult(
-        gammas=gammas,
-        series=series,
-        reference_tcdp=ref_tcdp,
-    )
+    return ref_tcdp, {name: tuple(evaluate(dataclasses.replace(base, design=d, gamma=g), _chain=chain).tcdp / ref_tcdp
+                                  for g in gammas) for name, d in designs.items()}

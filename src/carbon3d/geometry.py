@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NonPositiveArea, UnsupportedConfiguration
+from .errors import NonPositiveArea, UnsupportedConfiguration, _OUT_OF_RANGE
 from .params import (
     DesignSpec,
     DieSpec,
@@ -39,6 +39,8 @@ _CEIL_EPS = 1e-12
 
 
 def _ceil_count(raw: float) -> int:
+    if not math.isfinite(raw):  # no integer holds it, as for a die area so small that the BEOL estimate overflows
+        raise UnsupportedConfiguration(_OUT_OF_RANGE + "a count is not finite")
     return math.ceil(raw * (1.0 - _CEIL_EPS))
 
 

@@ -19,6 +19,7 @@ from carbon3d import (
     FabEnvironment,
     Integration,
     PackagingProfile,
+    Stacking,
     UsageProfile,
     WiringParameters,
     evaluate,
@@ -43,6 +44,13 @@ def _config_path(tmp_path, name: str) -> Path:
     doc = json.loads((CONFIG_DIR / f"{stem}.json").read_text(encoding="utf-8"))
     doc["design"]["dies"].reverse()
     return write_config(tmp_path, doc)
+
+
+def _recorded_builds(monkeypatch) -> list:
+    """The list that each ``explorer.build_design`` result is appended to, from now on."""
+    built, original = [], explorer.build_design
+    monkeypatch.setattr(explorer, "build_design", lambda *a, **k: built.append(original(*a, **k)) or built[-1])
+    return built
 
 
 def parse_csv(text):
@@ -350,14 +358,24 @@ class TestPareto:
     @pytest.mark.parametrize("config", [*sorted(p.stem for p in CONFIG_DIR.glob("*.json")), "mcm_hetero_4die-reversed"])
     def test_mono_2d_variant_is_the_sweep_baseline(self, tmp_path, capsys, monkeypatch, config):
         path = _config_path(tmp_path, config)
-        designs = {}
-        original = explorer.gamma_pareto
-        monkeypatch.setattr(explorer, "gamma_pareto", lambda base, ds, gammas: designs.update(ds) or original(base, ds, gammas))
+        built = _recorded_builds(monkeypatch)
         assert main(["pareto", "-c", str(path), "--integrations", "mono_2d", "--gammas", "1"]) == 0
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CarbonModelWarning)
-            assert designs["mono_2d"] == explorer.mono2d_equivalent(load_scenario(path).design)
+            assert built == [explorer.mono2d_equivalent(load_scenario(path).design)]
+
+    def test_the_variants_stack_d2w_whatever_the_config_stacks(self, tmp_path, capsys, monkeypatch):
+        # pareto has no --stacking: the config's stacking does not reach the variants
+        doc = json.loads((CONFIG_DIR / "hybrid_2die_7nm.json").read_text(encoding="utf-8"))
+        doc["design"]["stacking"] = "w2w"
+        built = _recorded_builds(monkeypatch)
+        for path in (CONFIG_DIR / "hybrid_2die_7nm.json", write_config(tmp_path, doc)):
+            assert main(["pareto", "-c", str(path), "--integrations", "hybrid_3d,micro_3d,m3d,mcm"]) == 0
+        capsys.readouterr()
+        assert built[:4] == built[4:] and len(built) == 8
+        assert [d.stacking for d in built if d.integration in (Integration.HYBRID_3D, Integration.MICRO_3D)] == [
+            Stacking.D2W] * 4
 
 
 class TestComparisonDesignsReadNoDieOrder:
@@ -587,6 +605,11 @@ class TestRejectsBadValues:
          "inputs outside the model's numeric range"),
         (lambda d: d["design"]["dies"][0].update(gate_count=1e300),
          "inputs outside the model's numeric range"),
+        # a die area so small that its BEOL estimate is not finite
+        (lambda d: ("sweep", "--axis", "dies[*].explicit_area=1e-310"),
+         "inputs outside the model's numeric range: a count is not finite\n"),
+        (lambda d: ("sweep", "--axis", "dies[*].explicit_area=1e-320"),
+         "inputs outside the model's numeric range: a count is not finite\n"),
         (lambda d: _split_design(d, n_dies=2**64), "design.n_dies: must be in [1, 1000]"),
         # the early-design form's total and die count are errors on its own keys, not on the split dies
         (lambda d: _split_design(d, gate_count_2d=-1e9), "design.gate_count_2d: must be > 0"),
@@ -626,7 +649,7 @@ class TestRejectsBadValues:
         (lambda d: d["design"].update(stacking="none"), "design.stacking: 'none' is not one of: d2w, w2w, na\n"),
         (lambda d: ("pareto", "--integrations", "hybrid"), "--integrations: 'hybrid' is not one of: mono_2d, "),
         # both would be one tcdp_norm_hybrid_3d column
-        (lambda d: ("pareto", "--integrations", "hybrid_3d,hybrid_3d"), "designs: more than one design is named hybrid_3d\n"),
+        (lambda d: ("pareto", "--integrations", "hybrid_3d,hybrid_3d"), "--integrations: names hybrid_3d more than once\n"),
     ])
     def test_bad_document_value_exits_2(self, tmp_path, capsys, mutate, message):
         doc = basic_document()

@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import math
+import re
 import shutil
 import sys
 import tracemalloc
@@ -479,26 +480,27 @@ class TestReuseMatchesFreshEvaluation:
         assert calls == {"stack_geometry": geometry_calls, "yield_context": geometry_calls,
                          "embodied_breakdown": embodied_calls, "mono2d_equivalent": 2}
 
+    @pytest.mark.parametrize("n_dies", [2, 4])
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
-    def test_gamma_pareto_equals_per_point_evaluate(self, registry, config):
+    def test_gamma_pareto_equals_per_point_evaluate(self, registry, config, n_dies):
+        # every scheme that admits the count, each variant built on the comparison designs' basis
+        schemes = [i for i in Integration if i.rules.admits(explorer._die_count(i, n_dies))]
         scenario = load_scenario(config, registry)
-        die = scenario.design.dies[0]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            designs = [
-                ("reference", scenario.design),
-                ("mono_2d", mono2d_equivalent(scenario.design)),
-                ("hybrid_3d", build_design(Integration.HYBRID_3D, die.technology, die.wiring, 2, 2e9)),
-            ]
+            tech, wiring, gates = explorer._basis(scenario.design)
+            designs = {"reference": scenario.design}
+            designs.update((i.value, build_design(i, tech, wiring, n_dies, gates)) for i in schemes)
             gammas = (0.0, 0.5, 1.0, 4.0)
-            result = gamma_pareto(scenario, designs, gammas)
+            reference_tcdp, series = gamma_pareto(scenario, schemes, n_dies, gammas)
             ref = evaluate(dataclasses.replace(scenario, gamma=1.0)).tcdp
-            assert result.reference_tcdp == ref
-            for name, design in designs:
+            assert reference_tcdp == ref
+            assert list(series) == list(designs)
+            for name, design in designs.items():
                 expected = tuple(
                     evaluate(dataclasses.replace(scenario, design=design, gamma=g)).tcdp / ref for g in gammas
                 )
-                assert result.series[name] == expected
+                assert series[name] == expected
 
     @pytest.mark.parametrize("inner", sorted(INNER_AXES))
     @pytest.mark.parametrize("config", ["hybrid_2die_7nm", "mcm_hetero_4die"])
@@ -685,45 +687,61 @@ class TestSwitchingPoint:
         switching_point(make_scenario(), Integration.M3D, "7nm", 2, 1e6, 1e11)
         assert built == [Integration.M3D]
 
+    def test_the_record_holds_the_die_count_searched(self):
+        point = switching_point(make_scenario(), Integration.M3D, "7nm", 2.0, 1e6, 1e11)
+        assert point.n_dies == 2 and type(point.n_dies) is int
+
 
 class TestGammaPareto:
     def test_reference_normalizes_to_one(self):
-        scn = make_scenario()
-        result = gamma_pareto(scn, [("self", scn.design)], [0.0, 1.0, 2.0])
-        assert result.series["self"][1] == pytest.approx(1.0, rel=1e-12)
+        _, series = gamma_pareto(make_scenario(), [], 2, [0.0, 1.0, 2.0])
+        assert series["reference"][1] == pytest.approx(1.0, rel=1e-12)
 
     def test_gamma_zero_row(self):
         scn = make_scenario()
-        result = gamma_pareto(scn, [("self", scn.design)], [0.0, 1.0])
+        _, series = gamma_pareto(scn, [], 2, [0.0, 1.0])
         b = evaluate(dataclasses.replace(scn, gamma=1.0))
         expected = (b.c_operational * scn.usage.delay_s) / b.tcdp
-        assert result.series["self"][0] == pytest.approx(expected, rel=1e-12)
+        assert series["reference"][0] == pytest.approx(expected, rel=1e-12)
 
     def test_grid_pointwise_independence(self):
         scn = make_scenario()
-        coarse = gamma_pareto(scn, [("self", scn.design)], [0.0, 1.0])
-        fine = gamma_pareto(scn, [("self", scn.design)], [0.0, 0.5, 1.0])
-        assert coarse.series["self"][0] == fine.series["self"][0]
-        assert coarse.series["self"][1] == fine.series["self"][2]
+        _, coarse = gamma_pareto(scn, [Integration.M3D], 2, [0.0, 1.0])
+        _, fine = gamma_pareto(scn, [Integration.M3D], 2, [0.0, 0.5, 1.0])
+        for name in ("reference", "m3d"):
+            assert coarse[name][0] == fine[name][0]
+            assert coarse[name][1] == fine[name][2]
 
     def test_no_gammas_is_an_error(self):
-        scn = make_scenario()
         with pytest.raises(OutOfRange, match="^gammas: "):
-            gamma_pareto(scn, [("self", scn.design)], [])
+            gamma_pareto(make_scenario(), [], 2, [])
 
     def test_a_repeated_name_is_an_error_before_any_evaluation(self, monkeypatch):
-        scn = make_scenario()
+        monkeypatch.setattr(explorer, "build_design", lambda *a, **k: pytest.fail("built"))
         monkeypatch.setattr(explorer, "evaluate", lambda *a, **k: pytest.fail("evaluated"))
-        designs = [("a", scn.design), ("b", scn.design), ("a", mono2d_equivalent(scn.design)), ("b", scn.design)]
-        with pytest.raises(ValidationError, match="^designs: more than one design is named a, b$"):
-            gamma_pareto(scn, designs, [0.0, 1.0])
+        # a member and its value are one scheme
+        schemes = [Integration.M3D, "mono_2d", "m3d", "hybrid_3d", Integration.MONO_2D]
+        with pytest.raises(OutOfRange, match="^integrations: names m3d, mono_2d more than once$"):
+            gamma_pareto(make_scenario(), schemes, 2, [0.0, 1.0])
+
+    def test_a_scheme_is_read_from_a_member_or_its_value(self):
+        scn = make_scenario()
+        by_member = gamma_pareto(scn, [Integration.M3D, Integration.MCM], 2, [1.0])
+        assert by_member == gamma_pareto(scn, ["m3d", "mcm"], 2, [1.0])
+        with pytest.raises(OutOfRange, match=r"^integrations\[1\]: 'hybrid' is not one of: mono_2d, "):
+            gamma_pareto(scn, ["m3d", "hybrid"], 2, [1.0])
+
+    @pytest.mark.parametrize("n_dies, message", [(1, "mcm requires >= 2 dies, got 1"), (2.5, "expected an integer")])
+    def test_a_bad_die_count_is_an_error_on_n_dies_before_any_evaluation(self, monkeypatch, n_dies, message):
+        monkeypatch.setattr(explorer, "evaluate", lambda *a, **k: pytest.fail("evaluated"))
+        with pytest.raises(ValidationError, match=f"^n_dies: {re.escape(message)}"):
+            gamma_pareto(make_scenario(), [Integration.MONO_2D, Integration.MCM], n_dies, [1.0])
 
     def test_monotone_in_gamma(self):
-        scn = make_scenario()
-        designs = [("self", scn.design), ("m2d", mono2d_equivalent(scn.design))]
-        result = gamma_pareto(scn, designs, [0.0, 0.5, 1.0, 2.0, 4.0])
-        for series in result.series.values():
-            assert list(series) == sorted(series)
+        _, series = gamma_pareto(make_scenario(), [Integration.MONO_2D], 2, [0.0, 0.5, 1.0, 2.0, 4.0])
+        assert list(series) == ["reference", "mono_2d"]
+        for values in series.values():
+            assert list(values) == sorted(values)
 
 
 class TestBuildDesign:
@@ -764,7 +782,7 @@ def test_gamma_pareto_zero_reference_tcdp_is_a_typed_error():
         environment=make_env(ci_fab=0.0, ci_use=0.0, ci_bonding=0.0),
     )
     with pytest.raises(UnsupportedConfiguration, match="tCDP"):
-        gamma_pareto(scn, [("self", design)], [0.0, 1.0])
+        gamma_pareto(scn, [], 2, [0.0, 1.0])
 
 
 class TestNodesResolveThroughTheScenarioRegistry:

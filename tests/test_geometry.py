@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,14 @@ from carbon3d import (
     average_wire_length,
     beol_layers,
     die_areas,
+    load_scenario,
     package_area,
     stack_geometry,
     substrate_area,
     tsv_count_f2b,
 )
-from carbon3d.errors import NonPositiveArea
+from carbon3d.errors import NonPositiveArea, UnsupportedConfiguration
+from carbon3d.explorer import apply_parameter
 from carbon3d.geometry import DieGeometry, gates_from_area
 
 from conftest import make_design, make_profiles, make_tech, make_wiring
@@ -266,6 +270,14 @@ class TestStackGeometry:
         geom = stack_geometry(design, make_profiles().packaging)
         assert geom.dies[0].beol_layers == 4
         assert geom.dies[0].total_area > area_2d(4e9, tech)
+
+    @pytest.mark.parametrize("area", [1e-310, 1e-320])
+    def test_a_die_too_small_for_a_finite_beol_count_is_out_of_the_numeric_range(self, area):
+        config = Path(__file__).resolve().parent.parent / "configs" / "hybrid_2die_7nm.json"
+        scenario = apply_parameter(load_scenario(config), "dies[*].explicit_area", area)
+        with pytest.raises(UnsupportedConfiguration) as caught:
+            stack_geometry(scenario.design, scenario.profiles.packaging)
+        assert str(caught.value) == "inputs outside the model's numeric range: a count is not finite"
 
 
 class TestDieAreasAreFinished:
