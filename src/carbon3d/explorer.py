@@ -47,12 +47,11 @@ Two axes may not set one parameter (``technology`` is ``dies[*].technology``);
 overlapping paths, such as ``dies[*].gate_count`` then ``dies[0].gate_count``,
 apply in order.  ``switching_point`` resolves its node as a technology axis does.
 
-The drivers check each input before they build anything: ``build_design``,
-``switching_point`` and ``gamma_pareto`` refuse a die count that is not an integer
-the scheme admits in [1, MAX_DIES] with OutOfRange on ``n_dies``, and
-``find_crossing`` (which has no tolerance option; it bisects to REL_TOL)
-and ``switching_point`` refuse a search range that is not finite with
-0 < lo < hi with OutOfRange on ``range``.
+The drivers check each input before they build anything.  ``build_design`` and ``switching_point``
+refuse a die count that is not an integer the scheme admits in [1, MAX_DIES] on ``n_dies`` (a one-die
+scheme takes any count in it as 1); ``gamma_pareto`` checks it through each variant's build, so with no
+variants it checks nothing.  ``switching_point`` refuses ``mono_2d``, its own baseline, on ``integration``;
+it and ``find_crossing`` (no tolerance option) refuse a range not finite with 0 < lo < hi on ``range``.
 """
 
 from __future__ import annotations
@@ -65,12 +64,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .carbon import CarbonBreakdown, _EmbodiedChain, evaluate
-from .errors import CapExceeded, CarbonModelWarning, OutOfRange, UnresolvablePath, UnsupportedConfiguration
+from .errors import CapExceeded, CarbonModelWarning, InvalidCombination, OutOfRange, UnresolvablePath, UnsupportedConfiguration
 from .geometry import _die_gate_count, area_2d
 from .params import (
     DesignSpec,
     DieSpec,
     Integration,
+    MAX_DIES,
     Scenario,
     Stacking,
     TechnologyProfile,
@@ -321,8 +321,8 @@ class CrossingResult:
     """Smallest sign change of f on [lo, hi].
 
     status is one of "crossing" (value = abscissa of the change),
-    "always_below" (f < 0 everywhere; value = 0, the Table-III "0" case)
-    or "never_below" (f > 0 everywhere; value = inf).
+    "always_below" (f <= 0 at every pre-scan point; value = 0, the Table-III "0" case)
+    or "never_below" (f > 0 at every pre-scan point; value = inf).
     """
 
     status: str
@@ -339,10 +339,10 @@ def _check_range(lo: float, hi: float, path: str = "range"):
 def find_crossing(f: Callable[[float], float], lo: float, hi: float) -> CrossingResult:
     """Bracket-scan then bisect the smallest sign change of f on [lo, hi].
 
-    The pre-scan uses a log-spaced grid of PRESCAN_POINTS points (the abscissa is a
-    gate count), and bisection stops at a bracket of REL_TOL of its midpoint.  Multiple
-    sign changes trigger a warning; the smallest is refined.  A range that is not
-    finite with 0 < lo < hi raises OutOfRange on ``range``.
+    A sign change is one between f > 0 and f <= 0, so an exact 0 is below and ends no search; with none,
+    the status is the side of f(lo).  The pre-scan uses a log-spaced grid of PRESCAN_POINTS points (the
+    abscissa is a gate count), and bisection stops at a bracket of REL_TOL of its midpoint.  Multiple sign
+    changes warn; the smallest is refined.  A range not finite with 0 < lo < hi is OutOfRange on ``range``.
     """
     _check_range(lo, hi)
     ratio = (hi / lo) ** (1.0 / (PRESCAN_POINTS - 1))
@@ -350,17 +350,13 @@ def find_crossing(f: Callable[[float], float], lo: float, hi: float) -> Crossing
     values = [f(x) for x in grid]
     evals = len(grid)
 
-    for x, fx in zip(grid, values):
-        if fx == 0.0:
-            return CrossingResult(status="crossing", value=x, evaluations=evals)
-
     brackets = [
         i for i in range(len(grid) - 1) if (values[i] > 0) != (values[i + 1] > 0)
     ]
     if not brackets:
-        if values[0] < 0:
-            return CrossingResult(status="always_below", value=0.0, evaluations=evals)
-        return CrossingResult(status="never_below", value=math.inf, evaluations=evals)
+        if values[0] > 0:
+            return CrossingResult(status="never_below", value=math.inf, evaluations=evals)
+        return CrossingResult(status="always_below", value=0.0, evaluations=evals)
     if len(brackets) > 1:
         warnings.warn(
             f"{len(brackets)} sign changes detected on the search range; returning the smallest",
@@ -368,26 +364,22 @@ def find_crossing(f: Callable[[float], float], lo: float, hi: float) -> Crossing
             stacklevel=2,
         )
 
-    a, b = grid[brackets[0]], grid[brackets[0] + 1]
-    fa = values[brackets[0]]
-    for _ in range(200):
+    a, b, above = grid[brackets[0]], grid[brackets[0] + 1], values[brackets[0]] > 0
+    for _ in range(200):  # ends a search stuck between adjacent floats, such as a range of subnormals
         mid = 0.5 * (a + b)
         if (b - a) <= REL_TOL * mid:
-            return CrossingResult(status="crossing", value=mid, evaluations=evals)
-        fm = f(mid)
+            break
         evals += 1
-        if fm == 0.0:
-            return CrossingResult(status="crossing", value=mid, evaluations=evals)
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
+        if (f(mid) > 0) == above:
+            a = mid
         else:
             b = mid
     return CrossingResult(status="crossing", value=0.5 * (a + b), evaluations=evals)
 
 
 def _die_count(integration: Integration, n_dies: int) -> int:
-    """The die count ``build_design`` makes: a one-die scheme is one die whatever ``n_dies`` says."""
-    return 1 if integration.rules.max_dies == 1 else n_dies
+    """The die count ``build_design`` makes: a one-die scheme takes any count in [1, MAX_DIES] as 1."""
+    return 1 if integration.rules.max_dies == 1 and 1 <= n_dies <= MAX_DIES else n_dies
 
 
 def _equal_split(integration, technology, wiring, n_dies, gate_count_2d, stacking) -> DesignSpec:
@@ -414,8 +406,8 @@ def build_design(
     """Equal-split parametric design used by the DSE drivers.
 
     Facing is the scheme's default (2-die stacked 3D F2F, deeper stacks F2B);
-    ``stacking`` applies where the scheme offers a choice.  Mono-2D collapses
-    to a single die regardless of n_dies.  A count that is not an integer the scheme
+    ``stacking`` applies where the scheme offers a choice.  Mono-2D collapses any
+    n_dies in [1, MAX_DIES] to a single die.  A count that is not an integer the scheme
     admits in [1, MAX_DIES] is an error on ``n_dies``, raised before any die is made.
     """
     n = _die_count(integration, _int(n_dies, "n_dies"))
@@ -449,14 +441,16 @@ def switching_point(
 ) -> SwitchingPoint:
     """2D-vs-integration embodied-carbon switching point over gate count.
 
-    Bisects f(g) = C_embodied(integration, g) - C_embodied(2D, g) to a relative
-    tolerance of ``REL_TOL``; reports 0 when the integration is already cheaper across
-    the whole range and inf when it never is.  The range (an error on ``range``), the
-    node and the scheme's design at ``gate_lo`` (a bad ``n_dies`` is an error on it)
-    are checked before anything is evaluated.  Each point runs the embodied chain only:
-    operational carbon, which f does not read, is not computed.  The node resolves as
-    the base document's dies do: its ``technology_overrides`` entry if any, else ``base.registry``'s.
+    Bisects f(g) = C_embodied(integration, g) - C_embodied(2D, g) to a relative tolerance of ``REL_TOL``;
+    reports 0 when the integration is never dearer than 2D at a pre-scan point and inf when it is dearer
+    at every one.  ``mono_2d``, which cannot cross itself, is an error on ``integration``, and the range
+    (an error on ``range``), the node and the scheme's design at ``gate_lo`` (a bad ``n_dies`` is an error
+    on it) are checked before anything is evaluated.  Each point runs the embodied chain only: operational
+    carbon, which f does not read, is not computed.  The node resolves as the base document's dies do: its
+    ``technology_overrides`` entry if any, else ``base.registry``'s.
     """
+    if integration is Integration.MONO_2D:
+        raise InvalidCombination("integration", "mono_2d is the 2D baseline that the search compares with")
     _check_range(gate_lo, gate_hi)
     tech = resolve_technology(node, base.technology_overrides, base.registry, "node")
     wiring = base.registry.default_wiring(node)
@@ -472,14 +466,13 @@ def switching_point(
         return embodied(integration, g) - embodied(Integration.MONO_2D, g)
 
     result = find_crossing(f, gate_lo, gate_hi)
-    area = area_2d(result.value, tech) if math.isfinite(result.value) else math.inf
     return SwitchingPoint(
         integration=integration.value,
         node=node,
         n_dies=n,
         status=result.status,
         gate_count=result.value,
-        area_cm2=area,
+        area_cm2=area_2d(result.value, tech),
     )
 
 

@@ -129,6 +129,14 @@ class TestEmbodied:
         want = direct_2d_embodied(1.0, 5, design.dies[0].technology, env, profiles.packaging)
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_yields_that_underflow_to_zero_are_out_of_the_numeric_range(self):
+        # d0 = 1e300 takes every die yield to 0; the chain's arithmetic catch-all types the division by it
+        doc = json.loads((CONFIG_DIR / "hybrid_2die_7nm.json").read_text(encoding="utf-8"))
+        doc["technology_overrides"] = {"7nm": {"defect_density_d0": 1e300}}
+        with pytest.raises(UnsupportedConfiguration, match="^inputs outside the model's numeric range: ") as caught:
+            evaluate(load_scenario(doc))
+        assert isinstance(caught.value.__cause__, ArithmeticError)
+
     def test_symmetric_hybrid_d2w_perfect_yield(self):
         design = make_design(Integration.HYBRID_3D, n=2, explicit_areas=[0.5, 0.5],
                              explicit_beol=5, stacking=Stacking.D2W)

@@ -605,6 +605,9 @@ class TestRejectsBadValues:
          "inputs outside the model's numeric range"),
         (lambda d: d["design"]["dies"][0].update(gate_count=1e300),
          "inputs outside the model's numeric range"),
+        # every die yield underflows to 0, and the embodied chain divides by it
+        (lambda d: d.update(technology_overrides={"7nm": {"defect_density_d0": 1e300}}),
+         "inputs outside the model's numeric range"),
         # a die area so small that its BEOL estimate is not finite
         (lambda d: ("sweep", "--axis", "dies[*].explicit_area=1e-310"),
          "inputs outside the model's numeric range: a count is not finite\n"),

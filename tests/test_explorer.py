@@ -45,7 +45,7 @@ from carbon3d.errors import (
     UnsupportedConfiguration,
     ValidationError,
 )
-from carbon3d.explorer import ROW_CAP, apply_parameter
+from carbon3d.explorer import PRESCAN_POINTS, REL_TOL, ROW_CAP, CrossingResult, apply_parameter
 from carbon3d.geometry import area_2d
 from carbon3d.params import _BUNDLED_DIR, validate_design
 
@@ -657,6 +657,60 @@ class TestFindCrossing:
             find_crossing(lambda g: pytest.fail("evaluated"), lo, hi)
 
 
+class TestSignRule:
+    """A sign change is one between f > 0 and f <= 0; an exact 0 is below and ends no search.
+
+    On [1, 2**16] the pre-scan grid is the powers of two 2**0 .. 2**16."""
+
+    GRID = [2.0**i for i in range(PRESCAN_POINTS)]
+
+    @staticmethod
+    def _search(f):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = find_crossing(f, 1.0, 2.0**16)
+        return result, [str(w.message) for w in caught]
+
+    def test_a_later_zero_does_not_hide_the_smallest_crossing(self):
+        grid = self.GRID
+        result, warned = self._search(lambda x: 1.0 if x < grid[1] else 0.0 if x == grid[5] else -1.0)
+        assert result.status == "crossing" and grid[0] <= result.value <= grid[1]
+        assert warned == []
+
+    def test_a_zero_function_is_always_below(self):
+        result, warned = self._search(lambda x: 0.0)
+        assert result == CrossingResult("always_below", 0.0, PRESCAN_POINTS)
+        assert warned == []
+
+    @pytest.mark.parametrize("f, crossing", [
+        (lambda x: 1.5 - x, 1.5),
+        # below up to 1.9 and 0 at 1.5: that zero is on the side of f(1), so the search goes on past it
+        (lambda x: 0.0 if x == 1.5 else -1.0 if x < 1.9 else 1.0, 1.9),
+    ], ids=["zero_at_the_crossing", "zero_before_the_crossing"])
+    def test_a_zero_at_the_first_midpoint_still_converges_on_the_crossing(self, f, crossing):
+        points = []
+        result, warned = self._search(lambda x: points.append(x) or f(x))
+        assert points[PRESCAN_POINTS] == 1.5  # the first midpoint, of the bracket [1, 2]
+        assert result.status == "crossing" and abs(result.value - crossing) <= REL_TOL * crossing
+        assert warned == []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pattern=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=PRESCAN_POINTS, max_size=PRESCAN_POINTS),
+           between=st.sampled_from([-1.0, 0.0, 1.0]))
+    def test_the_first_class_change_is_the_bracket(self, pattern, between):
+        grid = self.GRID
+        at = dict(zip(grid, pattern))
+        result, warned = self._search(lambda x: at.get(x, between))  # ``between`` off the grid
+        changes = [k for k in range(len(grid) - 1) if (pattern[k] > 0) != (pattern[k + 1] > 0)]
+        if changes:
+            k = changes[0]
+            assert result.status == "crossing" and grid[k] <= result.value <= grid[k + 1]
+        else:
+            assert (result.status, result.value) == (("never_below", math.inf) if pattern[0] > 0 else ("always_below", 0.0))
+        assert warned == ([f"{len(changes)} sign changes detected on the search range; returning the smallest"]
+                          if len(changes) > 1 else [])
+
+
 class TestSwitchingPoint:
     def test_m3d_always_cheaper_on_bundled_fixture(self, registry):
         scn = make_scenario()
@@ -686,6 +740,13 @@ class TestSwitchingPoint:
         monkeypatch.setattr(explorer, "build_design", lambda *a, **k: built.append(a[0]) or build_design(*a, **k))
         switching_point(make_scenario(), Integration.M3D, "7nm", 2, 1e6, 1e11)
         assert built == [Integration.M3D]
+
+    @pytest.mark.parametrize("n_dies", [1, 0, 5000])
+    def test_mono_2d_is_an_error_on_integration_before_anything_is_built(self, monkeypatch, n_dies):
+        monkeypatch.setattr(explorer, "build_design", lambda *a, **k: pytest.fail("built"))
+        monkeypatch.setattr(explorer, "_EmbodiedChain", lambda *a, **k: pytest.fail("evaluated"))
+        with pytest.raises(InvalidCombination, match="^integration: mono_2d is the 2D baseline"):
+            switching_point(make_scenario(), Integration.MONO_2D, "7nm", n_dies, 1e6, 1e9)
 
     def test_the_record_holds_the_die_count_searched(self):
         point = switching_point(make_scenario(), Integration.M3D, "7nm", 2.0, 1e6, 1e11)
@@ -737,6 +798,11 @@ class TestGammaPareto:
         with pytest.raises(ValidationError, match=f"^n_dies: {re.escape(message)}"):
             gamma_pareto(make_scenario(), [Integration.MONO_2D, Integration.MCM], n_dies, [1.0])
 
+    def test_a_one_die_variant_bounds_the_die_count_before_any_evaluation(self, monkeypatch):
+        monkeypatch.setattr(explorer, "evaluate", lambda *a, **k: pytest.fail("evaluated"))
+        with pytest.raises(OutOfRange, match=r"^n_dies: must be in \[1, 1000\]$"):
+            gamma_pareto(make_scenario(), [Integration.MONO_2D], 0, [1.0])
+
     def test_monotone_in_gamma(self):
         _, series = gamma_pareto(make_scenario(), [Integration.MONO_2D], 2, [0.0, 0.5, 1.0, 2.0, 4.0])
         assert list(series) == ["reference", "mono_2d"]
@@ -755,6 +821,13 @@ class TestBuildDesign:
         mono = build_design(Integration.MONO_2D, tech, wiring, 4, 1e9)
         assert len(mono.dies) == 1
         assert mono.dies[0].gate_count == 1e9
+
+    @pytest.mark.parametrize("n_dies", [0, -3, 1001])
+    def test_a_one_die_scheme_bounds_the_count_before_it_takes_1(self, n_dies):
+        die = make_scenario().design.dies[0]
+        with pytest.raises(OutOfRange) as caught:
+            build_design(Integration.MONO_2D, die.technology, die.wiring, n_dies, 1e9)
+        assert str(caught.value) == "n_dies: must be in [1, 1000]"
 
     @pytest.mark.parametrize("n_dies, error, message", [
         (0, OutOfRange, "must be in [1, 1000]"),
