@@ -823,8 +823,9 @@ class TestBuildDesign:
         assert mono.dies[0].gate_count == 1e9
 
     @pytest.mark.parametrize("n_dies", [0, -3, 1001])
-    def test_a_one_die_scheme_bounds_the_count_before_it_takes_1(self, n_dies):
+    def test_a_one_die_scheme_bounds_the_count_before_it_takes_1(self, monkeypatch, n_dies):
         die = make_scenario().design.dies[0]
+        monkeypatch.setattr(explorer, "_equal_split", lambda *a: pytest.fail("split"))
         with pytest.raises(OutOfRange) as caught:
             build_design(Integration.MONO_2D, die.technology, die.wiring, n_dies, 1e9)
         assert str(caught.value) == "n_dies: must be in [1, 1000]"
