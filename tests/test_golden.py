@@ -12,7 +12,12 @@ holds the ``repr`` of every ``embodied_breakdown`` component and every
 the output of ``estimate --format csv`` on ``configs/hybrid_2die_7nm.json``
 with one field set outside its hard range (``hard/<path>``) or outside its
 surveyed range (``surveyed/<path>``), for every ranged field a document can
-set, through the document section that sets it.
+set, through the document section that sets it.  ``tests/golden/switch.json``
+holds the ``repr`` of each ``switching_point`` result, or the error type name,
+and the distinct warning texts in order, on ``configs/hybrid_2die_7nm.json``
+over (1e6, 1e10) for every scheme but ``mono_2d`` x node x die count the
+scheme admits, D2W and W2W where the scheme offers both: it pins the
+bisection paths of the switching-point search.
 
 Re-freeze only for a change that is meant to alter these outputs, and say so:
 
@@ -41,6 +46,7 @@ from carbon3d import (
     embodied_breakdown,
     load_scenario,
     stack_geometry,
+    switching_point,
     yield_context,
 )
 from carbon3d.cli import main
@@ -55,6 +61,8 @@ CONFIGS = sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
 DIE_COUNTS = (1, 2, 3, 4)
 EMBODIED_NODES = ("28nm", "7nm", "3nm")
 EMBODIED_GATES = (1e6, 3e8, 2e9, 4e10)
+SWITCH_NODES = ("28nm", "7nm", "3nm")
+SWITCH_DIES = (2, 4)
 
 
 def cli_cases() -> dict[str, list[str]]:
@@ -213,6 +221,28 @@ def embodied_cases() -> dict[str, dict[str, str] | str]:
     return cases
 
 
+def switch_cases() -> dict[str, tuple]:
+    cases = {}
+    for integ in Integration:
+        for node in SWITCH_NODES:
+            for n in SWITCH_DIES:
+                for stacking in integ.rules.stackings if len(integ.rules.stackings) > 1 else (Stacking.D2W,):
+                    if integ is not Integration.MONO_2D and integ.rules.admits(n):
+                        cases[f"{integ.value}/{node}/{n}/{stacking.value}"] = (integ, node, n, stacking)
+    return cases
+
+
+def run_switch_case(integ, node, n, stacking) -> dict:
+    base = load_scenario(ROOT / "configs" / "hybrid_2die_7nm.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = repr(switching_point(base, integ, node, n, 1e6, 1e10, stacking=stacking))
+        except CarbonModelError as exc:
+            result = type(exc).__name__
+    return {"result": result, "warnings": list(dict.fromkeys(str(w.message) for w in caught))}
+
+
 def _load(name: str) -> dict:
     return json.loads((GOLDEN / name).read_text(encoding="utf-8"))
 
@@ -245,14 +275,24 @@ def test_embodied_grid_matches_golden():
     assert embodied_cases() == _load("embodied.json")
 
 
+@pytest.mark.parametrize("case", sorted(switch_cases()))
+def test_switching_point_search_matches_golden(case):
+    assert run_switch_case(*switch_cases()[case]) == _load("switch.json")[case]
+
+
+def test_golden_covers_every_switch_case():
+    assert sorted(_load("switch.json")) == sorted(switch_cases())
+
+
 def freeze():
     GOLDEN.mkdir(exist_ok=True)
     cli = {case: run_cli(argv) for case, argv in cli_cases().items()}
     matrix = {key: verdict(design) for key, design in validation_cases().items()}
     embodied = embodied_cases()
     ranges = {"/".join(case): run_range_case(case) for case in RANGE_CASES}
+    switch = {case: run_switch_case(*args) for case, args in switch_cases().items()}
     for name, data in (("cli.json", cli), ("validate_design.json", matrix), ("embodied.json", embodied),
-                       ("ranges.json", ranges)):
+                       ("ranges.json", ranges), ("switch.json", switch)):
         (GOLDEN / name).write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
