@@ -18,7 +18,9 @@ Accounting structure (kg CO2e per packaged device unless a unit is given):
 Every part cut from a wafer (a logic die, an M3D tier, a 3D bond layer,
 the silicon interposer) is charged by one rule: the carbon of its wafer
 divided by the dies per wafer at the part's area, then by the part's
-yield.  Only the per-wafer carbon differs from part to part.
+yield.  Only the per-wafer carbon differs from part to part.  Within one
+call, a part whose inputs are the previous part's own objects (``is``, not
+``==``) takes that part's result: a split design's equal dies cost one die.
 
 M3D is the one integration without a per-die wafer pass: both sequential
 tiers share a single wafer, so fab energy for FEOL+MOL is charged per
@@ -154,19 +156,24 @@ def embodied_breakdown(
     m3d = spec.integration is Integration.M3D
     tech0 = spec.dies[0].technology
     c_die = []
+    prev_g = prev_tech = prev_y = None  # the geometry, technology and yield of the last die carbon computed
     for i, (die, g, y) in enumerate(zip(spec.dies, geom.dies, yields.effective_die_y)):
         if m3d and i > 0:  # a later tier on tier 0's wafer: its FEOL+MOL pass only
-            per_wafer = env.ci_fab * (tech0.epa_feol + tech0.epa_mol) * env.wafer_area
-        else:
-            per_wafer = wafer_carbon(die.technology, g.beol_layers, env)
-        c_die.append(_share(per_wafer, g.total_area, env) / y)
+            c = _share(env.ci_fab * (tech0.epa_feol + tech0.epa_mol) * env.wafer_area, g.total_area, env) / y
+        elif g is not prev_g or die.technology is not prev_tech or y != prev_y:
+            prev_g, prev_tech, prev_y = g, die.technology, y
+            c = _share(wafer_carbon(prev_tech, g.beol_layers, env), g.total_area, env) / y
+        c_die.append(c)  # else the previous die's own geometry and node at an equal yield: its carbon
 
     c_bond = c_sub = 0.0
     if rules.bonds == "n-1":
         per_wafer = bonding_wafer_carbon(spec.stacking, bonding, env)
         for i in range(n - 1):
-            # interface i binds die i and i+1; charged at die i+1's wafer share
-            c_bond += _share(per_wafer, geom.dies[i + 1].total_area, env) / yields.effective_bond_y[i]
+            # interface i binds die i and i+1; charged at die i+1's wafer share, which it keeps
+            # from interface i-1 when die i+1 is die i's own geometry object
+            if not (i and geom.dies[i + 1] is geom.dies[i]):
+                share = _share(per_wafer, geom.dies[i + 1].total_area, env)
+            c_bond += share / yields.effective_bond_y[i]
     elif rules.bonds == "n" and rules.substrate == "rdl":  # chip-last InFO
         c_bond = bonding.cpa_bonding * geom.substrate_area / yields.effective_bond_y[0]
     elif rules.bonds == "n":  # one D2W micro-bump attach per die onto the silicon interposer
@@ -203,8 +210,10 @@ class _EmbodiedChain:
     embodied carbon also when the fab environment is another object.  Every
     input is a frozen dataclass and held here, so a hit gives exactly the
     floats a fresh computation would (a reused stage does not raise its
-    warnings again).  Inputs outside the model's numeric range, including a
-    non-finite overall embodied carbon, raise UnsupportedConfiguration.
+    warnings again).  Within a call, each stage computes equal dies that are
+    one object once, by the module docstring's rule.  Inputs outside the
+    model's numeric range, including a non-finite overall embodied carbon,
+    raise UnsupportedConfiguration.
     """
 
     _design: DesignSpec | None = None

@@ -158,7 +158,7 @@ def _base_gate_areas(dies: Sequence[DieSpec]) -> list[float]:
     return [d.explicit_area if d.explicit_area is not None else area_2d(d.gate_count, d.technology) for d in dies]
 
 
-def _sized_die(die: DieSpec, gate: float, tsv_count: int = 0, tsv_area: float = 0.0, io_area: float = 0.0) -> DieGeometry:
+def _sized_die(die: DieSpec, gate: float, tsv_count: int, tsv_area: float, io_area: float) -> DieGeometry:
     # set the BEOL count on the overhead-inclusive area; grow the gate region
     # where the wiring only fits in the node's max_beol_layers
     total = gate + tsv_area + io_area
@@ -178,32 +178,36 @@ def die_areas(spec: DesignSpec) -> list[DieGeometry]:
       M3D:           two tiers of half the equivalent 2D area, no overhead
       2.5D flavors:  IO strip for inter-chiplet links, no TSVs
       mono 2D:       bare gate area
+
+    A die that is the previous die's own ``DieSpec`` object (``is``, not ``==``)
+    with an equal TSV count and area takes that die's ``DieGeometry`` object.
     """
-    integ = spec.integration
     bases = _base_gate_areas(spec.dies)
     n = len(spec.dies)
-
-    if integ is Integration.M3D:
+    if spec.integration is Integration.M3D:
         if n != 2:
             raise UnsupportedConfiguration(f"m3d supports exactly 2 tiers, got {n}")
         a_2d = left_sum(bases)
-        return [_sized_die(die, die.explicit_area if die.explicit_area is not None else a_2d / 2.0) for die in spec.dies]
+        bases = [die.explicit_area if die.explicit_area is not None else a_2d / 2.0 for die in spec.dies]
 
-    rules = integ.rules
+    rules, f2f = spec.integration.rules, spec.facing is Facing.F2F
     geoms: list[DieGeometry] = []
+    prev_die = None  # the die of g, the last geometry computed
     for i, die in enumerate(spec.dies):
-        gate = bases[i]
         tsv_count, tsv_area = 0, 0.0
-        io_area = die.technology.io_overhead_ratio * gate if rules.io_strip else 0.0
-        f2f = spec.facing is Facing.F2F
         if rules.tsvs and (i == n - 1 if f2f else i < n - 1):
             if f2f:  # the bottom die carries the package-bound signal TSVs
                 tsv_count = spec.signal_count_f2f
+            elif die is prev_die and spec.dies[i + 1] is die:  # interface i-1's own dies: its count
+                tsv_count = g.tsv_count
             else:  # F2B: dies 1..N-1 carry the inter-die TSVs of interface i
                 ng_j = _die_gate_count(spec.dies[i + 1], bases[i + 1])
-                tsv_count = tsv_count_f2b(_die_gate_count(die, gate), ng_j, die.wiring)
+                tsv_count = tsv_count_f2b(_die_gate_count(die, bases[i]), ng_j, die.wiring)
             tsv_area = tsv_count * die.technology.tsv_pitch_cm**2
-        geoms.append(_sized_die(die, gate, tsv_count, tsv_area, io_area))
+        if die is not prev_die or tsv_count != g.tsv_count or tsv_area != g.tsv_area:
+            prev_die, io_area = die, die.technology.io_overhead_ratio * bases[i] if rules.io_strip else 0.0
+            g = _sized_die(die, bases[i], tsv_count, tsv_area, io_area)
+        geoms.append(g)  # else the previous die's sizing: the same expressions on the same inputs
     return geoms
 
 

@@ -58,10 +58,13 @@ def yield_context(spec: DesignSpec, geometry, profiles: ProcessProfiles) -> Yiel
         combined_area = left_sum(g.total_area for g in geometry.dies)
         die_y = (die_yield_negbin(combined_area, tech.defect_density_d0, tech.cluster_alpha),) * len(spec.dies)
     else:
-        die_y = tuple([
-            die_yield_negbin(g.total_area, d.technology.defect_density_d0, d.technology.cluster_alpha)
-            for d, g in zip(spec.dies, geometry.dies)
-        ])
+        ys, prev_g, prev_tech = [], None, None  # prev_*: the geometry and technology of the last yield computed
+        for d, g in zip(spec.dies, geometry.dies):
+            if g is not prev_g or d.technology is not prev_tech:
+                prev_g, prev_tech = g, d.technology
+                y = die_yield_negbin(g.total_area, prev_tech.defect_density_d0, prev_tech.cluster_alpha)
+            ys.append(y)  # else the previous die's own geometry and technology objects: its yield
+        die_y = tuple(ys)
     bond_y = (bonding.bond_yield,) * rules.bond_count(len(spec.dies))
 
     if rules.substrate == "rdl":

@@ -28,12 +28,14 @@ from carbon3d import (
     yield_context,
 )
 from carbon3d.errors import (
+    CarbonModelError,
     CarbonModelWarning,
     DieLargerThanWafer,
     LayerCountExceedsProfile,
     NonPositiveArea,
     UnsupportedConfiguration,
 )
+from carbon3d.carbon import _EmbodiedChain
 from carbon3d.explorer import _die_count
 from carbon3d.yieldmodel import YieldContext
 
@@ -575,6 +577,75 @@ class TestSchemeLimits:
     def test_the_mono2d_equivalent_of_a_2d_design_is_that_design(self, registry, node, gates):
         design = build_design(Integration.MONO_2D, registry.technology(node), registry.default_wiring(node), 1, gates)
         assert mono2d_equivalent(design) == design
+
+
+def _distinct_dies(design):
+    """``design`` with each die its own object, equal to the one it replaces."""
+    return dataclasses.replace(design, dies=tuple(dataclasses.replace(d) for d in design.dies))
+
+
+def _stages(scenario) -> list:
+    """Each stage of the chain on ``scenario`` (its ``repr``, or the error's type name)
+    and the distinct warning texts, in first-seen order."""
+    design, profiles, env = scenario.design, scenario.profiles, scenario.environment
+    stages = [
+        lambda: stack_geometry(design, profiles.packaging),
+        lambda: yield_context(design, stack_geometry(design, profiles.packaging), profiles),
+        lambda: embodied_breakdown(design, geom := stack_geometry(design, profiles.packaging),
+                                   yield_context(design, geom, profiles), env, profiles),
+        lambda: evaluate(scenario),
+    ]
+    results = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for stage in stages:
+            try:
+                results.append(repr(stage()))
+            except (CarbonModelError, ArithmeticError, ValueError) as exc:
+                results.append(type(exc).__name__)
+    return results + list(dict.fromkeys(str(w.message) for w in caught))
+
+
+ALL_NODES = ("28nm", "20nm", "14nm", "10nm", "7nm", "5nm", "3nm")
+
+
+class TestSharedDies:
+    """The equal dies of a split design are one object, and the chain sizes, yields and prices
+    them once; that gives what distinct equal dies give, warnings apart."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(integration=st.sampled_from(list(Integration)), n_dies=st.sampled_from([2, 3, 4, 6]),
+           stacking=st.sampled_from([Stacking.D2W, Stacking.W2W]), node=st.sampled_from(ALL_NODES),
+           gates=st.floats(6.0, 13.0).map(lambda e: 10.0**e), signals=st.sampled_from([0, 20000]))
+    def test_results_do_not_depend_on_sharing(self, integration, n_dies, stacking, node, gates, signals):
+        # gate counts run through the die-per-wafer clamp to dies larger than the wafer; an F2F
+        # pair's bottom die and all but an F2B stack's last die carry TSVs that the others do not
+        assume(integration.rules.admits(_die_count(integration, n_dies)))
+        base = _loaded("hybrid_2die_7nm")
+        tech, wiring = base.registry.technology(node), base.registry.default_wiring(node)
+        shared = dataclasses.replace(build_design(integration, tech, wiring, n_dies, gates, stacking),
+                                     signal_count_f2f=signals)
+        distinct = _distinct_dies(shared)
+        assert len({id(d) for d in shared.dies}) == 1 and len({id(d) for d in distinct.dies}) == len(shared.dies)
+        assert _stages(dataclasses.replace(base, design=shared)) == _stages(dataclasses.replace(base, design=distinct))
+
+    def test_a_clamp_on_equal_dies_warns_once_per_chain_call(self):
+        base = _loaded("hybrid_2die_7nm")
+        tech, wiring = base.registry.technology("7nm"), base.registry.default_wiring("7nm")
+        shared = build_design(Integration.MCM, tech, wiring, 4, 1.1e12)  # four 110 cm^2 dies: DPW clamps to 1
+
+        def clamps(design, calls=1):
+            chain = _EmbodiedChain()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for _ in range(calls):  # an environment of its own each time: embodied carbon is run again
+                    chain(design, base.profiles, dataclasses.replace(base.environment))
+            return [str(w.message) for w in caught]
+
+        text = "die-per-wafer formula gave 0.07 for a 110.114 cm^2 die; clamping to 1"
+        assert clamps(shared) == [text]
+        assert clamps(shared, calls=3) == [text] * 3
+        assert clamps(_distinct_dies(shared)) == [text] * 4  # reuse is by identity: separate equal dies each warn
 
 
 class TestIntegrationComposition:

@@ -302,6 +302,43 @@ class TestSwitchReadsEmbodiedCarbonOnly:
         assert out.out == ""
         assert "error: inputs outside the model's numeric range: a result is not finite" in out.err.splitlines()
 
+class TestSharedDiesKeepTheStderr:
+    """A split design's equal dies are one object, so a die-per-wafer clamp among them warns once
+    per chain call, not once per die; the CLI prints each distinct warning text once, so stderr
+    is unchanged.  Four 7nm dies of 2.75e11 gates (110 cm^2 each) clamp, as does their 2D baseline."""
+
+    DOC = {
+        "design": {"integration": "mcm", "dies": [{"technology": "7nm", "gate_count": 2.75e11}] * 4},
+        "environment": {"ci_fab": 0.45},
+        "usage": {"t_app_hours": 17532, "t_exe_hours": 43830, "power_density": 18.0, "delay_s": 0.5},
+    }
+
+    def test_sweep_stderr(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.DOC)
+        assert main(["sweep", "-c", str(path), "--baseline", "--axis", "dies[*].gate_count=2.75e11,2.8e11"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: die-per-wafer formula gave 0.07 for a 110.114 cm^2 die; clamping to 1",
+            "warning: die-per-wafer formula gave -1.57 for a 506.768 cm^2 die; clamping to 1",
+            "warning: die-per-wafer formula gave 0.01 for a 112.321 cm^2 die; clamping to 1",
+            "warning: die-per-wafer formula gave -1.56 for a 516.922 cm^2 die; clamping to 1",
+        ]
+
+    def test_switch_output_is_that_of_separate_equal_dies(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, self.DOC)
+        argv = ["switch", "-c", str(path), "--integration", "mcm", "--node", "7nm", "--dies", "4",
+                "--range", "1e12:1.2e12"]
+        assert main(argv) == 0
+        shared = capsys.readouterr()
+        split = explorer._equal_split
+        monkeypatch.setattr(explorer, "_equal_split", lambda *args: dataclasses.replace(
+            design := split(*args), dies=tuple(dataclasses.replace(d) for d in design.dies)))
+        assert main(argv) == 0
+        assert capsys.readouterr() == shared
+        lines = shared.err.splitlines()
+        assert len(lines) == len(set(lines)) == 34  # each clamp of the 17 prescan points' two legs, once
+        assert all(line.startswith("warning: die-per-wafer formula gave ") for line in lines)
+
+
 class TestPareto:
     def test_reference_row(self, tmp_path, capsys):
         path = write_config(tmp_path, basic_document())
