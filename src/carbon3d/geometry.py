@@ -180,7 +180,7 @@ def die_areas(spec: DesignSpec) -> list[DieGeometry]:
       mono 2D:       bare gate area
 
     A die that is the previous die's own ``DieSpec`` object (``is``, not ``==``)
-    with an equal TSV count and area takes that die's ``DieGeometry`` object.
+    at an equal TSV count, which fixes its areas, takes that die's ``DieGeometry``.
     """
     bases = _base_gate_areas(spec.dies)
     n = len(spec.dies)
@@ -204,7 +204,7 @@ def die_areas(spec: DesignSpec) -> list[DieGeometry]:
                 ng_j = _die_gate_count(spec.dies[i + 1], bases[i + 1])
                 tsv_count = tsv_count_f2b(_die_gate_count(die, bases[i]), ng_j, die.wiring)
             tsv_area = tsv_count * die.technology.tsv_pitch_cm**2
-        if die is not prev_die or tsv_count != g.tsv_count or tsv_area != g.tsv_area:
+        if die is not prev_die or tsv_count != g.tsv_count:
             prev_die, io_area = die, die.technology.io_overhead_ratio * bases[i] if rules.io_strip else 0.0
             g = _sized_die(die, bases[i], tsv_count, tsv_area, io_area)
         geoms.append(g)  # else the previous die's sizing: the same expressions on the same inputs

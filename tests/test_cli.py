@@ -302,6 +302,7 @@ class TestSwitchReadsEmbodiedCarbonOnly:
         assert out.out == ""
         assert "error: inputs outside the model's numeric range: a result is not finite" in out.err.splitlines()
 
+
 class TestSharedDiesKeepTheStderr:
     """A split design's equal dies are one object, so a die-per-wafer clamp among them warns once
     per chain call, not once per die; the CLI prints each distinct warning text once, so stderr
