@@ -236,14 +236,14 @@ def cmd_sweep(args) -> int:
         # each row is written as it arrives; the output appears only if every row succeeds
         with _output(args.out) as out:
             out.write(_csv_header(_inputs_digest(scenario), columns))
-            points, previous = [], None
-            crossable = args.baseline and len(axes) == 1  # else explorer.crossing returns None
+            brackets, previous = [], None
             for row in rows:
                 out.write(template.format(*map(_fmt, row.values), *_breakdown_values(row.breakdown), row.baseline))
-                if previous is not None and (point := explorer.crossing(previous, row)):
-                    points.append(point)
-                previous = row if crossable else None
-            out.writelines(f"# switching_point value={_fmt(value)} integration={integ}\n" for value, integ in points)
+                if previous is not None and (bracket := explorer.crossing(previous, row)):
+                    brackets.append(bracket)
+                previous = row
+            out.writelines(f"# sign_change between={_fmt(a)}:{_fmt(b)} direction={direction} "  # no axis sets the scheme
+                           f"integration={scenario.design.integration.value}\n" for a, b, direction in brackets)
             _report_warnings(rec)
     return 0
 

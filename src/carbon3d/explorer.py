@@ -294,22 +294,24 @@ def sweep(
     return _rows(scenario, axes, baseline)
 
 
-def crossing(a: SweepRow, b: SweepRow) -> tuple[float, str] | None:
-    """The 2D switching point between adjacent sweep rows ``a`` and ``b``, or None.
+def _above(gap: float) -> bool:
+    """Whether a gap to the 2D baseline is above it: the one sign rule (an exact 0 is below)."""
+    return gap > 0
 
-    Rows of one numeric axis with a baseline cross where the embodied-carbon
-    excess over the baseline (the float ``row.baseline``) turns from positive
-    to non-positive; the point is linearly interpolated on the axis value and
-    paired with the scheme.
+
+def crossing(a: SweepRow, b: SweepRow) -> tuple[object, object, str] | None:
+    """The sign change between adjacent rows of a one-axis sweep with a baseline, or None.
+
+    ``find_crossing``'s rule (``_above``) on each row's embodied-carbon gap to ``row.baseline``; a change
+    is the bracket ``(a's value, b's value, "down" | "up")``, "down" where the scheme turns cheaper than
+    2D.  Refining a bracket to a point is ``switching_point``'s job, so a node name brackets too.
     """
-    if not all(r.baseline is not None and len(r.values) == 1 and isinstance(r.values[0], (int, float)) for r in (a, b)):
+    if not all(r.baseline is not None and len(r.values) == 1 for r in (a, b)):
         return None
-    fa = a.breakdown.c_embodied_overall - a.baseline
-    fb = b.breakdown.c_embodied_overall - b.baseline
-    if not fa > 0 >= fb:
+    above = _above(a.breakdown.c_embodied_overall - a.baseline)
+    if above == _above(b.breakdown.c_embodied_overall - b.baseline):
         return None
-    xa, xb = float(a.values[0]), float(b.values[0])
-    return xa + (xb - xa) * fa / (fa - fb), a.scenario.design.integration.value
+    return a.values[0], b.values[0], "down" if above else "up"
 
 
 # ---------------------------------------------------------------------------
@@ -339,22 +341,21 @@ def _check_range(lo: float, hi: float, path: str = "range"):
 def find_crossing(f: Callable[[float], float], lo: float, hi: float) -> CrossingResult:
     """Bracket-scan then bisect the smallest sign change of f on [lo, hi].
 
-    A sign change is one between f > 0 and f <= 0, so an exact 0 is below and ends no search; with none,
-    the status is the side of f(lo).  The pre-scan uses a log-spaced grid of PRESCAN_POINTS points (the
-    abscissa is a gate count), and bisection stops at a bracket of REL_TOL of its midpoint.  Multiple sign
-    changes warn; the smallest is refined.  A range not finite with 0 < lo < hi is OutOfRange on ``range``.
+    A sign change is one between f > 0 and f <= 0 (``_above``, the rule ``crossing`` applies to sweep rows),
+    so an exact 0 is below and ends no search; with none, the status is the side of f(lo).  The pre-scan
+    uses a log-spaced grid of PRESCAN_POINTS points (the abscissa is a gate count), and bisection stops at
+    a bracket of REL_TOL of its midpoint.  Multiple sign changes warn; the smallest is refined.  A range
+    not finite with 0 < lo < hi is OutOfRange on ``range``.
     """
     _check_range(lo, hi)
     ratio = (hi / lo) ** (1.0 / (PRESCAN_POINTS - 1))
     grid = [lo * ratio**i for i in range(PRESCAN_POINTS - 1)] + [hi]
-    values = [f(x) for x in grid]
+    sides = [_above(f(x)) for x in grid]
     evals = len(grid)
 
-    brackets = [
-        i for i in range(len(grid) - 1) if (values[i] > 0) != (values[i + 1] > 0)
-    ]
+    brackets = [i for i in range(len(grid) - 1) if sides[i] != sides[i + 1]]
     if not brackets:
-        if values[0] > 0:
+        if sides[0]:
             return CrossingResult(status="never_below", value=math.inf, evaluations=evals)
         return CrossingResult(status="always_below", value=0.0, evaluations=evals)
     if len(brackets) > 1:
@@ -364,13 +365,13 @@ def find_crossing(f: Callable[[float], float], lo: float, hi: float) -> Crossing
             stacklevel=2,
         )
 
-    a, b, above = grid[brackets[0]], grid[brackets[0] + 1], values[brackets[0]] > 0
+    a, b, above = grid[brackets[0]], grid[brackets[0] + 1], sides[brackets[0]]
     for _ in range(200):  # ends a search stuck between adjacent floats, such as a range of subnormals
         mid = 0.5 * (a + b)
         if (b - a) <= REL_TOL * mid:
             break
         evals += 1
-        if (f(mid) > 0) == above:
+        if _above(f(mid)) == above:
             a = mid
         else:
             b = mid

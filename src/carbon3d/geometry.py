@@ -49,10 +49,10 @@ class DieGeometry:
     """One sized die (areas after any BEOL growth); total_area is exactly the component sum."""
 
     gate_area: float
-    tsv_area: float = 0.0
-    io_area: float = 0.0
-    beol_layers: int = 0
-    tsv_count: int = 0
+    tsv_area: float
+    io_area: float
+    beol_layers: int
+    tsv_count: int
 
     @property
     def total_area(self) -> float:

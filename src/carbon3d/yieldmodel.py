@@ -36,7 +36,7 @@ class YieldContext:
     standalone_bond_y: tuple[float, ...]
     effective_die_y: tuple[float, ...]
     effective_bond_y: tuple[float, ...]
-    substrate_y: float = 1.0
+    substrate_y: float
 
 
 def die_yield_negbin(area: float, d0: float, alpha: float) -> float:

@@ -55,6 +55,13 @@ class TestDiesPerWafer:
         for area in (0.25, 0.5, 1.0, 2.0, 4.0):
             assert dies_per_wafer(30.0, area / 2) > 2 * dies_per_wafer(30.0, area)
 
+    def test_a_die_of_the_wafer_area_is_refused_and_one_ulp_less_is_priced(self):
+        wafer_area = math.pi * (30.0 / 2.0) ** 2
+        with pytest.raises(DieLargerThanWafer):
+            dies_per_wafer(30.0, wafer_area)
+        with pytest.warns(CarbonModelWarning, match="clamping to 1$"):
+            assert dies_per_wafer(30.0, math.nextafter(wafer_area, 0.0)) == 1
+
     def test_clamped_to_one_with_warning(self):
         with pytest.warns(CarbonModelWarning):
             assert dies_per_wafer(30.0, 500.0) == 1
@@ -145,7 +152,7 @@ class TestEmbodied:
         profiles = make_profiles()
         env = make_env()
         geom = stack_geometry(design, profiles.packaging)
-        perfect = YieldContext((1.0, 1.0), (1.0,), (1.0, 1.0), (1.0,))
+        perfect = YieldContext((1.0, 1.0), (1.0,), (1.0, 1.0), (1.0,), 1.0)
         got = embodied_breakdown(design, geom, perfect, env, profiles)
         tech = design.dies[0].technology
         dpw = dies_per_wafer(env.wafer_diameter_cm, 0.5)
@@ -628,6 +635,22 @@ class TestSharedDies:
         distinct = _distinct_dies(shared)
         assert len({id(d) for d in shared.dies}) == 1 and len({id(d) for d in distinct.dies}) == len(shared.dies)
         assert _stages(dataclasses.replace(base, design=shared)) == _stages(dataclasses.replace(base, design=distinct))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(integration=st.sampled_from([i for i in Integration if i.rules.max_dies != 1]),
+           pattern=st.sampled_from(["AAB", "ABB", "ABA", "AABB", "ABBBA"]),
+           stacking=st.sampled_from([Stacking.D2W, Stacking.W2W]), node=st.sampled_from(ALL_NODES),
+           gates=st.tuples(st.floats(6.0, 12.0), st.floats(6.0, 12.0)).map(lambda e: (10.0 ** e[0], 10.0 ** e[1])))
+    def test_mixed_sharing_gives_what_distinct_dies_give(self, integration, pattern, stacking, node, gates):
+        # a run of one die object next to another, such as (A, A, B): an F2B die that shares the previous
+        # die's object still carries its own interface, to the next die
+        assume(integration.rules.admits(len(pattern)))
+        base = _loaded("hybrid_2die_7nm")
+        tech, wiring = base.registry.technology(node), base.registry.default_wiring(node)
+        design = build_design(integration, tech, wiring, len(pattern), gates[0], stacking)
+        shared = {"A": design.dies[0], "B": dataclasses.replace(design.dies[0], gate_count=gates[1])}
+        mixed = dataclasses.replace(design, dies=tuple(shared[k] for k in pattern))
+        assert _stages(dataclasses.replace(base, design=mixed)) == _stages(dataclasses.replace(base, design=_distinct_dies(mixed)))
 
     def test_a_clamp_on_equal_dies_warns_once_per_chain_call(self):
         base = _loaded("hybrid_2die_7nm")

@@ -16,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carbon3d import (
+    CarbonBreakdown,
     DesignSpec,
     DieSpec,
     FixtureRegistry,
     Integration,
     Stacking,
     SweepAxis,
+    SweepRow,
     build_design,
     crossing,
     evaluate,
@@ -196,11 +198,11 @@ class TestSweep:
         assert len(rows) == len(values)
         diffs = [r.breakdown.c_embodied_overall - r.baseline for r in rows]
         assert diffs[0] > 0 and diffs[-1] < 0  # brackets at least one crossing
-        switching_points = [p for p in map(crossing, rows, rows[1:]) if p is not None]
-        assert switching_points
-        for value, integ in switching_points:
-            assert values[0] <= value <= values[-1]
-            assert integ == "hybrid_3d"
+        brackets = [p for p in map(crossing, rows, rows[1:]) if p is not None]
+        assert brackets and brackets[0][2] == "down"
+        for a, b, direction in brackets:
+            assert values.index(b) == values.index(a) + 1
+            assert direction in ("down", "up")
 
     def test_a_baseline_sweep_evaluates_once_per_row(self, monkeypatch, capsys):
         calls = []
@@ -235,7 +237,7 @@ class TestSweep:
         assert row_area.breakdown.c_embodied_overall == pytest.approx(row_gates.breakdown.c_embodied_overall, rel=1e-12)
         assert row_area.baseline == pytest.approx(row_gates.baseline, rel=1e-12)
 
-    def test_crossing_needs_one_numeric_axis_with_baseline(self):
+    def test_crossing_needs_one_axis_with_baseline(self, registry):
         scn = make_scenario(design=make_design(Integration.HYBRID_3D, n=2, gate_count=1e6))
         axis = SweepAxis("dies[*].gate_count", [1e5, 1e9])
         with_base = list(sweep(scn, [axis], baseline=True))
@@ -243,6 +245,11 @@ class TestSweep:
         assert crossing(*sweep(scn, [axis])) is None
         two_axes = list(sweep(scn, [axis, SweepAxis("gamma", [1.0])], baseline=True))
         assert crossing(*two_axes) is None
+        # a bracket does no arithmetic on the values, so node names bracket: below 7nm hybrid 3D turns dearer
+        hybrid = load_scenario(next(p for p in CONFIGS if p.stem == "hybrid_2die_7nm"), registry)
+        nodes = SweepAxis("technology", ["7nm", "5nm"])
+        assert crossing(*sweep(hybrid, [nodes], baseline=True)) == ("7nm", "5nm", "up")
+        assert crossing(*sweep(hybrid, [nodes])) is None
 
     @pytest.mark.parametrize("first, second", [
         (("gamma", [0.0]), ("gamma", [2.0])),
@@ -709,6 +716,55 @@ class TestSignRule:
             assert (result.status, result.value) == (("never_below", math.inf) if pattern[0] > 0 else ("always_below", 0.0))
         assert warned == ([f"{len(changes)} sign changes detected on the search range; returning the smallest"]
                           if len(changes) > 1 else [])
+
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pattern=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=PRESCAN_POINTS, max_size=PRESCAN_POINTS))
+    def test_a_sweep_brackets_the_changes_that_find_crossing_sees(self, pattern):
+        grid, scenario = self.GRID, make_scenario()
+        # each row's gap to its baseline is exactly its pattern value: (g + 1) - 1
+        rows = [SweepRow((x,), scenario, CarbonBreakdown((g + 1.0,), 0.0, 0.0, 0.0), 1.0) for x, g in zip(grid, pattern)]
+        brackets = [b for b in map(crossing, rows, rows[1:]) if b is not None]
+        at = dict(zip(grid, pattern))
+        result, warned = self._search(lambda x: at.get(x, 0.0))
+        assert brackets == [(grid[k], grid[k + 1], "down" if pattern[k] > 0 else "up")
+                            for k in range(len(grid) - 1) if (pattern[k] > 0) != (pattern[k + 1] > 0)]
+        if brackets:
+            assert result.status == "crossing" and brackets[0][0] <= result.value <= brackets[0][1]
+        else:
+            assert result.status == ("never_below" if pattern[0] > 0 else "always_below")
+        assert warned == ([f"{len(brackets)} sign changes detected on the search range; returning the smallest"]
+                          if len(brackets) > 1 else [])
+
+
+class TestSweepAndSearchAgree:
+    """A ``--baseline`` sweep of hybrid_2die_7nm over half of each prescan point of ``switch --integration
+    hybrid_3d --node 7nm --range 1e6:1e10``: its rows are the designs that search builds, two dies of
+    half the gates each, and the gaps change sign 11 times (``++-++-++-+-+-+---``)."""
+
+    LO, HI = 1e6, 1e10
+
+    def _scenario(self, registry):
+        return load_scenario(next(p for p in CONFIGS if p.stem == "hybrid_2die_7nm"), registry)
+
+    def _brackets(self, registry):
+        grid = []
+        find_crossing(lambda g: grid.append(g) or 1.0, self.LO, self.HI)  # the prescan points, and no bisection
+        rows = list(sweep(self._scenario(registry), [SweepAxis("dies[*].gate_count", [g / 2 for g in grid])],
+                          baseline=True))
+        return [b for b in map(crossing, rows, rows[1:]) if b is not None]
+
+    def test_the_sweep_reports_every_sign_change_in_both_directions(self, registry):
+        brackets = self._brackets(registry)
+        assert len(brackets) == 11
+        assert [direction for _, _, direction in brackets] == ["down", "up"] * 5 + ["down"]
+
+    def test_the_switch_crossing_lies_in_the_first_bracket(self, registry):
+        with pytest.warns(CarbonModelWarning, match="^11 sign changes detected"):
+            point = switching_point(self._scenario(registry), Integration.HYBRID_3D, "7nm", 2, self.LO, self.HI)
+        a, b, direction = self._brackets(registry)[0]
+        assert point.status == "crossing" and direction == "down"
+        assert 2 * a <= point.gate_count <= 2 * b  # a sweep value is one die's gates, of two
 
 
 class TestSwitchingPoint:

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import mpmath as mp
@@ -192,6 +193,20 @@ class TestDieAreas:
         assert geoms[1].tsv_count > 0
         assert geoms[2].tsv_count == 0
 
+    def test_an_f2b_interface_reads_only_its_own_two_dies(self):
+        # die i carries interface i's TSVs, whose count reads dies i and i+1 alone, on a stack of unequal dies
+        scenario = load_scenario(Path(__file__).resolve().parent.parent / "configs" / "hybrid_2die_7nm.json")
+        die = scenario.design.dies[0]
+
+        def counts(*gates):
+            dies = tuple(dataclasses.replace(die, gate_count=g) for g in gates)
+            return [g.tsv_count for g in die_areas(dataclasses.replace(scenario.design, facing=Facing.F2B, dies=dies))]
+
+        base = counts(1e8, 2e8, 8e8)
+        assert base == [tsv_count_f2b(1e8, 2e8, die.wiring), tsv_count_f2b(2e8, 8e8, die.wiring), 0]
+        assert counts(1e8, 2e8, 3.2e9)[0] == base[0]  # die 2 is not on interface 0
+        assert counts(4e8, 2e8, 8e8)[1] == base[1]  # die 0 is not on interface 1
+
     def test_25d_io_only(self):
         design = make_design(Integration.MCM, n=2, explicit_areas=[0.5, 0.5])
         geoms = die_areas(design)
@@ -216,7 +231,7 @@ class TestPackageSubstrate:
     def test_package_3d_uses_max(self):
         design = make_design(Integration.HYBRID_3D, n=2, explicit_areas=[1.5, 1.0])
         profiles = make_profiles()
-        geoms = [DieGeometry(gate_area=1.5), DieGeometry(gate_area=1.0)]
+        geoms = [DieGeometry(1.5, 0.0, 0.0, 0, 0), DieGeometry(1.0, 0.0, 0.0, 0, 0)]
         packaging = profiles.packaging
         assert package_area(design, geoms, packaging) == pytest.approx(
             packaging.s_package_3d * 1.5, rel=1e-12
@@ -225,14 +240,14 @@ class TestPackageSubstrate:
     def test_package_25d_uses_sum(self):
         design = make_design(Integration.MCM, n=2, explicit_areas=[1.0, 1.0])
         packaging = make_profiles().packaging
-        geoms = [DieGeometry(gate_area=1.0), DieGeometry(gate_area=1.0)]
+        geoms = [DieGeometry(1.0, 0.0, 0.0, 0, 0), DieGeometry(1.0, 0.0, 0.0, 0, 0)]
         assert package_area(design, geoms, packaging) == pytest.approx(
             packaging.s_package_25d * 2.0, rel=1e-12
         )
 
     def test_substrate_only_for_unifying_substrates(self):
         packaging = make_profiles().packaging
-        geoms = [DieGeometry(gate_area=1.0), DieGeometry(gate_area=1.0)]
+        geoms = [DieGeometry(1.0, 0.0, 0.0, 0, 0), DieGeometry(1.0, 0.0, 0.0, 0, 0)]
         info = make_design(Integration.INFO_CHIP_LAST, n=2, explicit_areas=[1.0, 1.0])
         assert substrate_area(info, geoms, packaging) == pytest.approx(
             packaging.s_substrate_25d * 2.0, rel=1e-12
@@ -250,7 +265,7 @@ class TestStackGeometry:
         io=st.floats(min_value=0, max_value=1),
     )
     def test_additivity_exact(self, gate, tsv, io):
-        geom = DieGeometry(gate_area=gate, tsv_area=tsv, io_area=io)
+        geom = DieGeometry(gate_area=gate, tsv_area=tsv, io_area=io, beol_layers=0, tsv_count=0)
         assert geom.total_area == gate + tsv + io
 
     def test_beol_filled_and_bounded(self):
