@@ -302,9 +302,9 @@ def _above(gap: float) -> bool:
 def crossing(a: SweepRow, b: SweepRow) -> tuple[object, object, str] | None:
     """The sign change between adjacent rows of a one-axis sweep with a baseline, or None.
 
-    ``find_crossing``'s rule (``_above``) on each row's embodied-carbon gap to ``row.baseline``; a change
-    is the bracket ``(a's value, b's value, "down" | "up")``, "down" where the scheme turns cheaper than
-    2D.  Refining a bracket to a point is ``switching_point``'s job, so a node name brackets too.
+    ``find_crossing``'s rule (``_above``) on each row's embodied-carbon gap to ``row.baseline``; a change is
+    the bracket ``(a's value, b's value, "down" | "up")``, "down" where the scheme turns cheaper than 2D.
+    No arithmetic is done on the values, so node names bracket too; ``switching_point`` refines to a point.
     """
     if not all(r.baseline is not None and len(r.values) == 1 for r in (a, b)):
         return None

@@ -198,7 +198,7 @@ class TestSweep:
         assert len(rows) == len(values)
         diffs = [r.breakdown.c_embodied_overall - r.baseline for r in rows]
         assert diffs[0] > 0 and diffs[-1] < 0  # brackets at least one crossing
-        brackets = [p for p in map(crossing, rows, rows[1:]) if p is not None]
+        brackets = [b for b in map(crossing, rows, rows[1:]) if b is not None]
         assert brackets and brackets[0][2] == "down"
         for a, b, direction in brackets:
             assert values.index(b) == values.index(a) + 1
@@ -716,7 +716,6 @@ class TestSignRule:
             assert (result.status, result.value) == (("never_below", math.inf) if pattern[0] > 0 else ("always_below", 0.0))
         assert warned == ([f"{len(changes)} sign changes detected on the search range; returning the smallest"]
                           if len(changes) > 1 else [])
-
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(pattern=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=PRESCAN_POINTS, max_size=PRESCAN_POINTS))
