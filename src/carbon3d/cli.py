@@ -38,7 +38,7 @@ from .params import (
     check_die_count,
     design_to_document,
     load_scenario,
-    resolve_technology,
+    resolve_node,
     validate_gamma,
 )
 
@@ -256,7 +256,7 @@ def cmd_switch(args) -> int:
     with _recorded_warnings() as rec:
         scenario = load_scenario(args.config)
         # an unknown node is an error on the option, not on the library's parameter name
-        resolve_technology(args.node, scenario.technology_overrides, scenario.registry, "--node")
+        resolve_node(args.node, scenario.technology_overrides, scenario.registry, "--node")
         point = explorer.switching_point(
             scenario, integration, args.node, args.dies, lo, hi, stacking=Stacking(args.stacking)
         )

@@ -82,7 +82,7 @@ from .params import (
     _profile,
     check_die_count,
     left_sum,
-    resolve_technology,
+    resolve_node,
     validate_design,
     validate_gamma,
     validate_profile,
@@ -153,9 +153,8 @@ def _dies_patched(scenario: Scenario, index: str, field_name: str, sub: str | No
             raise UnresolvablePath(f"{path}: die index {i} out of range (have {len(dies)})")
         die = dies[i]
         if field_name == "technology" and sub is None:
-            node = str(value)
-            tech = resolve_technology(node, scenario.technology_overrides, scenario.registry, path)
-            dies[i] = dataclasses.replace(die, technology=tech, wiring=scenario.registry.default_wiring(node))
+            tech, wiring = resolve_node(str(value), scenario.technology_overrides, scenario.registry, path)
+            dies[i] = dataclasses.replace(die, technology=tech, wiring=wiring)
         elif field_name == "wiring" and sub is not None:
             wiring = _patched(die.wiring, sub, value, f"design.dies[{i}].wiring", path)
             dies[i] = dataclasses.replace(die, wiring=wiring)
@@ -228,9 +227,9 @@ def _scenarios(template: Scenario, axes: tuple[SweepAxis, ...]):
     """Yield each row's values and scenario in ``itertools.product`` order, every axis
     routed first; each value of the first axis is applied once, to the prefix scenario
     that every combination of the later axes shares.  A later axis whose field no
-    earlier axis patches, and which the earlier axes repeat, keeps, per position, the
-    field it patched and its source; a prefix whose field is that source takes the
-    patched one.  An axis that runs once keeps nothing: it could reuse nothing."""
+    earlier axis patches, and which the earlier axes repeat, keeps the field it patched
+    per position, and every later prefix takes it.  An axis that runs once keeps
+    nothing: it could reuse nothing."""
     fields = [_route(a.parameter_path)[0] for a in axes]
     kept = [{} if f not in fields[:i] and math.prod(len(a.values) for a in axes[:i]) > 1 else None
             for i, f in enumerate(fields)]
@@ -241,13 +240,14 @@ def _scenarios(template: Scenario, axes: tuple[SweepAxis, ...]):
             return
         axis, field, memo = axes[depth], fields[depth], kept[depth]
         for position, value in enumerate(axis.values):  # by position: 0.0 == -0.0
-            hit = memo.get(position) if memo is not None else None
-            if hit is not None and hit[0] is getattr(prefix, field):
-                scenario = dataclasses.replace(prefix, **{field: hit[1]})
+            # no earlier axis patches the field, so every prefix holds the template's object for it
+            patched = memo.get(position) if memo is not None else None
+            if patched is not None:
+                scenario = dataclasses.replace(prefix, **{field: patched})
             else:
                 scenario = apply_parameter(prefix, axis.parameter_path, value)
                 if memo is not None:
-                    memo[position] = getattr(prefix, field), getattr(scenario, field)
+                    memo[position] = getattr(scenario, field)
             yield from walk(scenario, depth + 1, values + (value,))
 
     return walk(template, 0, ())
@@ -453,8 +453,7 @@ def switching_point(
     if integration is Integration.MONO_2D:
         raise InvalidCombination("integration", "mono_2d is the 2D baseline that the search compares with")
     _check_range(gate_lo, gate_hi)
-    tech = resolve_technology(node, base.technology_overrides, base.registry, "node")
-    wiring = base.registry.default_wiring(node)
+    tech, wiring = resolve_node(node, base.technology_overrides, base.registry, "node")
     # only the gate count changes with g, and every g is >= gate_lo > 0: this validates every point.
     # The mono-2D leg, one die of g gates with facing and stacking na, passes every check then too.
     n = len(build_design(integration, tech, wiring, n_dies, gate_lo, stacking=stacking).dies)

@@ -274,7 +274,7 @@ class Scenario:
     for one built in code), ``technology_overrides`` the document's resolved
     override of each node it names (read-only; empty for one built in code),
     so that a node chosen later, by a sweep or a switching-point search,
-    resolves as the document's dies do (see ``resolve_technology``).
+    resolves as the document's dies do (see ``resolve_node``).
     """
 
     design: DesignSpec
@@ -296,24 +296,21 @@ FIXTURES_ENV_VAR = "CARBON3D_FIXTURES"
 _BUNDLED_DIR = Path(__file__).resolve().parent / "fixtures"
 
 
-def _read_fixture(file: str, path: str) -> bytes:
-    """One fixture file's bytes; an unreadable file raises on ``path``."""
+# fixture file (relative to the root) -> (its bytes, what was built from them, the warnings building it raised).
+# Process-wide, one entry per file: it holds parsed inputs, never model results.
+_BUILT: dict[str, tuple[bytes, Any, tuple]] = {}
+
+
+def _built(root: str, file: str, path: str, build: Callable[[dict], Any]) -> Any:
+    """What ``build`` makes from the JSON object in fixture ``file`` under ``root``, which is read on
+    every call but parsed and validated again only when its bytes differ from the last build's; the
+    build's warnings are raised on every call.  An unreadable or malformed file raises on ``path``."""
     try:
-        with open(file, "rb") as f:
-            return f.read()
+        with open(os.path.join(root, file), "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise ValidationError(path, f"cannot read the fixture file: {exc.strerror or exc}") from exc
-
-
-# (kind, name) -> (fixture file bytes, the profile built from them, the warnings building it raised).
-# Process-wide, one entry per key: it holds parsed inputs, never model results.
-_BUILT: dict[tuple[str, str], tuple[bytes, Any, tuple]] = {}
-
-
-def _built(kind: str, name: str, data: bytes, path: str, build: Callable[[dict], Any]) -> Any:
-    """The profile ``build`` makes from the JSON object in fixture ``data``, parsed and validated
-    again only when the bytes differ from the last build's; its warnings are raised on every call."""
-    entry = _BUILT.get((kind, name))
+    entry = _BUILT.get(file)
     if entry is None or entry[0] != data:
         try:
             doc = json.loads(data.decode("utf-8"))
@@ -324,11 +321,11 @@ def _built(kind: str, name: str, data: bytes, path: str, build: Callable[[dict],
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                profile = build(doc)
+                built = build(doc)
         except Exception:
             _warn_again(caught)  # the warnings a failed build raised come before its error
             raise
-        entry = _BUILT[kind, name] = (data, profile, tuple(caught))
+        entry = _BUILT[file] = (data, built, tuple(caught))
     _warn_again(entry[2])
     return entry[1]
 
@@ -344,11 +341,13 @@ class FixtureRegistry:
 
     A registry reads each fixture file, and lists the ``nodes`` directory,
     at most once and pins them for its lifetime; later calls return the
-    same frozen object.  A node name must name a file in that listing before
-    any path is built from it.  Edits to the fixture files take effect with
-    the next registry (in the CLI, the next command).  Failures are not cached.  A profile is
-    parsed and validated only when its file's bytes differ from those it
-    was last built from in this process; its warnings are raised again.
+    same frozen object.  A node file's technology and ``wiring`` are one
+    fixture, built and validated together.  A node name must name a file in
+    that listing before any path is built from it.  Edits to the fixture
+    files take effect with the next registry (in the CLI, the next command).
+    Failures are not cached.  A file is parsed and validated only when its
+    bytes differ from those it was last built from in this process; its
+    warnings are raised again.
     """
 
     def __init__(self, root: Path | str):
@@ -356,7 +355,7 @@ class FixtureRegistry:
         self._dir = str(self.root)     # the read path joins strings, not Paths
         if not os.path.isdir(os.path.join(self._dir, "nodes")):
             raise FileNotFoundError(f"no 'nodes' directory under {self.root}")
-        self._cache: dict[tuple[str, str], Any] = {}
+        self._cache: dict[str, Any] = {}   # fixture file -> what was built from it; a failure leaves no entry
         self._node_files: frozenset[str] | None = None
 
     @classmethod
@@ -378,43 +377,33 @@ class FixtureRegistry:
             return (int(digits) if digits else 1 << 30, n)
         return sorted((file[:-5] for file in self._listing()), key=key)
 
-    def _from_file(self, kind: str, name: str, file: str, path: str, build: Callable[[dict], Any]) -> Any:
-        # the file's bytes are pinned once a profile is built from them, so technology()
-        # and default_wiring() share one read, and a failed read or parse is retried
-        data = self._cache.get(("file", file))
-        if data is None:
-            data = _read_fixture(os.path.join(self._dir, file), path)
-        profile = self._cache[kind, name] = _built(kind, name, data, path, build)
-        self._cache["file", file] = data
-        return profile
-
-    def _node(self, kind: str, node_name: str, path: str) -> Any:
-        if f"{node_name}.json" not in self._listing():  # no path from an unchecked name
-            raise UnknownNode(path, node_name, self.node_names())
-        where = f"fixtures/nodes/{node_name}"
-
-        def build(doc: dict) -> Any:
-            if kind == "default_wiring":
-                return _profile(WiringParameters, None, doc.get("wiring", {}), f"{where}.wiring")
-            doc = {k: v for k, v in doc.items() if k != "wiring"}
-            return _profile(TechnologyProfile, None, doc, where, node_name=node_name)
-        return self._from_file(kind, node_name, f"nodes/{node_name}.json", where, build)
+    def _node(self, node_name: str, path: str) -> tuple[TechnologyProfile, WiringParameters]:
+        file = f"nodes/{node_name}.json"
+        node = self._cache.get(file)
+        if node is None:
+            if f"{node_name}.json" not in self._listing():  # no path from an unchecked name
+                raise UnknownNode(path, node_name, self.node_names())
+            where = f"fixtures/nodes/{node_name}"
+            node = self._cache[file] = _built(self._dir, file, where, lambda doc: (
+                _profile(TechnologyProfile, None, {k: v for k, v in doc.items() if k != "wiring"}, where, node_name=node_name),
+                _profile(WiringParameters, None, doc.get("wiring", {}), f"{where}.wiring")))
+        return node
 
     def technology(self, node_name: str, path: str = "technology") -> TechnologyProfile:
         """The node's fixture profile; an unknown node is an error on ``path``."""
-        return self._cache.get(("technology", node_name)) or self._node("technology", node_name, path)
+        return self._node(node_name, path)[0]
 
     def default_wiring(self, node_name: str) -> WiringParameters:
-        wiring = self._cache.get(("default_wiring", node_name))
-        return wiring or self._node("default_wiring", node_name, "technology")
+        return self._node(node_name, "technology")[1]
 
     def _shared(self, cls: type, stem: str) -> Any:
-        profile = self._cache.get(("shared", stem))
+        file = f"{stem}.json"
+        profile = self._cache.get(file)
         if profile is None:
-            if not os.path.isfile(os.path.join(self._dir, f"{stem}.json")):
-                raise MissingField(f"fixtures/{stem}.json", "fixture file not found")
+            if not os.path.isfile(os.path.join(self._dir, file)):
+                raise MissingField(f"fixtures/{file}", "fixture file not found")
             where = f"fixtures/{stem}"
-            profile = self._from_file("shared", stem, f"{stem}.json", where, lambda doc: _profile(cls, None, doc, where))
+            profile = self._cache[file] = _built(self._dir, file, where, lambda doc: _profile(cls, None, doc, where))
         return profile
 
     def bonding(self) -> BondingProfile:
@@ -672,13 +661,13 @@ def _profile(cls: type, base: Any, patch: Any, path: str, **fixed: Any) -> Any:
 # Document loading
 # ---------------------------------------------------------------------------
 
-def resolve_technology(
+def resolve_node(
     node: str, overrides: Mapping[str, TechnologyProfile], registry: FixtureRegistry, path: str
-) -> TechnologyProfile:
-    """The profile ``node`` names under a document: its resolved override if it has
-    one, else the node's fixture profile.  An unknown node is an error on ``path``."""
-    tech = overrides.get(node)
-    return registry.technology(node, path) if tech is None else tech
+) -> tuple[TechnologyProfile, WiringParameters]:
+    """``node``'s technology under a document (its resolved override if it has one, else its
+    fixture's) and its fixture's wiring.  An unknown node is an error on ``path``."""
+    fixture = registry.technology(node, path)  # also refuses a node the registry lacks, on ``path``
+    return overrides.get(node, fixture), registry.default_wiring(node)
 
 
 _EARLY_DESIGN_KEYS = ("gate_count_2d", "n_dies", "technology", "area_ratios")
@@ -732,8 +721,8 @@ def _design(design_doc: dict, overrides: Mapping, registry: FixtureRegistry) -> 
         node = str(_require(raw, "technology", dpath))
         # an early-design split takes its one node from design.technology
         node_path = f"{dpath}.technology" if "dies" in design_doc else "design.technology"
-        tech = resolve_technology(node, overrides, registry, node_path)
-        wiring = _profile(WiringParameters, registry.default_wiring(node), raw.get("wiring"), f"{dpath}.wiring")
+        tech, wiring = resolve_node(node, overrides, registry, node_path)
+        wiring = _profile(WiringParameters, wiring, raw.get("wiring"), f"{dpath}.wiring")
         # the die object also holds its technology and wiring, read above
         sizes = {k: v for k, v in raw.items() if k not in ("technology", "wiring")}
         dies.append(_profile(DieSpec, None, sizes, dpath, technology=tech, wiring=wiring))
@@ -759,7 +748,7 @@ def _process_profiles(design_doc: dict, overrides: Mapping, registry: FixtureReg
     interposer_doc = _section(design_doc, "interposer", "design.interposer")
     _known_keys(interposer_doc, ("technology", "beol_layers"), "design.interposer")
     node = str(interposer_doc.get("technology", "28nm"))
-    interposer_tech = resolve_technology(node, overrides, registry, "design.interposer.technology")
+    interposer_tech, _ = resolve_node(node, overrides, registry, "design.interposer.technology")
     interposer_layers = _int(interposer_doc.get("beol_layers", 4), "design.interposer.beol_layers")
     _check_beol_count(interposer_layers, interposer_tech, node, "design.interposer.beol_layers")
     return ProcessProfiles(bonding, packaging, interposer_technology=interposer_tech,

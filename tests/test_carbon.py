@@ -1,9 +1,11 @@
+import contextlib
 import dataclasses
 import functools
 import itertools
 import json
 import math
 import random
+import signal
 import warnings
 from pathlib import Path
 
@@ -42,6 +44,20 @@ from carbon3d.yieldmodel import YieldContext
 from conftest import make_design, make_env, make_profiles, make_scenario, make_tech
 
 
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail, rather than hang, a block that does not finish in ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"not finished in {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestDiesPerWafer:
     def test_reference_point(self):
         # pi*225 - pi*30/sqrt(2) = 640.215..., frozen via tools/rederive_oracles.py
@@ -65,6 +81,21 @@ class TestDiesPerWafer:
     def test_clamped_to_one_with_warning(self):
         with pytest.warns(CarbonModelWarning):
             assert dies_per_wafer(30.0, 500.0) == 1
+
+    def test_the_clamp_warning_names_the_caller(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dies_per_wafer(30.0, 500.0)
+        assert [w.filename for w in caught] == [__file__]
+
+    def test_a_count_that_overshoots_the_wafer_steps_down_to_the_largest_that_fits(self):
+        # at 3.7e-36 cm^2 the formula rounds to a float count whose dies exceed the wafer; the step
+        # down moves one float spacing, as subtracting 1 from a count this large changes no product
+        area, wafer_area = 3.7e-36, math.pi * 15.0**2
+        assert math.floor(wafer_area / area - math.pi * 30.0 / math.sqrt(2.0 * area)) * area > wafer_area
+        with _deadline(seconds=10):
+            count = dies_per_wafer(30.0, area)
+        assert count * area <= wafer_area < math.nextafter(count, math.inf) * area
 
     def test_nonpositive_area(self):
         with pytest.raises(NonPositiveArea):

@@ -60,6 +60,16 @@ class TestTsvCount:
         wiring = make_wiring()
         assert tsv_count_f2b(1, 1, wiring) == 0
 
+    def test_a_two_gate_die_has_f2b_tsvs(self):
+        # only a block of <= 1 gate is degenerate: T(4) - 2 T(2) = a k 2^p (2 - 2^p) = 2.94 here
+        wiring = make_wiring(rent_k=4.0, rent_p=0.6, rent_alpha=1.0)
+        assert tsv_count_f2b(2, 2, wiring) == 3
+        assert tsv_count_f2b(2, 1e6, wiring) == tsv_count_f2b(1e6, 2, wiring) > 0
+
+    def test_a_count_below_one_rounds_up_to_one(self):
+        # raw = 0.1 * 2^0.6 * (2 - 2^0.6) = 0.073: a positive count is at least one TSV
+        assert tsv_count_f2b(2, 2, make_wiring(rent_k=0.1, rent_p=0.6, rent_alpha=1.0)) == 1
+
     def test_p_equal_one_vanishes(self):
         wiring = make_wiring(rent_p=1.0)
         assert tsv_count_f2b(1e6, 1e6, wiring) == 0
@@ -103,6 +113,10 @@ class TestWireLength:
 
     def test_tiny_block_has_no_wires(self):
         assert average_wire_length(0.6, 1) == 0.0
+
+    def test_a_block_between_one_and_two_gates_has_wires(self):
+        # only N <= 1 has none; frozen from the closed form at N = 1.2
+        assert average_wire_length(0.6, 1.2) == pytest.approx(55.1453814, rel=1e-8)
 
     def test_grows_with_gate_count(self):
         values = [average_wire_length(0.6, n) for n in (1e4, 1e6, 1e8, 1e10)]

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+import types
 import warnings
 from pathlib import Path
 
@@ -27,9 +28,11 @@ from carbon3d.errors import (
 )
 from carbon3d import params
 from carbon3d.cli import main
-from carbon3d.params import SURVEYED, validate_design, validate_profile
+from carbon3d.params import SURVEYED, resolve_node, validate_design, validate_profile
 
 from conftest import basic_document, make_design, write_config
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestLoadDesign:
@@ -373,7 +376,10 @@ class TestRegistry:
             registry.default_wiring("7nm")
             sizes.add(len(params._BUILT))
         assert len(sizes) == 1
-        assert sorted(kind for kind, name in params._BUILT if name == "7nm") == ["default_wiring", "technology"]
+        # one entry per fixture file: the node's technology and wiring are one build
+        assert [file for file in params._BUILT if "7nm" in file] == ["nodes/7nm.json"]
+        _, (tech, wiring), _ = params._BUILT["nodes/7nm.json"]
+        assert tech is registry.technology("7nm") and wiring is registry.default_wiring("7nm")
 
     def test_fixture_that_is_not_an_object(self, tmp_path):
         root = _fixture_copy(tmp_path)
@@ -416,6 +422,53 @@ class TestRegistry:
         assert main(["sweep", "-c", str(config), "--axis", "dies[*].gate_count=1e8,2e8", "--baseline"]) == 0
         lines = [line for line in capsys.readouterr().err.splitlines() if "epa_feol" in line]
         assert lines == ["warning: fixtures/nodes/7nm.epa_feol=0.9 is outside the surveyed range [0.24, 0.56]"]
+
+
+class TestNodeFile:
+    """A node file is one fixture: its technology and its wiring are read, parsed and validated together."""
+
+    @pytest.mark.parametrize("node, reader", [
+        ("28nm", "interposer"),    # hybrid_2die_7nm's dies are 7nm; only its interposer is 28nm
+        ("14nm", "override"),      # no die or interposer uses 14nm; an override is built over it
+        ("5nm", "fixtures list"),  # the table prints only technology fields
+    ])
+    def test_a_broken_wiring_refuses_the_node_wherever_it_is_read(self, tmp_path, monkeypatch, capsys, node, reader):
+        root = _fixture_copy(tmp_path)
+        wiring = json.loads((root / "nodes" / f"{node}.json").read_text())["wiring"]
+        _edit_node(root, node, wiring={**wiring, "rent_p": 2.0})
+        monkeypatch.setenv("CARBON3D_FIXTURES", str(root))
+        overridden = {**basic_document(), "technology_overrides": {node: {"defect_density_d0": 0.1}}}
+        argv = {
+            "interposer": ["estimate", "-c", str(CONFIG_DIR / "hybrid_2die_7nm.json")],
+            "override": ["estimate", "-c", str(write_config(tmp_path, overridden))],
+            "fixtures list": ["fixtures", "list"],
+        }[reader]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: fixtures/nodes/{node}.wiring.rent_p: must be in (0, 1)\n"
+
+    def test_a_node_file_is_parsed_once_per_process(self, tmp_path, monkeypatch):
+        root = _fixture_copy(tmp_path)
+        _edit_node(root, "7nm", epa_feol=0.41)  # bytes that no earlier build in this process has seen
+        parsed = []
+        spy = types.SimpleNamespace(load=json.load, loads=lambda text: parsed.append(text) or json.loads(text))
+        monkeypatch.setattr(params, "json", spy)
+        for registry in (FixtureRegistry(root), FixtureRegistry(root)):
+            assert registry.technology("7nm").epa_feol == 0.41
+            registry.default_wiring("7nm")
+            resolve_node("7nm", {}, registry, "technology")
+            load_scenario(basic_document(), registry=registry)
+        assert sum('"epa_feol": 0.41' in text for text in parsed) == 1
+
+    def test_resolve_node_gives_an_override_with_the_fixture_wiring(self, registry):
+        fixture = registry.technology("7nm"), registry.default_wiring("7nm")
+        override = dataclasses.replace(fixture[0], defect_density_d0=0.42)
+        tech, wiring = resolve_node("7nm", {"7nm": override}, registry, "technology")
+        assert tech is override and wiring is fixture[1]
+        assert resolve_node("7nm", {}, registry, "technology") == fixture
+        for overrides in ({}, {"90nm": override}):  # an override has no wiring: the node needs its fixture
+            with pytest.raises(UnknownNode) as exc:
+                resolve_node("90nm", overrides, registry, "design.dies[1].technology")
+            assert exc.value.path == "design.dies[1].technology"
 
 
 def _fixture_copy(tmp_path) -> Path:
